@@ -47,6 +47,7 @@ from torsionlab.novikov import (
     EulerLift,
     MorseInvariant,
     NovikovComplex,
+    apply_lift,
     invariant_I,
     tau_novikov,
 )
@@ -110,6 +111,7 @@ __all__ = [
     "TPolynomial",
     "TorsionValue",
     "VerificationReport",
+    "apply_lift",
     "approx_equal",
     "assemble_boundary",
     "canonical_mod_units",

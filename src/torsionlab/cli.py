@@ -7,12 +7,7 @@ did not parse, 4 an operation's precondition failed, 64 usage.
 import argparse
 import sys
 
-from .complexes import (
-    rebase_basis,
-    torsion_tau,
-    torsion_tau_hat,
-    validate_complex,
-)
+from .complexes import torsion_tau, torsion_tau_hat, validate_complex
 from .cut import (
     assemble_boundary,
     check_K_vs_novikov,
@@ -21,7 +16,7 @@ from .cut import (
 )
 from .errors import FixtureError, PreconditionError
 from .fixtures import parse_fixture
-from .novikov import tau_novikov
+from .novikov import apply_lift
 from .rings import (
     GroupRingElem,
     TPolynomial,
@@ -97,14 +92,7 @@ def _lifted_complex(fixture):
         data = fixture.payload.novikov
     else:
         raise PreconditionError("fixture carries no complex to take torsion of")
-    moved = data.cn
-    if data.xi is not None:
-        for j, group in enumerate(data.xi.offsets):
-            for index, u in enumerate(group):
-                if u == 1:
-                    continue
-                moved = rebase_basis(moved, data.cn.min_degree + j, index, u)
-    return moved
+    return apply_lift(data.cn, data.xi, data.cn.min_degree)
 
 
 def _order_for(args, fixture):

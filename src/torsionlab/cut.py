@@ -17,13 +17,12 @@ from .complexes import (
     BasedChainComplex,
     TorsionValue,
     _torsion_engine,
-    rebase_basis,
     torsion_tau,
     validate_complex,
 )
 from .errors import PreconditionError
-from .linalg import adjugate, bareiss_det
-from .novikov import invariant_I, tau_novikov
+from .linalg import mat_mul, scaled_solve
+from .novikov import apply_lift, invariant_I, tau_novikov
 from .rings import (
     NovikovTruncation,
     RationalFunction,
@@ -114,14 +113,6 @@ class CutSystem:
         return len(self.sigma.dims)
 
 
-def _mul_to(A, B, zero, rows, inner, cols):
-    # explicit target shape, so degenerate operands still yield rows x cols
-    return [
-        [sum((A[r][k] * B[k][c] for k in range(inner)), zero) for c in range(cols)]
-        for r in range(rows)
-    ]
-
-
 def validate_cut_system(cs):
     """Defect report covering the surface complex and all coupling identities."""
     report = ["sigma: " + line for line in validate_complex(cs.sigma)]
@@ -132,22 +123,22 @@ def validate_cut_system(cs):
     sd = cs.sigma.dims
     for i in range(2, n + 1):
         d_sig = cs.sigma.boundaries[i - 2]
-        nn = _mul_to(cs.N[i - 2], cs.N[i - 1], zero, crit[i - 2], crit[i - 1], crit[i])
+        nn = mat_mul(cs.N[i - 2], cs.N[i - 1], zero, cols=crit[i])
         if any(e for row in nn for e in row):
             report.append("critical block d^2 != 0 at degree %d" % i)
-        mn = _mul_to(cs.M[i - 2], cs.N[i - 1], zero, sd[i - 2], crit[i - 1], crit[i])
-        dm = _mul_to(d_sig, cs.M[i - 1], zero, sd[i - 2], sd[i - 1], crit[i])
+        mn = mat_mul(cs.M[i - 2], cs.N[i - 1], zero, cols=crit[i])
+        dm = mat_mul(d_sig, cs.M[i - 1], zero, cols=crit[i])
         if any(mn[r][c] + dm[r][c] for r in range(sd[i - 2]) for c in range(crit[i])):
             report.append("M/N compatibility fails at degree %d" % i)
-        nw = _mul_to(cs.N[i - 2], cs.W[i - 1], zero, crit[i - 2], crit[i - 1], sd[i - 1])
-        wd = _mul_to(cs.W[i - 2], d_sig, zero, crit[i - 2], sd[i - 2], sd[i - 1])
+        nw = mat_mul(cs.N[i - 2], cs.W[i - 1], zero, cols=sd[i - 1])
+        wd = mat_mul(cs.W[i - 2], d_sig, zero, cols=sd[i - 1])
         if any(
             nw[r][c] - wd[r][c] for r in range(crit[i - 2]) for c in range(sd[i - 1])
         ):
             report.append("W/N compatibility fails at degree %d" % i)
-        mw = _mul_to(cs.M[i - 2], cs.W[i - 1], zero, sd[i - 2], crit[i - 1], sd[i - 1])
-        pd = _mul_to(cs.phi[i - 2], d_sig, zero, sd[i - 2], sd[i - 2], sd[i - 1])
-        dp = _mul_to(d_sig, cs.phi[i - 1], zero, sd[i - 2], sd[i - 1], sd[i - 1])
+        mw = mat_mul(cs.M[i - 2], cs.W[i - 1], zero, cols=sd[i - 1])
+        pd = mat_mul(cs.phi[i - 2], d_sig, zero, cols=sd[i - 1])
+        dp = mat_mul(d_sig, cs.phi[i - 1], zero, cols=sd[i - 1])
         if any(
             mw[r][c] - pd[r][c] + dp[r][c]
             for r in range(sd[i - 2])
@@ -226,35 +217,24 @@ def _twist_block(ring, phi):
 def compute_K(cs):
     """Handle-to-handle transfer matrices with the return-flow correction.
 
-    K_i = N_i + t W_i (1 - t phi_{i-1})^{-1} M_i, the inverse realized
-    through the adjugate so every entry stays an exact fraction.  The
-    denominator det(1 - t phi) has constant term 1, hence never vanishes.
+    K_i = N_i + t W_i (1 - t phi_{i-1})^{-1} M_i.  One fraction-free solve
+    gives d = det(1 - t phi_{i-1}) and Y with (1 - t phi_{i-1}) Y = d M_i,
+    so K_i = (d N_i + t W_i Y) / d entry by entry.  The denominator d has
+    constant term 1, hence never vanishes.
     """
     ring = cs.ring
     t = TPolynomial.t(ring)
     zero = TPolynomial.zero(ring)
     out = []
     for i in range(1, cs.n + 1):
-        rows = cs.crit_dims[i - 1]
-        cols = cs.crit_dims[i]
-        m = cs.sigma.dims[i - 1]
-        adj, det = adjugate(ring, _twist_block(ring, cs.phi[i - 1]))
-        correction = _mul_to(
-            _mul_to(cs.W[i - 1], adj, zero, rows, m, m),
-            cs.M[i - 1],
-            zero,
-            rows,
-            m,
-            cols,
+        det, Y = scaled_solve(ring, _twist_block(ring, cs.phi[i - 1]), cs.M[i - 1])
+        correction = mat_mul(cs.W[i - 1], Y, zero, cols=cs.crit_dims[i])
+        out.append(
+            [
+                [RationalFunction(n * det + t * c, det) for n, c in zip(N_row, c_row)]
+                for N_row, c_row in zip(cs.N[i - 1], correction)
+            ]
         )
-        K = []
-        for r in range(rows):
-            row = []
-            for c in range(cols):
-                num = cs.N[i - 1][r][c] * det + t * correction[r][c]
-                row.append(RationalFunction(num, det))
-            K.append(row)
-        out.append(K)
     return out
 
 
@@ -262,10 +242,10 @@ def tau_via_products(cs):
     """Torsion of the glued complex through the degreewise factorization.
 
     The critical complex with boundaries K is paired by the same greedy
-    square splitting used for direct torsion; each paired determinant is
-    weighted against det(1 - t phi) with alternating exponents.  A split
-    that exists dimensionally but meets only singular blocks yields the
-    zero value.
+    square splitting used for direct torsion, then weighted by the
+    alternating product of det(1 - t phi_i), which is the counting
+    function zeta_lefschetz returns.  A split that exists dimensionally
+    but meets only singular blocks yields the zero value.
     """
     ring = cs.ring
     crit = cs.crit_dims
@@ -280,10 +260,7 @@ def tau_via_products(cs):
     if engine is None:
         z = RationalFunction.zero(ring)
         return TorsionValue(z, z)
-    total = engine.raw
-    for i in range(1, cs.n + 1):
-        det = RationalFunction(bareiss_det(ring, _twist_block(ring, cs.phi[i - 1])))
-        total = total * (det.inverse() if i % 2 else det)
+    total = engine.raw * zeta_lefschetz(ring, cs.phi)
     return TorsionValue(total, canonical_mod_units(total))
 
 
@@ -392,22 +369,13 @@ def verify_main_theorem(cs, cn, xi=None, order=16):
     zeta = zeta_lefschetz(cs.ring, cs.phi)
     tau_cn = tau_novikov(cn, xi)
     inv = invariant_I(zeta, tau_cn)
-    assembled = assemble_boundary(cs)
-    if xi is not None:
-        for j, group in enumerate(xi.offsets):
-            degree = cn.min_degree + j
-            for index, u in enumerate(group):
-                if u == 1:
-                    continue
-                assembled = rebase_basis(assembled, degree, index, u)
+    assembled = apply_lift(assemble_boundary(cs), xi, cn.min_degree)
     direct = torsion_tau(assembled)
     product_route = tau_via_products(cs)
     if inv.is_zero or inv.value is None or direct is None:
         main = inv.is_zero and direct is None
     else:
-        a = inv.value.canonical
-        b = direct.canonical
-        main = a.num == b.num and a.den == b.den
+        main = unit_equivalent(inv.value.raw, direct.raw)
     if direct is None or product_route.raw.is_zero:
         product = (direct is None) == product_route.raw.is_zero
     else:

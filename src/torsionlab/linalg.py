@@ -3,6 +3,9 @@
 Matrices are plain lists of rows.  An r x 0 matrix is a list of r empty
 lists, a 0 x c matrix is the empty list; every function that needs to mint
 an element for a degenerate shape takes the ring spec explicitly.
+
+Determinants, ranks and scaled solves over the polynomial ring (and
+integer determinants) all run one fraction-free elimination, _eliminate.
 """
 
 from .errors import PreconditionError
@@ -15,12 +18,6 @@ def mat_shape(M):
     return rows, cols
 
 
-def mat_identity(ring, n):
-    one = TPolynomial.one(ring)
-    zero = TPolynomial.zero(ring)
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
 def mat_transpose(M, cols=None):
     # cols disambiguates the 0 x c case, where the row list is empty
     if not M:
@@ -28,7 +25,8 @@ def mat_transpose(M, cols=None):
     return [list(col) for col in zip(*M)]
 
 
-def mat_mul(A, B, zero):
+def mat_mul(A, B, zero, cols=None):
+    # cols gives the result width when B has no rows to read it from
     ra, ca = mat_shape(A)
     rb, cb = mat_shape(B)
     if ra == 0:
@@ -36,6 +34,8 @@ def mat_mul(A, B, zero):
         return []
     if ca != rb:
         raise PreconditionError("matrix product shape mismatch")
+    if rb == 0:
+        cb = cols or 0
     out = []
     for i in range(ra):
         row = []
@@ -46,24 +46,6 @@ def mat_mul(A, B, zero):
             row.append(acc)
         out.append(row)
     return out
-
-
-def mat_add(A, B):
-    ra, ca = mat_shape(A)
-    if (ra, ca) != mat_shape(B):
-        raise PreconditionError("matrix sum shape mismatch")
-    return [[A[i][j] + B[i][j] for j in range(ca)] for i in range(ra)]
-
-
-def mat_sub(A, B):
-    ra, ca = mat_shape(A)
-    if (ra, ca) != mat_shape(B):
-        raise PreconditionError("matrix sum shape mismatch")
-    return [[A[i][j] - B[i][j] for j in range(ca)] for i in range(ra)]
-
-
-def mat_scale(A, c):
-    return [[entry * c for entry in row] for row in A]
 
 
 def mat_apply(A, v, zero):
@@ -85,77 +67,72 @@ def mat_is_zero(M):
     return all(not entry for row in M for entry in row)
 
 
+def _eliminate(W, div, one):
+    """Fraction-free forward elimination of W in place (Bareiss 1968).
+
+    Each update divides by the previous pivot through div, which must be
+    exact.  Returns the pivot columns and the sign of the row swaps; rows
+    past the rank and entries below the pivots are left as scratch.
+    """
+    rows = len(W)
+    cols = len(W[0]) if rows else 0
+    prev = one
+    sign = 1
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        pivot_row = next((i for i in range(r, rows) if W[i][c]), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            W[r], W[pivot_row] = W[pivot_row], W[r]
+            sign = -sign
+        pr = W[r]
+        p = pr[c]
+        for i in range(r + 1, rows):
+            wi = W[i]
+            f = wi[c]
+            for j in range(c + 1, cols):
+                wi[j] = div(p * wi[j] - f * pr[j], prev)
+        prev = p
+        pivots.append(c)
+    return pivots, sign
+
+
+def _int_div(a, b):
+    q, r = divmod(a, b)
+    if r:
+        raise ArithmeticError("inexact interior division")
+    return q
+
+
+def _square_size(M, what):
+    n = len(M)
+    if any(len(row) != n for row in M):
+        raise PreconditionError("%s of a non-square matrix" % what)
+    return n
+
+
+def _det(M, div, one, zero):
+    n = _square_size(M, "determinant")
+    W = [list(row) for row in M]
+    pivots, sign = _eliminate(W, div, one)
+    if len(pivots) < n:
+        return zero
+    d = W[n - 1][n - 1] if n else one
+    return -d if sign < 0 else d
+
+
 def bareiss_det(ring, M):
     """Fraction-free determinant of a square matrix over the Laurent ring."""
-    n, c = mat_shape(M)
-    if n != c:
-        raise PreconditionError("determinant of a non-square matrix")
-    if n == 0:
-        return TPolynomial.one(ring)
-    W = [list(row) for row in M]
-    sign = 1
-    prev = TPolynomial.one(ring)
-    for k in range(n - 1):
-        pivot_row = None
-        for i in range(k, n):
-            if W[i][k]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return TPolynomial.zero(ring)
-        if pivot_row != k:
-            W[k], W[pivot_row] = W[pivot_row], W[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                W[i][j] = exact_div(W[k][k] * W[i][j] - W[i][k] * W[k][j], prev)
-            W[i][k] = TPolynomial.zero(ring)
-        prev = W[k][k]
-    result = W[n - 1][n - 1]
-    return -result if sign < 0 else result
+    return _det(M, exact_div, TPolynomial.one(ring), TPolynomial.zero(ring))
 
 
 def int_det(M):
     """Integer determinant by the same fraction-free scheme."""
-    n = len(M)
-    if any(len(row) != n for row in M):
-        raise PreconditionError("determinant of a non-square matrix")
-    if n == 0:
-        return 1
-    W = [list(row) for row in M]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        pivot_row = None
-        for i in range(k, n):
-            if W[i][k] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return 0
-        if pivot_row != k:
-            W[k], W[pivot_row] = W[pivot_row], W[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = W[k][k] * W[i][j] - W[i][k] * W[k][j]
-                q, r = divmod(num, prev)
-                if r:
-                    raise ArithmeticError("inexact interior division")
-                W[i][j] = q
-            W[i][k] = 0
-        prev = W[k][k]
-    return sign * W[n - 1][n - 1]
-
-
-def int_mat_mul(A, B):
-    ra, ca = mat_shape(A)
-    rb, cb = mat_shape(B)
-    if ca != rb:
-        raise PreconditionError("matrix product shape mismatch")
-    return [
-        [sum(A[i][k] * B[k][j] for k in range(ca)) for j in range(cb)] for i in range(ra)
-    ]
+    return _det(M, _int_div, 1, 0)
 
 
 def poly_rank_pivots(ring, M):
@@ -164,55 +141,41 @@ def poly_rank_pivots(ring, M):
     Rank is taken over the fraction field; fraction-free elimination keeps
     every intermediate entry polynomial.
     """
-    rows, cols = mat_shape(M)
-    W = [list(row) for row in M]
-    prev = TPolynomial.one(ring)
-    r = 0
-    pivots = []
-    for c in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if W[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            W[r], W[pivot_row] = W[pivot_row], W[r]
-        for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                W[i][j] = exact_div(W[r][c] * W[i][j] - W[i][c] * W[r][j], prev)
-            W[i][c] = TPolynomial.zero(ring)
-        prev = W[r][c]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return r, pivots
+    pivots, _ = _eliminate([list(row) for row in M], exact_div, TPolynomial.one(ring))
+    return len(pivots), pivots
 
 
-def poly_minor(M, skip_row, skip_col):
-    return [
-        [entry for j, entry in enumerate(row) if j != skip_col]
-        for i, row in enumerate(M)
-        if i != skip_row
-    ]
+def scaled_solve(ring, A, B):
+    """(d, Y) with A Y = d B and d = det A, for square A.
 
-
-def adjugate(ring, M):
-    """Adjugate and determinant of a square Laurent polynomial matrix."""
-    n, c = mat_shape(M)
-    if n != c:
-        raise PreconditionError("adjugate of a non-square matrix")
-    det = bareiss_det(ring, M)
-    if n == 0:
-        return [], det
-    adj = [[TPolynomial.zero(ring) for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            cof = bareiss_det(ring, poly_minor(M, i, j))
-            adj[j][i] = -cof if (i + j) % 2 else cof
-    return adj, det
+    Eliminates [A | B] fraction-free, then back-substitutes.  Each
+    back-substitution division is exact because Y = adj(A) B.  A
+    singular A gives d = 0 and Y = 0.
+    """
+    n = _square_size(A, "solve")
+    if len(B) != n:
+        raise PreconditionError("system shape mismatch")
+    k = len(B[0]) if n else 0
+    if any(len(row) != k for row in B):
+        raise PreconditionError("system shape mismatch")
+    one = TPolynomial.one(ring)
+    zero = TPolynomial.zero(ring)
+    W = [list(a) + list(b) for a, b in zip(A, B)]
+    pivots, sign = _eliminate(W, exact_div, one)
+    Y = [[zero] * k for _ in range(n)]
+    if pivots != list(range(n)):
+        return zero, Y
+    d = W[n - 1][n - 1] if n else one
+    if sign < 0:
+        d = -d
+    for i in reversed(range(n)):
+        wi = W[i]
+        for j in range(k):
+            acc = d * wi[n + j]
+            for m in range(i + 1, n):
+                acc = acc - wi[m] * Y[m][j]
+            Y[i][j] = exact_div(acc, wi[i])
+    return d, Y
 
 
 def _clear_row_denominators(ring, M):
@@ -245,12 +208,6 @@ def rf_det(ring, M):
     for f in factors:
         den = den * f
     return RationalFunction(num, den)
-
-
-def rf_rank_pivots(ring, M):
-    # row scaling by the denominator product changes no pivot structure
-    cleared, _ = _clear_row_denominators(ring, M)
-    return poly_rank_pivots(ring, cleared)
 
 
 def rf_rref(ring, M):
@@ -322,13 +279,3 @@ def rf_matrix(M):
     """Lift a Laurent polynomial matrix entrywise into the fraction field."""
     return [[RationalFunction(entry) for entry in row] for row in M]
 
-
-def matrix_det(ring, M):
-    """Determinant dispatcher: polynomial entries stay polynomial."""
-    for row in M:
-        for entry in row:
-            if isinstance(entry, RationalFunction):
-                return rf_det(ring, M)
-            if isinstance(entry, TPolynomial):
-                return bareiss_det(ring, M)
-    return bareiss_det(ring, M)

@@ -13,7 +13,6 @@ from .complexes import (
     BasedChainComplex,
     TorsionValue,
     homology_ranks,
-    rebase_basis,
     torsion_tau,
 )
 from .errors import PreconditionError
@@ -72,20 +71,58 @@ class EulerLift:
         return cls(ring, [[TPolynomial.one(ring)] * d for d in dims])
 
 
+def apply_lift(C, xi, min_degree):
+    """C rebased by the lift xi in one pass; a None lift leaves C as it is.
+
+    Group j of xi scales the leading generators of degree min_degree + j,
+    each by its offset u: columns into that degree pick up u, rows out of
+    it pick up u^-1.  Offsets equal to 1 leave their generator alone.
+    """
+    if xi is None:
+        return C
+    scales = [[None] * d for d in C.dims]
+    for j, group in enumerate(xi.offsets):
+        for index, u in enumerate(group):
+            if u == 1:
+                continue
+            k = C.degree_index(min_degree + j)
+            if index >= C.dims[k]:
+                raise PreconditionError("basis index out of range")
+            coeff, t_exp, v_exps = u.unit_parts()
+            u_inv = TPolynomial.monomial(
+                C.ring, t_exp=-t_exp, v=tuple(-e for e in v_exps), coeff=coeff
+            )
+            scales[k][index] = (u, u_inv)
+    boundaries = []
+    for j, mat in enumerate(C.boundaries):
+        rows, cols = scales[j], scales[j + 1]
+        moved = []
+        for r, row in enumerate(mat):
+            out = []
+            for c, entry in enumerate(row):
+                if cols[c] is not None:
+                    entry = entry * cols[c][0]
+                if rows[r] is not None:
+                    entry = entry * rows[r][1]
+                out.append(entry)
+            moved.append(out)
+        boundaries.append(moved)
+    return BasedChainComplex(C.ring, C.min_degree, C.dims, boundaries, C.labels)
+
+
+def _lifted(cn, xi):
+    """cn rebased by xi, which must carry one offset per generator."""
+    if xi is not None and (
+        len(xi.offsets) != len(cn.dims)
+        or any(len(group) != d for group, d in zip(xi.offsets, cn.dims))
+    ):
+        raise PreconditionError("lift offsets do not match the generators")
+    return apply_lift(cn, xi, cn.min_degree)
+
+
 def tau_novikov(cn, xi=None):
     """Torsion of the critical-point complex in the basis picked by the lift."""
-    moved = cn
-    if xi is not None:
-        if len(xi.offsets) != len(cn.dims) or any(
-            len(group) != d for group, d in zip(xi.offsets, cn.dims)
-        ):
-            raise PreconditionError("lift offsets do not match the generators")
-        for j, group in enumerate(xi.offsets):
-            for index, u in enumerate(group):
-                if u == 1:
-                    continue
-                moved = rebase_basis(moved, cn.min_degree + j, index, u)
-    return torsion_tau(moved)
+    return torsion_tau(_lifted(cn, xi))
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,11 @@ opposite direction presents the same underlying function.
 
 from dataclasses import dataclass
 
-from .complexes import rebase_basis, torsion_tau
+from .complexes import torsion_tau
 from .cut import approx_equal
 from .errors import PreconditionError
 from .linalg import bareiss_det, mat_transpose
+from .novikov import _lifted
 from .rings import NovikovTruncation, RationalFunction, TPolynomial, expand_series
 
 
@@ -221,17 +222,7 @@ def sw_consistency_check(P, cn, xi=None, k=16):
     m2 = dims_by_degree.get(2, 0)
     if m1 != m2 or m1 != P.size:
         raise PreconditionError("critical point counts do not match the path matrix")
-    moved = cn
-    if xi is not None:
-        if len(xi.offsets) != len(cn.dims) or any(
-            len(group) != d for group, d in zip(xi.offsets, cn.dims)
-        ):
-            raise PreconditionError("lift offsets do not match the generators")
-        for j, group in enumerate(xi.offsets):
-            for index, u in enumerate(group):
-                if u == 1:
-                    continue
-                moved = rebase_basis(moved, cn.min_degree + j, index, u)
+    moved = _lifted(cn, xi)
     if P.size:
         d2 = moved.boundaries[1 - moved.min_degree]
     else:

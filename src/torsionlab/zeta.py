@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .linalg import bareiss_det, int_det, int_mat_mul
+from .linalg import bareiss_det, int_det, mat_mul
 from .rings import (
     GroupRingElem,
     NovikovTruncation,
@@ -94,7 +94,7 @@ def orbit_sign(orbit, power=1):
         raise PreconditionError("orbit powers need a return map or index counts")
     P = A
     for _ in range(power - 1):
-        P = int_mat_mul(P, A)
+        P = mat_mul(P, A, 0)
     n = len(A)
     M = [[(1 if i == j else 0) - P[i][j] for j in range(n)] for i in range(n)]
     d = int_det(M)
@@ -223,7 +223,7 @@ def zeta_trace(ring, maps, order):
             lefschetz += trace if i % 2 == 0 else -trace
         if lefschetz:
             slices[m] = GroupRingElem(ring, {ring.zero_v(): Fraction(lefschetz, m)})
-        powers = [int_mat_mul(P, A) if A else [] for P, A in zip(powers, maps)]
+        powers = [mat_mul(P, A, 0) for P, A in zip(powers, maps)]
     log_sum = NovikovTruncation(ring, order, slices, min_t=0)
     result = series_exp(log_sum)
     if not result.is_integral():

@@ -1,22 +1,21 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from torsionlab.errors import PreconditionError
 from torsionlab.linalg import (
-    adjugate,
     bareiss_det,
     int_det,
-    int_mat_mul,
-    mat_identity,
     mat_mul,
     mat_transpose,
-    matrix_det,
     poly_rank_pivots,
     rf_det,
     rf_kernel,
     rf_matrix,
     rf_solve,
+    scaled_solve,
 )
 from torsionlab.rings import RationalFunction, TPolynomial
 
@@ -86,7 +85,7 @@ class TestDeterminants:
 
     def test_int_mat_mul(self):
         A = [[2, 1], [1, 1]]
-        assert int_mat_mul(A, A) == [[5, 3], [3, 2]]
+        assert mat_mul(A, A, 0) == [[5, 3], [3, 2]]
 
 
 class TestRankPivots:
@@ -117,37 +116,76 @@ class TestRankPivots:
         assert poly_rank_pivots(R0, [[], []]) == (0, [])
 
 
-class TestAdjugate:
+def identity(ring, n):
+    return [
+        [TPolynomial.one(ring) if i == j else TPolynomial.zero(ring) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+class TestScaledSolve:
     def test_identity_relation(self):
+        # with B = 1 the scaled solution is the adjugate: M Y = det(M) 1
         t = TPolynomial.t(R0)
         M = [[1 - t, t], [2 * t, 1 + t]]
-        adj, det = adjugate(R0, M)
-        prod = mat_mul(M, adj, TPolynomial.zero(R0))
+        d, Y = scaled_solve(R0, M, identity(R0, 2))
+        assert d == bareiss_det(R0, M)
+        prod = mat_mul(M, Y, TPolynomial.zero(R0))
         for i in range(2):
             for j in range(2):
-                assert prod[i][j] == (det if i == j else 0)
+                assert prod[i][j] == (d if i == j else 0)
 
     def test_swap_map(self):
-        # 1 - t*phi for phi = [[0,1],[1,0]]
+        # 1 - t*phi for phi = [[0,1],[1,0]]; solving against 1 gives its adjugate
         t = TPolynomial.t(R0)
         o = TPolynomial.one(R0)
         M = [[o, -t], [-t, o]]
-        adj, det = adjugate(R0, M)
-        assert det == 1 - t**2
-        assert adj == [[o, t], [t, o]]
+        d, Y = scaled_solve(R0, M, identity(R0, 2))
+        assert d == 1 - t**2
+        assert Y == [[o, t], [t, o]]
+
+    def test_row_swap_keeps_det_sign(self):
+        z = TPolynomial.zero(R0)
+        o = TPolynomial.one(R0)
+        t = TPolynomial.t(R0)
+        d, Y = scaled_solve(R0, [[z, o], [o, z]], [[t], [o]])
+        assert d == -1
+        assert Y == [[-o], [-t]]
+
+    def test_singular(self):
+        t = TPolynomial.t(R0)
+        o = TPolynomial.one(R0)
+        d, Y = scaled_solve(R0, [[1 - t, 1 - t], [t, t]], [[o], [t]])
+        assert d == 0
+        assert Y == [[0], [0]]
+
+    def test_shape_checks(self):
+        o = TPolynomial.one(R0)
+        with pytest.raises(PreconditionError):
+            scaled_solve(R0, [[o, o]], [[o]])
+        with pytest.raises(PreconditionError):
+            scaled_solve(R0, [[o]], [[o], [o]])
+        with pytest.raises(PreconditionError):
+            scaled_solve(R0, [[o, o], [o, -o]], [[o], [o, o]])
 
     @given(data=st.data())
-    def test_adjugate_product(self, data):
+    def test_scaled_solution(self, data):
+        ring = data.draw(st.sampled_from([R0, R1]))
         n = data.draw(st.integers(0, 3))
-        M = [
-            [data.draw(tpolynomials(ring=R0, max_terms=2, t_lo=0, t_hi=1)) for _ in range(n)]
-            for _ in range(n)
-        ]
-        adj, det = adjugate(R0, M)
-        prod = mat_mul(M, adj, TPolynomial.zero(R0))
-        for i in range(n):
-            for j in range(n):
-                assert prod[i][j] == (det if i == j else 0)
+        k = data.draw(st.integers(0, 2))
+
+        def entry():
+            return data.draw(
+                tpolynomials(ring=ring, max_terms=2, t_lo=-1, t_hi=1, v_span=1)
+            )
+
+        A = [[entry() for _ in range(n)] for _ in range(n)]
+        B = [[entry() for _ in range(k)] for _ in range(n)]
+        d, Y = scaled_solve(ring, A, B)
+        assert d == bareiss_det(ring, A)
+        zero = TPolynomial.zero(ring)
+        assert len(Y) == n and all(len(row) == k for row in Y)
+        assert mat_mul(A, Y, zero, cols=k) == [[d * b for b in row] for row in B]
 
 
 class TestFractionField:
@@ -214,6 +252,8 @@ class TestShapes:
         # a 0-column times 0-row product collapses to the empty shape
         assert mat_mul([[], []], [], z) == [[], []]
         assert mat_mul([], [[z], [z]], z) == []
+        # unless cols says how wide the zero result is
+        assert mat_mul([[], []], [], z, cols=3) == [[z, z, z], [z, z, z]]
 
     def test_shape_mismatch(self):
         o = TPolynomial.one(R0)
@@ -222,9 +262,111 @@ class TestShapes:
         with pytest.raises(PreconditionError):
             bareiss_det(R0, [[o, o]])
 
-    def test_matrix_det_dispatch(self):
-        t = TPolynomial.t(R0)
-        assert matrix_det(R0, [[1 - t]]) == 1 - t
-        r = matrix_det(R0, rf_matrix([[1 - t]]))
-        assert isinstance(r, RationalFunction)
-        assert r == RationalFunction(1 - t)
+    def test_ragged_rejected(self):
+        o = TPolynomial.one(R0)
+        with pytest.raises(PreconditionError):
+            bareiss_det(R0, [[o, o], [o]])
+        with pytest.raises(PreconditionError):
+            int_det([[1, 2], [3]])
+
+
+def random_poly(rng, ring, t_lo):
+    terms = {}
+    for _ in range(rng.randint(0, 3)):
+        v = tuple(rng.randint(-1, 1) for _ in range(ring.num_group_vars))
+        terms[(rng.randint(t_lo, 2), v)] = rng.randint(-4, 4)
+    return TPolynomial(ring, terms)
+
+
+def random_matrix(rng, ring, rows, cols, t_lo=0):
+    return [[random_poly(rng, ring, t_lo) for _ in range(cols)] for _ in range(rows)]
+
+
+class SympyView:
+    """Polynomials and matrices of one ring, carried over to sympy."""
+
+    def __init__(self, sympy, ring):
+        self.sympy = sympy
+        self.syms = sympy.symbols(["t"] + list(ring.var_names))
+
+    def expr(self, p):
+        total = 0
+        for (t_exp, v), c in p.terms.items():
+            term = c * self.syms[0] ** t_exp
+            for s, e in zip(self.syms[1:], v):
+                term *= s**e
+            total += term
+        return total
+
+    def matrix(self, M):
+        cols = len(M[0]) if M else 0
+        return self.sympy.Matrix(len(M), cols, [self.expr(e) for row in M for e in row])
+
+
+@pytest.fixture
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+BOTH_RINGS = pytest.mark.parametrize("ring", [R0, R1], ids=["b0", "b1"])
+
+
+@BOTH_RINGS
+def test_sympy_bareiss_det(sympy, ring):
+    view = SympyView(sympy, ring)
+    rng = random.Random(11)
+    shift = TPolynomial.monomial(ring, t_exp=1, v=(1,) * ring.num_group_vars)
+    for _ in range(12):
+        n = rng.randint(1, 4)
+        M = random_matrix(rng, ring, n, n, t_lo=-1)
+        # one monomial shift of every entry clears the negative exponents
+        # for sympy and scales the determinant by its n-th power
+        shifted = [[e * shift for e in row] for row in M]
+        expected = view.matrix(shifted).det(method="berkowitz")
+        got = view.expr(bareiss_det(ring, M) * shift**n)
+        assert sympy.expand(got - expected) == 0
+
+
+def test_sympy_int_det(sympy):
+    rng = random.Random(12)
+    for _ in range(20):
+        n = rng.randint(0, 5)
+        M = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        assert int_det(M) == sympy.Matrix(n, n, sum(M, [])).det()
+
+
+@BOTH_RINGS
+def test_sympy_rank(sympy, ring):
+    from sympy.polys.matrices import DomainMatrix
+
+    view = SympyView(sympy, ring)
+    rng = random.Random(13)
+    zero = TPolynomial.zero(ring)
+    for _ in range(12):
+        rows, cols, inner = rng.randint(1, 4), rng.randint(1, 4), rng.randint(0, 3)
+        # a product through an inner dimension caps the rank
+        L = random_matrix(rng, ring, rows, inner)
+        R = random_matrix(rng, ring, inner, cols)
+        M = mat_mul(L, R, zero, cols=cols)
+        rank, pivots = poly_rank_pivots(ring, M)
+        exact = DomainMatrix.from_Matrix(view.matrix(M)).to_field()
+        assert rank == len(pivots) == exact.rank()
+
+
+@BOTH_RINGS
+def test_sympy_scaled_solve(sympy, ring):
+    view = SympyView(sympy, ring)
+    rng = random.Random(14)
+    for _ in range(10):
+        n, k = rng.randint(1, 3), rng.randint(1, 2)
+        A = random_matrix(rng, ring, n, n)
+        B = random_matrix(rng, ring, n, k)
+        d, Y = scaled_solve(ring, A, B)
+        sA = view.matrix(A)
+        assert sympy.expand(view.expr(d) - sA.det(method="berkowitz")) == 0
+        if d.is_zero:
+            # singular A: the solve promises only A Y = d B, with Y = 0
+            assert all(not y for row in Y for y in row)
+            continue
+        expected = sA.adjugate(method="berkowitz") * view.matrix(B)
+        assert view.matrix(Y).applyfunc(sympy.expand) == expected.applyfunc(sympy.expand)

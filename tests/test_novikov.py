@@ -1,11 +1,14 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from torsionlab.complexes import BasedChainComplex, TorsionValue
+from torsionlab.complexes import BasedChainComplex, TorsionValue, rebase_basis
 from torsionlab.errors import PreconditionError
 from torsionlab.novikov import (
     EulerLift,
     MorseInvariant,
     NovikovComplex,
+    apply_lift,
     invariant_I,
     novikov_rank_check,
     tau_novikov,
@@ -20,7 +23,7 @@ from torsionlab.rings import (
 )
 
 import oracles
-from conftest import R0
+from conftest import R0, R1, tpolynomials
 
 
 def circle_cn():
@@ -120,6 +123,61 @@ class TestTauNovikov:
         cn = circle_cn()
         with pytest.raises(PreconditionError):
             tau_novikov(cn, EulerLift(R0, [[TPolynomial.one(R0)]]))
+
+
+class TestApplyLift:
+    @staticmethod
+    def complex_of(dims, entry):
+        boundaries = [
+            [[entry() for _ in range(dims[j + 1])] for _ in range(dims[j])]
+            for j in range(len(dims) - 1)
+        ]
+        return BasedChainComplex(R1, -1, dims, boundaries)
+
+    @given(data=st.data())
+    def test_matches_one_rebase_per_generator(self, data):
+        dims = data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=4))
+        C = self.complex_of(dims, lambda: data.draw(tpolynomials(ring=R1, max_terms=2)))
+
+        def offset():
+            t_exp = data.draw(st.integers(-2, 2))
+            v = data.draw(st.integers(-2, 2))
+            return TPolynomial.monomial(R1, t_exp=t_exp, v=(v,))
+
+        xi = EulerLift(R1, [[offset() for _ in range(d)] for d in dims])
+        expected = C
+        for j, group in enumerate(xi.offsets):
+            for index, u in enumerate(group):
+                expected = rebase_basis(expected, C.min_degree + j, index, u)
+        lifted = apply_lift(C, xi, C.min_degree)
+        assert lifted.boundaries == expected.boundaries
+        assert lifted.dims == C.dims and lifted.min_degree == C.min_degree
+
+    def test_no_lift_keeps_the_complex(self):
+        C = circle_cn()
+        assert apply_lift(C, None, 0) is C
+
+    def test_groups_scale_leading_generators_from_min_degree(self):
+        # a lift made for degrees 1..2 applied to a wider complex from degree 0
+        t = TPolynomial.t(R1)
+        one = TPolynomial.one(R1)
+        C = self.complex_of([1, 2, 2], lambda: one)
+        xi = EulerLift(R1, [[t], [one]])
+        lifted = apply_lift(C, xi, 1)
+        expected = rebase_basis(C, 1, 0, t)
+        assert lifted.boundaries == expected.boundaries
+
+    def test_offsets_outside_the_complex(self):
+        t = TPolynomial.t(R0)
+        one = TPolynomial.one(R0)
+        C = circle_cn()
+        # trivial offsets never touch the complex, wherever they sit
+        trivial = EulerLift(R0, [[one], [one, one]])
+        assert apply_lift(C, trivial, 0).boundaries == C.boundaries
+        with pytest.raises(PreconditionError):
+            apply_lift(C, EulerLift(R0, [[one], [one, t]]), 0)
+        with pytest.raises(PreconditionError):
+            apply_lift(C, EulerLift(R0, [[one], [one], [t]]), 0)
 
 
 def _shift_nonneg(p):
