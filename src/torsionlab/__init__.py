@@ -8,7 +8,7 @@ for path matrices, and fixtures/cli for the file and command surface.
 The names re-exported here are the stable entry points.
 """
 
-from torsionlab.complexes import (
+from .complexes import (
     BasedChainComplex,
     HomologyBasis,
     ShortExactSequence,
@@ -21,7 +21,7 @@ from torsionlab.complexes import (
     torsion_tau_hat,
     validate_complex,
 )
-from torsionlab.cut import (
+from .cut import (
     CutSystem,
     VerificationReport,
     approx_equal,
@@ -32,8 +32,8 @@ from torsionlab.cut import (
     validate_cut_system,
     verify_main_theorem,
 )
-from torsionlab.errors import FixtureError, PreconditionError
-from torsionlab.fixtures import (
+from .errors import FixtureError, PreconditionError
+from .fixtures import (
     Fixture,
     NovikovData,
     Scenario,
@@ -43,7 +43,7 @@ from torsionlab.fixtures import (
     save_fixture,
     serialize_fixture,
 )
-from torsionlab.novikov import (
+from .novikov import (
     EulerLift,
     MorseInvariant,
     NovikovComplex,
@@ -51,8 +51,7 @@ from torsionlab.novikov import (
     invariant_I,
     tau_novikov,
 )
-from torsionlab.rings import (
-    GroupRingElem,
+from .rings import (
     NovikovTruncation,
     RationalFunction,
     RingSpec,
@@ -65,7 +64,7 @@ from torsionlab.rings import (
     frac_equal,
     unit_equivalent,
 )
-from torsionlab.threedim import (
+from .threedim import (
     CoefficientFunction,
     OffsetPolynomial,
     PathMatrix,
@@ -76,7 +75,7 @@ from torsionlab.threedim import (
     sw_consistency_check,
     t_invariant,
 )
-from torsionlab.zeta import (
+from .zeta import (
     ClosedOrbit,
     orbit_counts,
     zeta_exp,
@@ -95,7 +94,6 @@ __all__ = [
     "EulerLift",
     "Fixture",
     "FixtureError",
-    "GroupRingElem",
     "HomologyBasis",
     "MorseInvariant",
     "NovikovComplex",

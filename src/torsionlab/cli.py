@@ -18,11 +18,10 @@ from .errors import FixtureError, PreconditionError
 from .fixtures import parse_fixture
 from .novikov import apply_lift
 from .rings import (
-    GroupRingElem,
     TPolynomial,
     canonical_mod_units,
     expand_series,
-    format_groupring,
+    format_by_degree,
     format_rational,
     format_tpolynomial,
     format_truncation,
@@ -254,17 +253,10 @@ def _cmd_i3(args):
         consistent = sw_consistency_check(
             sc.pathmatrix, sc.novikov.cn, xi=sc.novikov.xi, k=order
         )
-    slices = {}
-    for (t_exp, v), c in cf.coeffs.items():
-        g = slices.get(t_exp)
-        add = GroupRingElem(cf.ring, {v: c})
-        slices[t_exp] = add if g is None else g + add
     offset_body = TPolynomial.monomial(cf.ring, t_exp=cf.offset[0], v=cf.offset[1])
     print("offset: %s" % format_tpolynomial(offset_body))
-    if not slices:
-        print("0")
-    for d in sorted(slices):
-        print("t^%d: %s" % (d, format_groupring(slices[d])))
+    for line in format_by_degree(cf.ring, cf.coeffs):
+        print(line)
     if consistent is None:
         return EXIT_OK
     print("det(P) consistent with tau(CN): %s" % _flag(consistent))

@@ -26,6 +26,7 @@ from .novikov import apply_lift, invariant_I, tau_novikov
 from .rings import (
     NovikovTruncation,
     RationalFunction,
+    RingSpec,
     TPolynomial,
     canonical_mod_units,
     expand_series,
@@ -265,16 +266,13 @@ def tau_via_products(cs):
 
 
 def _coeff_window(value):
-    """(slices by t-degree, declared order or None for exact, min degree or None)."""
+    """(term dict, declared order or None for exact, min degree or None)."""
     if isinstance(value, NovikovTruncation):
-        m = min(value.slices) if value.slices else None
-        return dict(value.slices), value.order, m
-    if isinstance(value, int):
-        return ({0: value} if value else {}), None, (0 if value else None)
+        return value.terms, value.order, min((key[0] for key in value.terms), default=None)
     if isinstance(value, TPolynomial):
         if value.is_zero:
             return {}, None, None
-        return value.t_slices(), None, value.min_t_degree()
+        return value.terms, None, value.min_t_degree()
     if isinstance(value, RationalFunction):
         if value.is_zero:
             return {}, None, None
@@ -287,8 +285,14 @@ def approx_equal(x, y, k):
 
     The window starts at the smaller of the two minimum t-degrees;
     degrees beyond a truncated operand's declared order are treated as
-    unknown rather than as disagreements.
+    unknown rather than as disagreements.  Plain integers stand for
+    constants of the other operand's ring.
     """
+    ring = getattr(x, "ring", None) or getattr(y, "ring", None) or RingSpec()
+    if isinstance(x, int):
+        x = TPolynomial.monomial(ring, coeff=x)
+    if isinstance(y, int):
+        y = TPolynomial.monomial(ring, coeff=y)
     sx, ox, mx = _coeff_window(x)
     sy, oy, my = _coeff_window(y)
     mins = [m for m in (mx, my) if m is not None]
@@ -297,17 +301,15 @@ def approx_equal(x, y, k):
     base = min(mins)
     # fraction windows expand only once the base degree is known
     if sx is None:
-        sx = dict(expand_series(x, base + k).slices)
+        sx = expand_series(x, base + k).terms
     if sy is None:
-        sy = dict(expand_series(y, base + k).slices)
-    for d in range(base, base + k):
-        if ox is not None and d > ox:
-            continue
-        if oy is not None and d > oy:
-            continue
-        if sx.get(d, 0) != sy.get(d, 0):
-            return False
-    return True
+        sy = expand_series(y, base + k).terms
+    top = min(d for d in (base + k - 1, ox, oy) if d is not None)
+
+    def window(terms):
+        return {key: c for key, c in terms.items() if key[0] <= top}
+
+    return window(sx) == window(sy)
 
 
 def check_K_vs_novikov(cs, cn, k):

@@ -84,12 +84,11 @@ def _term(ring, obj, where):
 
 
 def _poly(ring, data, where):
-    out = TPolynomial.zero(ring)
+    terms = {}
     for i, item in enumerate(_list(data, where)):
         c, t, v = _term(ring, item, "%s[%d]" % (where, i))
-        if c:
-            out = out + TPolynomial.monomial(ring, t_exp=t, v=v, coeff=c)
-    return out
+        terms[(t, v)] = terms.get((t, v), 0) + c
+    return TPolynomial(ring, terms)
 
 
 def _matrix(ring, data, where):

@@ -1,18 +1,28 @@
-"""Exact arithmetic in Z[V], Z[V][t, t^-1], truncated Laurent series, and
-their fraction field.
+"""Exact arithmetic in Z[V][t, t^-1], truncated Laurent series, and their
+fraction field.
 
 The base coefficient ring is the group ring Z[V] of a free abelian group with
 b named generators, realised as multivariate integer Laurent polynomials.
-On top of it sit:
+Every element of Z[V][t, t^-1] and of its Novikov completion is stored the
+same way: a term dict {(t_exp, v_exps): coeff} holding only nonzero
+coefficients.  One addition kernel and one multiplication kernel do all the
+arithmetic on term dicts.  On top of them sit:
 
-* TPolynomial, a Laurent polynomial in one distinguished variable t with
-  Z[V] coefficients.  All determinant and torsion work happens here or in
-  the fraction field.
+* TPolynomial, a Laurent polynomial in the distinguished variable t with
+  Z[V] coefficients; its coefficients are integers.  All determinant and
+  torsion work happens here or in the fraction field.
 * NovikovTruncation, a formal Laurent series in t known exactly up to a
-  declared t-degree.  This is the computational face of the completed ring
-  Z[V]((t)).
+  declared t-degree: a term dict plus its window [min_t, order].  This is
+  the computational face of the completed ring Z[V]((t)); coefficients may
+  pass through Q while the exponential of a formal sum is taken.
 * RationalFunction, an exact quotient of two TPolynomials compared by
   cross-multiplication, never by representative.
+
+Public constructors check what they are given (exponent arity, coefficient
+type, the truncation window).  Arithmetic results skip those checks: the
+kernels only ever produce well-formed keys, and a private constructor keeps
+the remaining invariants (no zero coefficient, integral Fractions stored as
+int).
 
 Monomial order everywhere: lexicographic with the t-exponent most
 significant, then the V-exponents in declaration order.  A full monomial key
@@ -27,7 +37,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from math import gcd
+from operator import add
 
 from .errors import PreconditionError
 
@@ -74,142 +86,50 @@ def _check_same_ring(a, b):
         raise PreconditionError("mismatched ring specs")
 
 
-class GroupRingElem:
-    """Element of Z[V] (or Q[V] in transient zeta computations).
+def _checked_terms(ring, terms):
+    """A caller's term dict with keys normalised, arity and coefficient
+    types checked, and zero coefficients dropped."""
+    b = ring.num_group_vars
+    clean = {}
+    for (t_exp, v), c in (terms or {}).items():
+        v = tuple(v)
+        if len(v) != b:
+            raise PreconditionError(
+                f"exponent vector {v} has length {len(v)}, ring has {b} variables"
+            )
+        c = _coeff_normal(c)
+        if c:
+            clean[(t_exp, v)] = c
+    return clean
 
-    Stored as a map from exponent vectors in Z^b to nonzero coefficients.
-    Coefficients are integers except where an exponential of a formal sum
-    passes through rationals before integrality is restored.
-    """
 
-    __slots__ = ("ring", "terms")
+def _add_terms(a, b, scale=1):
+    """Term dict of a + scale * b (scale nonzero)."""
+    out = dict(a)
+    for k, c in b.items():
+        s = out.get(k, 0) + scale * c
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return out
 
-    def __init__(self, ring: RingSpec, terms=None):
-        self.ring = ring
-        b = ring.num_group_vars
-        clean = {}
-        for key, c in (terms or {}).items():
-            key = tuple(key)
-            if len(key) != b:
-                raise PreconditionError(
-                    f"exponent vector {key} has length {len(key)}, ring has {b} variables"
-                )
-            c = _coeff_normal(c)
-            if c:
-                clean[key] = clean.get(key, 0) + c
-                if not clean[key]:
-                    del clean[key]
-        self.terms = clean
 
-    @classmethod
-    def zero(cls, ring):
-        return cls(ring)
-
-    @classmethod
-    def one(cls, ring):
-        return cls(ring, {ring.zero_v(): 1})
-
-    @classmethod
-    def monomial(cls, ring, exps, coeff=1):
-        return cls(ring, {tuple(exps): coeff})
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GroupRingElem(self.ring, {self.ring.zero_v(): other})
-        if not isinstance(other, GroupRingElem):
-            return NotImplemented
-        _check_same_ring(self, other)
-        return self.terms == other.terms
-
-    __hash__ = None
-
-    def __neg__(self):
-        return GroupRingElem(self.ring, {k: -c for k, c in self.terms.items()})
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GroupRingElem(self.ring, {self.ring.zero_v(): other})
-        if not isinstance(other, GroupRingElem):
-            return NotImplemented
-        _check_same_ring(self, other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, 0) + c
+def _mul_terms(a, b, cap=None):
+    """Term dict of a * b, leaving out every t-degree above cap."""
+    out = {}
+    for (ta, va), ca in a.items():
+        for (tb, vb), cb in b.items():
+            te = ta + tb
+            if cap is not None and te > cap:
+                continue
+            k = (te, tuple(map(add, va, vb)))
+            s = out.get(k, 0) + ca * cb
             if s:
                 out[k] = s
             else:
-                out.pop(k, None)
-        return GroupRingElem(self.ring, out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GroupRingElem(self.ring, {self.ring.zero_v(): other})
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if not isinstance(other, GroupRingElem):
-            return NotImplemented
-        _check_same_ring(self, other)
-        out = {}
-        for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                k = tuple(x + y for x, y in zip(ka, kb))
-                s = out.get(k, 0) + ca * cb
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-        return GroupRingElem(self.ring, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, c):
-        c = _coeff_normal(c)
-        if not c:
-            return GroupRingElem.zero(self.ring)
-        return GroupRingElem(self.ring, {k: v * c for k, v in self.terms.items()})
-
-    def shift(self, exps):
-        """Multiply by the monomial with exponent vector exps."""
-        exps = tuple(exps)
-        return GroupRingElem(
-            self.ring,
-            {tuple(x + y for x, y in zip(k, exps)): c for k, c in self.terms.items()},
-        )
-
-    def is_integral(self) -> bool:
-        return all(isinstance(c, int) for c in self.terms.values())
-
-    def is_single_unit(self):
-        """Return (sign, exps) when the element is a single +-1 monomial, else None."""
-        if len(self.terms) != 1:
-            return None
-        (k, c), = self.terms.items()
-        if c == 1 or c == -1:
-            return c, k
-        return None
-
-    def constant_coeff(self):
-        return self.terms.get(self.ring.zero_v(), 0)
-
-    def __repr__(self):
-        return f"GroupRingElem({format_groupring(self)})"
-
-    def __str__(self):
-        return format_groupring(self)
+                del out[k]
+    return out
 
 
 class TPolynomial:
@@ -224,33 +144,27 @@ class TPolynomial:
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring: RingSpec, terms=None):
+        clean = _checked_terms(ring, terms)
+        if any(isinstance(c, Fraction) for c in clean.values()):
+            raise TypeError("TPolynomial coefficients must be integers")
         self.ring = ring
-        b = ring.num_group_vars
-        clean = {}
-        for key, c in (terms or {}).items():
-            t_exp, v = key
-            v = tuple(v)
-            if len(v) != b:
-                raise PreconditionError(
-                    f"exponent vector {v} has length {len(v)}, ring has {b} variables"
-                )
-            c = _coeff_normal(c)
-            if isinstance(c, Fraction):
-                raise TypeError("TPolynomial coefficients must be integers")
-            if c:
-                k = (t_exp, v)
-                clean[k] = clean.get(k, 0) + c
-                if not clean[k]:
-                    del clean[k]
         self.terms = clean
 
     @classmethod
+    def _trusted(cls, ring, terms):
+        """Wrap a kernel result: integer, zero-free, keys already normal."""
+        p = object.__new__(cls)
+        p.ring = ring
+        p.terms = terms
+        return p
+
+    @classmethod
     def zero(cls, ring):
-        return cls(ring)
+        return cls._trusted(ring, {})
 
     @classmethod
     def one(cls, ring):
-        return cls(ring, {(0, ring.zero_v()): 1})
+        return cls._trusted(ring, {(0, ring.zero_v()): 1})
 
     @classmethod
     def monomial(cls, ring, t_exp=0, v=None, coeff=1):
@@ -267,12 +181,6 @@ class TPolynomial:
         v = [0] * ring.num_group_vars
         v[i] = power
         return cls.monomial(ring, v=v)
-
-    @classmethod
-    def from_groupring(cls, g: GroupRingElem, t_exp=0):
-        if not g.is_integral():
-            raise TypeError("cannot embed rational coefficients into TPolynomial")
-        return cls(g.ring, {(t_exp, k): c for k, c in g.terms.items()})
 
     # ---- structure queries ----
 
@@ -325,13 +233,6 @@ class TPolynomial:
             g = gcd(g, abs(c))
         return g
 
-    def t_slices(self):
-        """Group terms by t-degree, as {t_exp: GroupRingElem}."""
-        out = {}
-        for (te, v), c in self.terms.items():
-            out.setdefault(te, {})[v] = c
-        return {te: GroupRingElem(self.ring, d) for te, d in out.items()}
-
     def coefficient(self, t_exp, v=None):
         v = self.ring.zero_v() if v is None else tuple(v)
         return self.terms.get((t_exp, v), 0)
@@ -340,7 +241,9 @@ class TPolynomial:
 
     def _coerce(self, other):
         if isinstance(other, int):
-            return TPolynomial(self.ring, {(0, self.ring.zero_v()): other})
+            return TPolynomial._trusted(
+                self.ring, {(0, self.ring.zero_v()): other} if other else {}
+            )
         if isinstance(other, TPolynomial):
             _check_same_ring(self, other)
             return other
@@ -355,50 +258,34 @@ class TPolynomial:
     __hash__ = None
 
     def __neg__(self):
-        return TPolynomial(self.ring, {k: -c for k, c in self.terms.items()})
+        return self * -1
 
-    def __add__(self, other):
+    def _plus(self, other, scale):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return TPolynomial(self.ring, out)
+        return TPolynomial._trusted(self.ring, _add_terms(self.terms, other.terms, scale))
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, int):
-            if not other:
-                return TPolynomial.zero(self.ring)
-            return TPolynomial(self.ring, {k: c * other for k, c in self.terms.items()})
-        if not isinstance(other, TPolynomial):
+            terms = _add_terms({}, self.terms, other) if other else {}
+        elif isinstance(other, TPolynomial):
+            _check_same_ring(self, other)
+            terms = _mul_terms(self.terms, other.terms)
+        else:
             return NotImplemented
-        _check_same_ring(self, other)
-        out = {}
-        for (ta, va), ca in self.terms.items():
-            for (tb, vb), cb in other.terms.items():
-                k = (ta + tb, tuple(x + y for x, y in zip(va, vb)))
-                s = out.get(k, 0) + ca * cb
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-        return TPolynomial(self.ring, out)
+        return TPolynomial._trusted(self.ring, terms)
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -420,13 +307,11 @@ class TPolynomial:
     def times_monomial(self, t_exp, v=None, coeff=1):
         """Fast multiply by coeff * t^t_exp * V^v."""
         v = self.ring.zero_v() if v is None else tuple(v)
-        return TPolynomial(
-            self.ring,
-            {
-                (te + t_exp, tuple(x + y for x, y in zip(vv, v))): c * coeff
-                for (te, vv), c in self.terms.items()
-            },
-        )
+        if len(v) != self.ring.num_group_vars:
+            raise PreconditionError("monomial exponent vector has the wrong arity")
+        if not coeff:
+            return TPolynomial.zero(self.ring)
+        return TPolynomial._trusted(self.ring, _mul_terms(self.terms, {(t_exp, v): coeff}))
 
     def divide_content(self, g: int):
         if g in (0, 1):
@@ -436,7 +321,7 @@ class TPolynomial:
             if c % g:
                 raise ArithmeticError(f"content {g} does not divide coefficient {c}")
             out[k] = c // g
-        return TPolynomial(self.ring, out)
+        return TPolynomial._trusted(self.ring, out)
 
     def __repr__(self):
         return f"TPolynomial({format_tpolynomial(self)})"
@@ -498,131 +383,123 @@ def exact_div(a: TPolynomial, b: TPolynomial) -> TPolynomial:
                 rem[k] = s
             else:
                 rem.pop(k, None)
-    return TPolynomial(a.ring, quo)
+    return TPolynomial._trusted(a.ring, quo)
 
 
 class NovikovTruncation:
     """A t-series over Z[V] (or Q[V]) known exactly for t-degrees <= order.
 
-    min_t declares that no term below it exists at all; degrees in
-    (order, infinity) are unknown rather than zero.  Two truncations compare
-    equal when they agree on every degree up to the smaller order.  Slice
-    queries above the order raise, queries below min_t return zero.
+    The terms form one dict keyed like a TPolynomial's.  min_t declares that
+    no term below it exists at all; degrees in (order, infinity) are unknown
+    rather than zero.  Two truncations compare equal when they agree on every
+    degree up to the smaller order.  Coefficient queries above the order
+    raise, queries below min_t return zero.
     """
 
-    __slots__ = ("ring", "order", "min_t", "slices")
+    __slots__ = ("ring", "order", "terms", "min_t")
 
-    def __init__(self, ring: RingSpec, order: int, slices=None, min_t: int = 0):
+    def __init__(self, ring: RingSpec, order: int, terms=None, min_t: int = 0):
+        clean = _checked_terms(ring, terms)
+        for t_exp, _ in clean:
+            if t_exp > order or t_exp < min_t:
+                raise PreconditionError(
+                    f"term at t-degree {t_exp} outside declared window [{min_t}, {order}]"
+                )
         self.ring = ring
         self.order = order
+        self.terms = clean
         self.min_t = min_t
-        clean = {}
-        for d, g in (slices or {}).items():
-            if not isinstance(g, GroupRingElem):
-                g = GroupRingElem(ring, g)
-            if g.ring != ring:
-                raise PreconditionError("mismatched ring specs")
-            if not g:
-                continue
-            if d > order or d < min_t:
-                raise PreconditionError(
-                    f"slice at t-degree {d} outside declared window [{min_t}, {order}]"
-                )
-            clean[d] = g
-        self.slices = clean
 
     @classmethod
-    def from_tpolynomial(cls, p: TPolynomial, order: int, min_t=None):
-        sl = {d: g for d, g in p.t_slices().items() if d <= order}
-        if min_t is None:
-            min_t = p.min_t_degree() if p else 0
-        return cls(p.ring, order, sl, min_t=min(min_t, order))
+    def _trusted(cls, ring, order, terms, min_t):
+        """Wrap a fresh kernel result whose terms all lie in the window.
+
+        Zero coefficients are already gone; integral Fractions left by
+        rational scaling are stored as int here, in place.
+        """
+        for k, c in terms.items():
+            if type(c) is Fraction and c.denominator == 1:
+                terms[k] = c.numerator
+        x = object.__new__(cls)
+        x.ring = ring
+        x.order = order
+        x.terms = terms
+        x.min_t = min_t
+        return x
+
+    @classmethod
+    def from_tpolynomial(cls, p: TPolynomial, order: int):
+        terms = {k: c for k, c in p.terms.items() if k[0] <= order}
+        min_t = p.min_t_degree() if p else 0
+        return cls._trusted(p.ring, order, terms, min(min_t, order))
 
     @classmethod
     def one(cls, ring, order):
-        return cls(ring, order, {0: GroupRingElem.one(ring)}, min_t=0)
+        # a negative order knows no degree at all, the constant included
+        return cls._trusted(ring, order, {(0, ring.zero_v()): 1} if order >= 0 else {}, 0)
 
     @classmethod
     def zero(cls, ring, order, min_t=0):
-        return cls(ring, order, {}, min_t=min_t)
+        return cls._trusted(ring, order, {}, min_t)
 
-    def slice(self, d) -> GroupRingElem:
-        if d > self.order:
+    def coefficient(self, t_exp, v=None):
+        if t_exp > self.order:
             raise PreconditionError(
-                f"coefficient at t^{d} is beyond the truncation order {self.order}"
+                f"coefficient at t^{t_exp} is beyond the truncation order {self.order}"
             )
-        return self.slices.get(d, GroupRingElem.zero(self.ring))
+        v = self.ring.zero_v() if v is None else tuple(v)
+        return self.terms.get((t_exp, v), 0)
 
     def __bool__(self):
-        return bool(self.slices)
+        return bool(self.terms)
 
     def __eq__(self, other):
         if not isinstance(other, NovikovTruncation):
             return NotImplemented
         _check_same_ring(self, other)
         k = min(self.order, other.order)
-        lo = min(self.min_t, other.min_t)
-        for d in range(lo, k + 1):
-            a = self.slices.get(d)
-            b = other.slices.get(d)
-            if a is None and b is None:
-                continue
-            if (a or GroupRingElem.zero(self.ring)) != (b or GroupRingElem.zero(self.ring)):
-                return False
-        return True
+        return self.truncate(k).terms == other.truncate(k).terms
 
     __hash__ = None
 
     def __neg__(self):
-        return NovikovTruncation(
-            self.ring, self.order, {d: -g for d, g in self.slices.items()}, self.min_t
-        )
+        return self.scale(-1)
 
     def _coerce(self, other):
+        if isinstance(other, NovikovTruncation):
+            _check_same_ring(self, other)
+            return other
+        if isinstance(other, TPolynomial):
+            # exact polynomial: known at every degree, so only our order limits
+            _check_same_ring(self, other)
+            return NovikovTruncation.from_tpolynomial(other, self.order)
         if isinstance(other, (int, Fraction)):
             if not other:
                 return NovikovTruncation.zero(self.ring, self.order, self.min_t)
             # an exact scalar is known to every order; clamp to ours
-            return NovikovTruncation(
-                self.ring,
-                self.order,
-                {0: GroupRingElem(self.ring, {self.ring.zero_v(): other})},
-                min_t=min(0, self.min_t),
+            terms = {(0, self.ring.zero_v()): other} if self.order >= 0 else {}
+            return NovikovTruncation._trusted(
+                self.ring, self.order, terms, min(0, self.min_t)
             )
-        if isinstance(other, TPolynomial):
-            return NovikovTruncation.from_tpolynomial(other, self.order)
-        if isinstance(other, NovikovTruncation):
-            _check_same_ring(self, other)
-            return other
         return None
 
-    def __add__(self, other):
-        if isinstance(other, TPolynomial):
-            # exact polynomial: known at every degree, so only our order limits
-            other = NovikovTruncation.from_tpolynomial(other, self.order)
+    def _plus(self, other, scale):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         order = min(self.order, other.order)
-        lo = min(self.min_t, other.min_t)
-        out = {}
-        for d in set(self.slices) | set(other.slices):
-            if d > order:
-                continue
-            g = self.slices.get(d, GroupRingElem.zero(self.ring)) + other.slices.get(
-                d, GroupRingElem.zero(self.ring)
-            )
-            if g:
-                out[d] = g
-        return NovikovTruncation(self.ring, order, out, lo)
+        terms = _add_terms(self.truncate(order).terms, other.truncate(order).terms, scale)
+        return NovikovTruncation._trusted(
+            self.ring, order, terms, min(self.min_t, other.min_t)
+        )
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -632,71 +509,53 @@ class NovikovTruncation:
             return self.scale(other)
         if isinstance(other, TPolynomial):
             # exact factor: reliability limited only through our own error term
+            _check_same_ring(self, other)
             p_min = other.min_t_degree()
             order = self.order + p_min
-            out = {}
-            for d, g in self.slices.items():
-                for te, h in other.t_slices().items():
-                    dd = d + te
-                    if dd > order:
-                        continue
-                    s = out.get(dd, GroupRingElem.zero(self.ring)) + g * h
-                    out[dd] = s
-            out = {d: g for d, g in out.items() if g}
-            return NovikovTruncation(self.ring, order, out, self.min_t + p_min)
-        if not isinstance(other, NovikovTruncation):
+            min_t = self.min_t + p_min
+        elif isinstance(other, NovikovTruncation):
+            _check_same_ring(self, other)
+            order = min(self.order + other.min_t, other.order + self.min_t)
+            min_t = self.min_t + other.min_t
+        else:
             return NotImplemented
-        _check_same_ring(self, other)
-        order = min(self.order + other.min_t, other.order + self.min_t)
-        lo = self.min_t + other.min_t
-        out = {}
-        for da, ga in self.slices.items():
-            for db, gb in other.slices.items():
-                d = da + db
-                if d > order:
-                    continue
-                s = out.get(d, GroupRingElem.zero(self.ring)) + ga * gb
-                out[d] = s
-        out = {d: g for d, g in out.items() if g}
-        return NovikovTruncation(self.ring, order, out, lo)
+        terms = _mul_terms(self.terms, other.terms, order)
+        return NovikovTruncation._trusted(self.ring, order, terms, min_t)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if isinstance(other, TPolynomial):
+        if isinstance(other, (int, Fraction, TPolynomial)):
             return self * other
         return NotImplemented
 
     def scale(self, c):
+        c = _coeff_normal(c)
         if not c:
             return NovikovTruncation.zero(self.ring, self.order, self.min_t)
-        return NovikovTruncation(
-            self.ring, self.order, {d: g.scale(c) for d, g in self.slices.items()}, self.min_t
+        return NovikovTruncation._trusted(
+            self.ring, self.order, _add_terms({}, self.terms, c), self.min_t
         )
 
     def truncate(self, order):
         if order >= self.order:
             return self
-        return NovikovTruncation(
+        return NovikovTruncation._trusted(
             self.ring,
             order,
-            {d: g for d, g in self.slices.items() if d <= order},
+            {k: c for k, c in self.terms.items() if k[0] <= order},
             min(self.min_t, order),
         )
 
     def is_integral(self) -> bool:
-        return all(g.is_integral() for g in self.slices.values())
+        return all(isinstance(c, int) for c in self.terms.values())
 
     def __repr__(self):
-        body = "; ".join(
-            f"t^{d}: {format_groupring(g)}" for d, g in sorted(self.slices.items())
-        )
+        body = "; ".join(format_truncation(self))
         return f"NovikovTruncation[{self.min_t}..{self.order}]({body})"
 
 
 def series_exp(x: NovikovTruncation) -> NovikovTruncation:
     """exp of a truncation supported in strictly positive t-degrees."""
-    if x.min_t < 0 or (x.slices and min(x.slices) < 1):
+    if x.min_t < 0 or any(k[0] < 1 for k in x.terms):
         raise PreconditionError("series exponential needs strictly positive t-degrees")
     acc = NovikovTruncation.one(x.ring, x.order)
     power = NovikovTruncation.one(x.ring, x.order)
@@ -705,7 +564,7 @@ def series_exp(x: NovikovTruncation) -> NovikovTruncation:
         if not power:
             break
         acc = acc + power
-    return NovikovTruncation(x.ring, x.order, acc.slices, 0)
+    return NovikovTruncation._trusted(x.ring, x.order, acc.terms, 0)
 
 
 def series_invert(p: TPolynomial, k: int) -> NovikovTruncation:
@@ -720,13 +579,12 @@ def series_invert(p: TPolynomial, k: int) -> NovikovTruncation:
     if not p:
         raise PreconditionError("zero is not invertible")
     m = p.min_t_degree()
-    low = p.t_slices()[m]
-    unit = low.is_single_unit()
-    if unit is None:
+    low = [(v, c) for (te, v), c in p.terms.items() if te == m]
+    if len(low) != 1 or low[0][1] not in (1, -1):
         raise PreconditionError(
             "lowest t-coefficient is not a unit monomial; element not invertible"
         )
-    sign, v_exps = unit
+    (v_exps, sign), = low
     # p1 = u^-1 * p has constant slice exactly 1
     v_inv = tuple(-x for x in v_exps)
     p1 = p.times_monomial(-m, v_inv, sign)
@@ -739,8 +597,8 @@ def series_invert(p: TPolynomial, k: int) -> NovikovTruncation:
         if not power:
             break
         inv1 = inv1 + power
-    shifted = {d - m: g.shift(v_inv).scale(sign) for d, g in inv1.slices.items()}
-    return NovikovTruncation(p.ring, k - m, shifted, min_t=-m)
+    terms = _mul_terms(inv1.terms, {(-m, v_inv): sign})
+    return NovikovTruncation._trusted(p.ring, k - m, terms, -m)
 
 
 class RationalFunction:
@@ -982,11 +840,6 @@ def format_tpolynomial(p: TPolynomial) -> str:
     return _format_terms(p.ring, items)
 
 
-def format_groupring(g: GroupRingElem) -> str:
-    items = [(0, ve, c) for ve, c in sorted(g.terms.items())]
-    return _format_terms(g.ring, items)
-
-
 def format_rational(r: RationalFunction) -> str:
     num, den = r.num, r.den
     one = TPolynomial.one(r.ring)
@@ -997,9 +850,16 @@ def format_rational(r: RationalFunction) -> str:
     return f"({format_tpolynomial(num)}) / ({format_tpolynomial(den)})"
 
 
+def format_by_degree(ring: RingSpec, terms) -> list:
+    """One line 't^d: <Z[V] coefficient>' per t-degree present in a term
+    dict, in increasing order; ["0"] when there are no terms."""
+    lines = [
+        f"t^{d}: {_format_terms(ring, [(0, v, c) for (_, v), c in group])}"
+        for d, group in groupby(sorted(terms.items()), key=lambda item: item[0][0])
+    ]
+    return lines or ["0"]
+
+
 def format_truncation(x: NovikovTruncation) -> list:
     """One line per nonzero known t-degree, in increasing order."""
-    lines = [f"t^{d}: {format_groupring(g)}" for d, g in sorted(x.slices.items())]
-    if not lines:
-        lines = ["0"]
-    return lines
+    return format_by_degree(x.ring, x.terms)

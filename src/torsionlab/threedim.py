@@ -166,9 +166,6 @@ class CoefficientFunction:
                 clean[key] = int(value)
         self.coeffs = clean
 
-    def known_degrees(self):
-        return range(self.min_t, self.order + 1)
-
 
 def i3_coefficients(zeta, detP, k):
     """Coefficient function of the counting series times the determinant."""
@@ -181,12 +178,8 @@ def i3_coefficients(zeta, detP, k):
         raise PreconditionError("mismatched ring specs")
     order = min(k, zeta.order)
     product = (zeta * detP.poly).truncate(order)
-    coeffs = {}
-    for degree, g in product.slices.items():
-        for v, c in g.terms.items():
-            coeffs[(degree, v)] = c
     return CoefficientFunction(
-        ring, coeffs, order, offset=detP.offset, min_t=product.min_t
+        ring, product.terms, order, offset=detP.offset, min_t=product.min_t
     )
 
 

@@ -12,13 +12,7 @@ from fractions import Fraction
 
 from .errors import PreconditionError
 from .linalg import bareiss_det, int_det, mat_mul
-from .rings import (
-    GroupRingElem,
-    NovikovTruncation,
-    RationalFunction,
-    TPolynomial,
-    series_exp,
-)
+from .rings import NovikovTruncation, RationalFunction, TPolynomial, series_exp
 
 
 @dataclass(frozen=True)
@@ -122,7 +116,7 @@ def zeta_exp(ring, orbits, order):
     """Orbit-sum exponential, truncated at the given t-degree."""
     if order < 0:
         raise PreconditionError("truncation order must be nonnegative")
-    slices = {}
+    terms = {}
     for orbit in orbits:
         if orbit.homology_class.ring != ring:
             raise PreconditionError("mismatched ring specs")
@@ -133,17 +127,10 @@ def zeta_exp(ring, orbits, order):
             accumulated = accumulated * orbit.homology_class
             sign = orbit_sign(orbit, power)
             coeff = Fraction(sign, power)
-            for (t_exp, v), c in accumulated.terms.items():
-                bucket = slices.setdefault(t_exp, {})
-                bucket[v] = bucket.get(v, 0) + coeff * c
+            for key, c in accumulated.terms.items():
+                terms[key] = terms.get(key, 0) + coeff * c
             power += 1
-    cleaned = {
-        d: GroupRingElem(ring, {v: c for v, c in bucket.items() if c})
-        for d, bucket in slices.items()
-    }
-    cleaned = {d: g for d, g in cleaned.items() if g}
-    log_sum = NovikovTruncation(ring, order, cleaned, min_t=min(cleaned) if cleaned else 0)
-    return series_exp(log_sum)
+    return series_exp(NovikovTruncation(ring, order, terms))
 
 
 def zeta_product(ring, orbits):
@@ -214,18 +201,16 @@ def zeta_trace(ring, maps, order):
     if order < 0:
         raise PreconditionError("truncation order must be nonnegative")
     maps = _validate_maps(maps)
-    slices = {}
+    terms = {}
     powers = [[list(row) for row in A] for A in maps]
     for m in range(1, order + 1):
         lefschetz = 0
         for i, P in enumerate(powers):
             trace = sum(P[k][k] for k in range(len(P)))
             lefschetz += trace if i % 2 == 0 else -trace
-        if lefschetz:
-            slices[m] = GroupRingElem(ring, {ring.zero_v(): Fraction(lefschetz, m)})
+        terms[(m, ring.zero_v())] = Fraction(lefschetz, m)
         powers = [mat_mul(P, A, 0) for P, A in zip(powers, maps)]
-    log_sum = NovikovTruncation(ring, order, slices, min_t=0)
-    result = series_exp(log_sum)
+    result = series_exp(NovikovTruncation(ring, order, terms))
     if not result.is_integral():
         raise ArithmeticError("trace exponential left the integral lattice")
     return result

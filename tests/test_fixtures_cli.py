@@ -338,6 +338,25 @@ class TestCommandContract:
         assert code == 0
         assert out == "K == CN boundary through t^4: OK\n"
 
+    def test_order_below_transfer_degree(self, capsys, tmp_path):
+        # N = 0 and CN boundary -t: the transfer entry K = -t starts at t^1,
+        # so through t^0 both sides are the zero truncation
+        data = load_data("circle_crit_scenario.json")
+        data["cutsystem"]["N"] = [[[[]]]]
+        data["novikov"]["boundaries"] = [[[[{"c": -1, "t": 1, "v": []}]]]]
+        path = tmp_path / "circle_crit_shifted.json"
+        path.write_text(json.dumps(data), encoding="ascii")
+        code, out, _ = invoke(capsys, "check-k", "--fixture", str(path), "--order", "0")
+        assert code == 0
+        assert out == "K == CN boundary through t^0: OK\n"
+        code, out, _ = invoke(capsys, "verify-main", "--fixture", str(path), "--order", "0")
+        assert code == 0
+        assert out.splitlines()[-3:] == [
+            "series agreement (K vs CN): OK",
+            "product formula: OK",
+            "I == tau(X'): OK",
+        ]
+
     def test_i3_catmap(self, capsys):
         code, out, _ = invoke(
             capsys, "i3", "--fixture", fix("catmap_scenario.json")

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from torsionlab.errors import PreconditionError
 from torsionlab.rings import (
-    GroupRingElem,
     NovikovTruncation,
     RationalFunction,
     RingSpec,
@@ -15,6 +14,7 @@ from torsionlab.rings import (
     expand_series,
     format_rational,
     format_tpolynomial,
+    format_truncation,
     frac_equal,
     series_exp,
     series_invert,
@@ -30,31 +30,37 @@ def geom(ring, k):
     return NovikovTruncation.from_tpolynomial(p, k)
 
 
+def group_elem(ring, terms):
+    """An element of Z[V] (or Q[V]): a truncation through t-degree 0."""
+    return NovikovTruncation(ring, 0, {(0, v): c for v, c in terms.items()})
+
+
 class TestGroupRing:
     def test_inverse_monomials_cancel(self):
-        v = GroupRingElem.monomial(R1, (1,))
-        vinv = GroupRingElem.monomial(R1, (-1,))
-        assert v * vinv == GroupRingElem.one(R1)
+        v = group_elem(R1, {(1,): 1})
+        vinv = group_elem(R1, {(-1,): 1})
+        assert v * vinv == NovikovTruncation.one(R1, 0)
 
     def test_difference_of_squares(self):
-        one = GroupRingElem.one(R1)
-        v = GroupRingElem.monomial(R1, (1,))
+        one = NovikovTruncation.one(R1, 0)
+        v = group_elem(R1, {(1,): 1})
         assert (one + v) * (one - v) == one - v * v
 
     def test_integral_fraction_collapses(self):
-        g = GroupRingElem(R0, {(): Fraction(4, 2)})
-        assert g.terms[()] == 2
-        assert isinstance(g.terms[()], int)
+        g = group_elem(R0, {(): Fraction(4, 2)})
+        assert g.terms[(0, ())] == 2
+        assert isinstance(g.terms[(0, ())], int)
         assert g.is_integral()
 
     def test_rational_coefficients_flagged(self):
-        g = GroupRingElem(R0, {(): Fraction(1, 2)})
+        g = group_elem(R0, {(): Fraction(1, 2)})
         assert not g.is_integral()
         assert (g + g).is_integral()
+        assert isinstance((g + g).terms[(0, ())], int)
 
     def test_mismatched_rings_rejected(self):
         with pytest.raises(PreconditionError):
-            GroupRingElem.one(R0) + GroupRingElem.one(R1)
+            NovikovTruncation.one(R0, 0) + NovikovTruncation.one(R1, 0)
 
 
 class TestTPolynomialArithmetic:
@@ -108,12 +114,10 @@ class TestTPolynomialArithmetic:
 
     def test_slices_roundtrip(self):
         p = tpoly(R1, {(0, (0,)): 1, (2, (1,)): 3, (2, (0,)): -1})
-        sl = p.t_slices()
-        assert sorted(sl) == [0, 2]
-        rebuilt = TPolynomial.zero(R1)
-        for d, g in sl.items():
-            rebuilt = rebuilt + TPolynomial.from_groupring(g, d)
-        assert rebuilt == p
+        x = NovikovTruncation.from_tpolynomial(p, 2)
+        assert format_truncation(x) == ["t^0: 1", "t^2: -1 + 3*v1"]
+        assert x.coefficient(2, (1,)) == 3 and x.coefficient(1) == 0
+        assert TPolynomial(R1, x.terms) == p
 
 
 class TestExactDiv:
@@ -162,9 +166,14 @@ class TestSeriesInvert:
         vinv = TPolynomial.monomial(R1, v=(-1,))
         p = 1 - t * (v + vinv)
         s = series_invert(p, 2)
-        assert s.slice(0) == GroupRingElem.one(R1)
-        assert s.slice(1) == GroupRingElem(R1, {(1,): 1, (-1,): 1})
-        assert s.slice(2) == GroupRingElem(R1, {(2,): 1, (0,): 2, (-2,): 1})
+        assert s.terms == {
+            (0, (0,)): 1,
+            (1, (1,)): 1,
+            (1, (-1,)): 1,
+            (2, (2,)): 1,
+            (2, (0,)): 2,
+            (2, (-2,)): 1,
+        }
         assert s * p == NovikovTruncation.one(R1, 2)
 
     def test_shifted_lead(self):
@@ -173,7 +182,7 @@ class TestSeriesInvert:
         s = series_invert(p, 3)
         assert s.min_t == -1
         assert s.order == 2
-        assert s.slice(-1) == GroupRingElem.one(R0)
+        assert s.coefficient(-1) == 1
         prod = s * p
         assert prod == NovikovTruncation.one(R0, 3)
 
@@ -216,16 +225,16 @@ class TestExpandSeries:
         t = TPolynomial.t(R0)
         r = RationalFunction(1 - 3 * t + t**2, (1 - t) ** 2)
         e = expand_series(r, 2)
-        assert e.slice(0) == GroupRingElem.one(R0)
-        assert e.slice(1) == GroupRingElem(R0, {(): -1})
-        assert e.slice(2) == GroupRingElem(R0, {(): -2})
+        assert e.coefficient(0) == 1
+        assert e.coefficient(1) == -1
+        assert e.coefficient(2) == -2
 
     def test_negative_degree(self):
         tinv = TPolynomial.monomial(R0, t_exp=-1)
         r = RationalFunction(tinv)
         e = expand_series(r, 0)
-        assert e.slice(-1) == GroupRingElem.one(R0)
-        assert e.slice(0) == GroupRingElem.zero(R0)
+        assert e.coefficient(-1) == 1
+        assert e.coefficient(0) == 0
 
     @given(data=st.data())
     def test_multiply_back(self, data):
@@ -243,6 +252,15 @@ class TestExpandSeries:
         v = TPolynomial.var(R1, "v1")
         p = 1 - t * v + t**2
         assert expand_series(RationalFunction(TPolynomial.one(R1), p), 6) == series_invert(p, 6)
+
+    def test_order_below_least_degree(self):
+        # t^5 / (1 - t) has nothing at or below t^2: the zero truncation
+        t = TPolynomial.t(R0)
+        e = expand_series(RationalFunction(t**5, 1 - t), 2)
+        assert e.order == 2
+        assert e.terms == {}
+        assert e == NovikovTruncation.zero(R0, 2)
+        assert series_invert(1 - t, -3).terms == {}
 
 
 class TestRationalFunction:
@@ -371,36 +389,36 @@ class TestNovikovTruncation:
     def test_slice_window(self):
         t = TPolynomial.t(R0)
         x = NovikovTruncation.from_tpolynomial(1 + t, 4)
-        assert x.slice(3) == GroupRingElem.zero(R0)
+        assert x.coefficient(3) == 0
         with pytest.raises(PreconditionError):
-            x.slice(5)
+            x.coefficient(5)
 
     def test_known_zero_below_min(self):
         s = series_invert(TPolynomial.t(R0) - TPolynomial.t(R0, 2), 3)
         assert s.min_t == -1
-        assert s.slice(-3) == GroupRingElem.zero(R0)
+        assert s.coefficient(-3) == 0
 
     def test_mul_order_rule(self):
-        x = NovikovTruncation(R0, 3, {1: GroupRingElem.one(R0)}, min_t=1)
-        y = NovikovTruncation(R0, 4, {2: GroupRingElem.one(R0)}, min_t=2)
+        x = NovikovTruncation(R0, 3, {(1, ()): 1}, min_t=1)
+        y = NovikovTruncation(R0, 4, {(2, ()): 1}, min_t=2)
         z = x * y
         assert z.order == min(3 + 2, 4 + 1)
         assert z.min_t == 3
-        assert z.slice(3) == GroupRingElem.one(R0)
+        assert z.coefficient(3) == 1
 
     def test_polynomial_factor_keeps_order(self):
         t = TPolynomial.t(R0)
         x = NovikovTruncation.from_tpolynomial(1 + t, 3)
         z = x * (t**2)
         assert z.order == 5
-        assert z.slice(3) == GroupRingElem.one(R0)
+        assert z.coefficient(3) == 1
 
     def test_series_exp_basic(self):
         x = NovikovTruncation.from_tpolynomial(TPolynomial.t(R0), 2)
         e = series_exp(x)
-        assert e.slice(0) == GroupRingElem.one(R0)
-        assert e.slice(1) == GroupRingElem.one(R0)
-        assert e.slice(2) == GroupRingElem(R0, {(): Fraction(1, 2)})
+        assert e.coefficient(0) == 1
+        assert e.coefficient(1) == 1
+        assert e.coefficient(2) == Fraction(1, 2)
 
     def test_series_exp_needs_positive_support(self):
         x = NovikovTruncation.from_tpolynomial(TPolynomial.one(R0), 2)
@@ -427,3 +445,114 @@ class TestFormatting:
             format_rational(RationalFunction(1 - 3 * t + t**2, (1 - t) ** 2))
             == "(1 - 3*t + t^2) / (1 - 2*t + t^2)"
         )
+
+
+def assert_well_formed(x):
+    """The invariants a trusted-path result must keep without re-validation."""
+    b = x.ring.num_group_vars
+    for key, c in x.terms.items():
+        assert c != 0
+        assert not (isinstance(c, Fraction) and c.denominator == 1)
+        t_exp, v = key
+        assert type(t_exp) is int
+        assert type(v) is tuple and len(v) == b
+    if isinstance(x, TPolynomial):
+        assert TPolynomial(x.ring, x.terms).terms == x.terms
+    else:
+        assert all(x.min_t <= t_exp <= x.order for t_exp, _ in x.terms)
+
+
+class TestTrustedPath:
+    @given(data=st.data())
+    def test_results_are_well_formed(self, data):
+        ring = data.draw(st.sampled_from(RINGS))
+        a = data.draw(tpolynomials(ring=ring, max_terms=3))
+        p = data.draw(tpolynomials(ring=ring, max_terms=3))
+        c = data.draw(st.integers(-3, 3))
+        n = data.draw(st.integers(0, 3))
+        shift_t = data.draw(st.integers(-2, 2))
+        shift_v = tuple(data.draw(st.integers(-2, 2)) for _ in range(ring.num_group_vars))
+        u = data.draw(unit_monomials(ring, t_lo=-1, t_hi=1, v_span=1))
+        tail = data.draw(tpolynomials(ring=ring, max_terms=2, t_lo=1, t_hi=2))
+        k = data.draw(st.integers(-2, 5))
+        den = u * (1 + tail)
+        s = series_invert(den, k)
+        x = NovikovTruncation.from_tpolynomial(tail, max(k, 0))
+        half = x.scale(Fraction(1, 2))
+        results = [
+            a + p,
+            a - p,
+            a * p,
+            -a,
+            c * a,
+            a + c,
+            a**n,
+            a.times_monomial(shift_t, shift_v, c),
+            exact_div(a * den, den),
+            s,
+            expand_series(RationalFunction(a, den), k),
+            s * s,
+            s * p,
+            s + s,
+            s - s,
+            half + half,
+            half * half,
+            series_exp(x),
+        ]
+        for result in results:
+            assert_well_formed(result)
+
+
+@pytest.fixture
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def random_t_poly(rng, lo, hi, constant=None):
+    """A b = 0 polynomial with integer coefficients in degrees lo..hi."""
+    terms = {(d, ()): rng.randint(-3, 3) for d in range(lo, hi + 1)}
+    if constant is not None:
+        terms[(0, ())] = constant
+    return TPolynomial(R0, terms)
+
+
+def sympy_coefficients(sympy, expr, t, k):
+    """Coefficients of t^0 .. t^k in the series expansion of expr at 0."""
+    series = sympy.expand(sympy.series(expr, t, 0, k + 1).removeO())
+    return [series.coeff(t, d) for d in range(k + 1)]
+
+
+def as_sympy(sympy, p, t):
+    return sum(c * t**te for (te, _), c in p.terms.items())
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sympy_series_invert_and_expand(sympy, seed):
+    import random
+
+    rng = random.Random(900 + seed)
+    t = sympy.Symbol("t")
+    k = rng.randint(0, 7)
+    den = random_t_poly(rng, 1, 3, constant=rng.choice([1, -1]))
+    num = random_t_poly(rng, 0, 3)
+    inv = series_invert(den, k)
+    want = sympy_coefficients(sympy, 1 / as_sympy(sympy, den, t), t, k)
+    assert [inv.coefficient(d) for d in range(k + 1)] == want
+    e = expand_series(RationalFunction(num, den), k)
+    want = sympy_coefficients(sympy, as_sympy(sympy, num, t) / as_sympy(sympy, den, t), t, k)
+    assert [e.coefficient(d) for d in range(k + 1)] == want
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sympy_series_exp(sympy, seed):
+    import random
+
+    rng = random.Random(950 + seed)
+    t = sympy.Symbol("t")
+    k = rng.randint(1, 7)
+    logs = {(d, ()): Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for d in range(1, k + 1)}
+    e = series_exp(NovikovTruncation(R0, k, logs))
+    log_expr = sum(sympy.Rational(c.numerator, c.denominator) * t**d for (d, _), c in logs.items())
+    want = sympy_coefficients(sympy, sympy.exp(log_expr), t, k)
+    got = [e.coefficient(d) for d in range(k + 1)]
+    assert [sympy.Rational(c.numerator, c.denominator) for c in map(Fraction, got)] == want

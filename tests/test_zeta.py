@@ -104,7 +104,7 @@ class TestOrbitForms:
         t = TPolynomial.t(R0)
         lone = ClosedOrbit(t**4, eps=1)
         series = zeta_exp(R0, [lone], 6)
-        assert series.slice(4) == 1
+        assert series.coefficient(4) == 1
         with pytest.raises(PreconditionError):
             zeta_exp(R0, [lone], 8)
 
@@ -146,9 +146,9 @@ class TestMapForms:
 
     def test_trace_cat_map_series(self):
         series = zeta_trace(R0, [[[1]], CAT_MAP, [[1]]], 2)
-        assert series.slice(0) == 1
-        assert series.slice(1) == -1
-        assert series.slice(2) == -2
+        assert series.coefficient(0) == 1
+        assert series.coefficient(1) == -1
+        assert series.coefficient(2) == -2
 
     def test_trace_matches_lefschetz(self):
         maps = [[[1]], CAT_MAP, [[1]]]
