@@ -255,7 +255,7 @@ def _cmd_i3(args):
         )
     offset_body = TPolynomial.monomial(cf.ring, t_exp=cf.offset[0], v=cf.offset[1])
     print("offset: %s" % format_tpolynomial(offset_body))
-    for line in format_by_degree(cf.ring, cf.coeffs):
+    for line in format_by_degree(cf.ring, cf.terms):
         print(line)
     if consistent is None:
         return EXIT_OK

@@ -11,6 +11,7 @@ from math import gcd
 
 from .errors import PreconditionError
 from .linalg import (
+    _clear_row_denominators,
     mat_apply,
     mat_is_zero,
     mat_mul,
@@ -25,7 +26,6 @@ from .rings import (
     RationalFunction,
     TPolynomial,
     canonical_mod_units,
-    exact_div,
     unit_equivalent,
 )
 
@@ -71,10 +71,6 @@ class BasedChainComplex:
         self.boundaries = checked
         self.labels = labels
 
-    @property
-    def top_degree(self):
-        return self.min_degree + len(self.dims) - 1
-
     def degree_index(self, degree):
         j = degree - self.min_degree
         if not 0 <= j < len(self.dims):
@@ -108,23 +104,20 @@ def validate_complex(C):
     return report
 
 
+def _boundary_pivots(C):
+    """Pivot columns of each boundary matrix over the fraction field."""
+    return [poly_rank_pivots(C.ring, mat)[1] for mat in C.boundaries]
+
+
 def homology_ranks(C):
     """Betti numbers over the fraction field, bottom degree first."""
-    ranks = []
-    cache = {}
+    return _homology_ranks(C, _boundary_pivots(C))
 
-    def rank_of(j):
-        if j not in cache:
-            mat = C.boundary_into(j)
-            cache[j] = poly_rank_pivots(C.ring, mat)[0] if mat is not None else 0
-        return cache[j]
 
-    for j, d in enumerate(C.dims):
-        r_in = rank_of(j)
-        mat_out = C.boundary_out_of(j)
-        r_out = poly_rank_pivots(C.ring, mat_out)[0] if mat_out is not None else 0
-        ranks.append(d - r_in - r_out)
-    return ranks
+def _homology_ranks(C, pivots):
+    # rank of the boundary out of degree index j, then of the one into it
+    ranks = [0] + [len(p) for p in pivots] + [0]
+    return [d - ranks[j] - ranks[j + 1] for j, d in enumerate(C.dims)]
 
 
 @dataclass(frozen=True)
@@ -252,6 +245,10 @@ class HomologyBasis:
 
 def default_homology_basis(C):
     """Deterministic homology representatives with polynomial entries."""
+    return _default_homology_basis(C, _boundary_pivots(C))
+
+
+def _default_homology_basis(C, pivots):
     ring = C.ring
     vectors = []
     for j, d in enumerate(C.dims):
@@ -266,9 +263,8 @@ def default_homology_basis(C):
         else:
             kernel = rf_kernel(ring, rf_matrix(mat_out), cols=d)
         if mat_in is not None:
-            _, pivots = poly_rank_pivots(ring, mat_in)
             image = [
-                [RationalFunction(mat_in[r][c]) for r in range(d)] for c in pivots
+                [RationalFunction(mat_in[r][c]) for r in range(d)] for c in pivots[j]
             ]
         else:
             image = []
@@ -292,10 +288,7 @@ def _complete_image_to_kernel(ring, dim, image_cols, kernel_cols):
 
 def _clear_vector(ring, vec):
     """Scale a fraction vector to primitive polynomial entries."""
-    factor = TPolynomial.one(ring)
-    for entry in vec:
-        factor = factor * entry.den
-    cleared = [entry.num * exact_div(factor, entry.den) for entry in vec]
+    (cleared,), _ = _clear_row_denominators(ring, [vec])
     content = 0
     for p in cleared:
         content = gcd(content, p.content())
@@ -304,10 +297,10 @@ def _clear_vector(ring, vec):
     return [RationalFunction(p) for p in cleared]
 
 
-def _tau_hat_pieces(C, h):
+def _tau_hat_pieces(C, h, pivots):
     """Per-degree transition matrices for the homology-weighted torsion."""
     ring = C.ring
-    ranks = homology_ranks(C)
+    ranks = _homology_ranks(C, pivots)
     counts = h.counts()
     if len(counts) != len(C.dims):
         raise PreconditionError("homology basis has the wrong number of degrees")
@@ -334,13 +327,11 @@ def _tau_hat_pieces(C, h):
                     )
         cols = []
         if mat_in is not None:
-            _, pivots = poly_rank_pivots(ring, mat_in)
-            for c in pivots:
+            for c in pivots[j]:
                 cols.append([RationalFunction(mat_in[r][c]) for r in range(d)])
         cols.extend(h.vectors[j])
         if mat_out is not None:
-            _, out_pivots = poly_rank_pivots(ring, mat_out)
-            for k in out_pivots:
+            for k in pivots[j - 1]:
                 vec = [zero_rf] * d
                 vec[k] = RationalFunction.one(ring)
                 cols.append(vec)
@@ -358,9 +349,10 @@ def torsion_tau_hat(C, h=None):
     report = validate_complex(C)
     if report:
         raise PreconditionError("; ".join(report))
+    pivots = _boundary_pivots(C)
     if h is None:
-        h = default_homology_basis(C)
-    pieces = _tau_hat_pieces(C, h)
+        h = _default_homology_basis(C, pivots)
+    pieces = _tau_hat_pieces(C, h, pivots)
     result = RationalFunction.one(C.ring)
     for j, det in enumerate(pieces):
         if det.is_zero:

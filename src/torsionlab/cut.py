@@ -32,7 +32,7 @@ from .rings import (
     expand_series,
     unit_equivalent,
 )
-from .zeta import zeta_lefschetz
+from .zeta import _twist_block, zeta_lefschetz
 
 
 def _check_block(mat, rows, cols, name):
@@ -95,11 +95,7 @@ class CutSystem:
                 if isinstance(entry, TPolynomial):
                     coerced.append(entry)
                 elif isinstance(entry, int):
-                    coerced.append(
-                        TPolynomial.monomial(self.ring, coeff=entry)
-                        if entry
-                        else TPolynomial.zero(self.ring)
-                    )
+                    coerced.append(TPolynomial.monomial(self.ring, coeff=entry))
                 else:
                     raise PreconditionError("cut data entries must be ring elements")
             out.append(coerced)
@@ -156,7 +152,6 @@ def assemble_boundary(cs):
         raise PreconditionError("; ".join(report))
     ring = cs.ring
     zero = TPolynomial.zero(ring)
-    one = TPolynomial.one(ring)
     t = TPolynomial.t(ring)
     n = cs.n
     sd = cs.sigma.dims
@@ -184,15 +179,14 @@ def assemble_boundary(cs):
                 mat[r][c] = cs.N[i - 1][r][c]
             for c in range(f_dim(i)):
                 mat[r][cd + ce + c] = cs.W[i - 1][r][c]
-        phi = cs.phi[i - 1]
+        twist = _twist_block(ring, cs.phi[i - 1])
         for r in range(re):
             for c in range(cd):
                 mat[rd + r][c] = -t * cs.M[i - 1][r][c]
             if i <= n - 1:
                 for c in range(ce):
                     mat[rd + r][cd + c] = cs.sigma.boundaries[i - 1][r][c]
-            for c in range(f_dim(i)):
-                mat[rd + r][cd + ce + c] = (one if r == c else zero) - t * phi[r][c]
+            mat[rd + r][cd + ce :] = twist[r]
         for r in range(f_dim(i - 1)):
             for c in range(f_dim(i)):
                 mat[rd + re + r][cd + ce + c] = -cs.sigma.boundaries[i - 2][r][c]
@@ -202,17 +196,6 @@ def assemble_boundary(cs):
     if leftover:
         raise PreconditionError("; ".join(leftover))
     return assembled
-
-
-def _twist_block(ring, phi):
-    """1 - t*phi as a square polynomial matrix."""
-    one = TPolynomial.one(ring)
-    zero = TPolynomial.zero(ring)
-    t = TPolynomial.t(ring)
-    m = len(phi)
-    return [
-        [(one if r == c else zero) - t * phi[r][c] for c in range(m)] for r in range(m)
-    ]
 
 
 def compute_K(cs):
@@ -265,19 +248,22 @@ def tau_via_products(cs):
     return TorsionValue(total, canonical_mod_units(total))
 
 
-def _coeff_window(value):
-    """(term dict, declared order or None for exact, min degree or None)."""
+def _least_degree(value):
+    """Lowest t-degree carrying a nonzero coefficient of a nonzero value."""
     if isinstance(value, NovikovTruncation):
-        return value.terms, value.order, min((key[0] for key in value.terms), default=None)
+        return min(key[0] for key in value.terms)
     if isinstance(value, TPolynomial):
-        if value.is_zero:
-            return {}, None, None
-        return value.terms, None, value.min_t_degree()
-    if isinstance(value, RationalFunction):
-        if value.is_zero:
-            return {}, None, None
-        return None, None, value.num.min_t_degree() - value.den.min_t_degree()
-    raise PreconditionError("cannot window a %s" % type(value).__name__)
+        return value.min_t_degree()
+    return value.num.min_t_degree() - value.den.min_t_degree()
+
+
+def _known_through(value, top):
+    """value as a truncation known through t-degree top (or its own order)."""
+    if isinstance(value, NovikovTruncation):
+        return value.truncate(top)
+    if isinstance(value, TPolynomial):
+        return NovikovTruncation.from_tpolynomial(value, top)
+    return expand_series(value, top)
 
 
 def approx_equal(x, y, k):
@@ -289,27 +275,17 @@ def approx_equal(x, y, k):
     constants of the other operand's ring.
     """
     ring = getattr(x, "ring", None) or getattr(y, "ring", None) or RingSpec()
-    if isinstance(x, int):
-        x = TPolynomial.monomial(ring, coeff=x)
-    if isinstance(y, int):
-        y = TPolynomial.monomial(ring, coeff=y)
-    sx, ox, mx = _coeff_window(x)
-    sy, oy, my = _coeff_window(y)
-    mins = [m for m in (mx, my) if m is not None]
-    if not mins:
+    x, y = (
+        TPolynomial.monomial(ring, coeff=v) if isinstance(v, int) else v for v in (x, y)
+    )
+    for v in (x, y):
+        if not isinstance(v, (NovikovTruncation, TPolynomial, RationalFunction)):
+            raise PreconditionError("cannot window a %s" % type(v).__name__)
+    lows = [_least_degree(v) for v in (x, y) if v]
+    if not lows:
         return True
-    base = min(mins)
-    # fraction windows expand only once the base degree is known
-    if sx is None:
-        sx = expand_series(x, base + k).terms
-    if sy is None:
-        sy = expand_series(y, base + k).terms
-    top = min(d for d in (base + k - 1, ox, oy) if d is not None)
-
-    def window(terms):
-        return {key: c for key, c in terms.items() if key[0] <= top}
-
-    return window(sx) == window(sy)
+    top = min(lows) + k - 1
+    return _known_through(x, top) == _known_through(y, top)
 
 
 def check_K_vs_novikov(cs, cn, k):

@@ -200,11 +200,6 @@ class TPolynomial:
             return 0
         return min(k[0] for k in self.terms)
 
-    def max_t_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(k[0] for k in self.terms)
-
     def lex_min_key(self):
         if not self.terms:
             raise PreconditionError("zero polynomial has no lexicographically least term")
@@ -645,7 +640,7 @@ class RationalFunction:
 
     @classmethod
     def from_int(cls, ring, n):
-        return cls(TPolynomial.monomial(ring, coeff=n) if n else TPolynomial.zero(ring))
+        return cls(TPolynomial.monomial(ring, coeff=n))
 
     @classmethod
     def zero(cls, ring):

@@ -68,11 +68,7 @@ class PathMatrix:
             out = []
             for entry in row:
                 if isinstance(entry, int):
-                    entry = (
-                        TPolynomial.monomial(ring, coeff=entry)
-                        if entry
-                        else TPolynomial.zero(ring)
-                    )
+                    entry = TPolynomial.monomial(ring, coeff=entry)
                 if not isinstance(entry, TPolynomial) or entry.ring != ring:
                     raise PreconditionError("path matrix entries must be ring elements")
                 if entry and entry.min_t_degree() < 0:
@@ -95,13 +91,15 @@ class PathMatrix:
         return len(self.matrix)
 
 
-def rebase_row(P, index, u):
-    """Scale one row by a monomial unit, shifting the offset to compensate."""
+def _rebase_line(P, index, u, axis):
+    """Scale row (axis 0) or column (axis 1) index by a monomial unit."""
     if not 0 <= index < P.size:
-        raise PreconditionError("row index out of range")
+        raise PreconditionError("%s index out of range" % ("row", "column")[axis])
     _, exp = _unit_exponent(u)
-    matrix = [list(row) for row in P.matrix]
-    matrix[index] = [entry * u for entry in matrix[index]]
+    matrix = [
+        [entry * u if (r, c)[axis] == index else entry for c, entry in enumerate(row)]
+        for r, row in enumerate(P.matrix)
+    ]
     return PathMatrix(
         P.ring,
         matrix,
@@ -109,22 +107,16 @@ def rebase_row(P, index, u):
         row_labels=P.row_labels,
         col_labels=P.col_labels,
     )
+
+
+def rebase_row(P, index, u):
+    """Scale one row by a monomial unit, shifting the offset to compensate."""
+    return _rebase_line(P, index, u, 0)
 
 
 def rebase_col(P, index, u):
-    if not 0 <= index < P.size:
-        raise PreconditionError("column index out of range")
-    _, exp = _unit_exponent(u)
-    matrix = [list(row) for row in P.matrix]
-    for r in range(P.size):
-        matrix[r][index] = matrix[r][index] * u
-    return PathMatrix(
-        P.ring,
-        matrix,
-        offset=_exp_sub(P.offset, exp),
-        row_labels=P.row_labels,
-        col_labels=P.col_labels,
-    )
+    """Scale one column by a monomial unit, shifting the offset to compensate."""
+    return _rebase_line(P, index, u, 1)
 
 
 @dataclass(frozen=True)
@@ -139,32 +131,29 @@ def path_matrix_det(P):
     return OffsetPolynomial(bareiss_det(P.ring, P.matrix), P.offset)
 
 
-class CoefficientFunction:
-    """Integer coefficients on homology classes, known through t-degree order.
+class CoefficientFunction(NovikovTruncation):
+    """Integer coefficients on homology classes: a truncation plus the
+    torsor offset of the determinant it came from.
 
     Evaluation subtracts the offset first: the stored keys are relative
     classes, the offset converts an absolute query into a stored key.
     """
 
-    __slots__ = ("ring", "coeffs", "order", "offset", "min_t")
+    __slots__ = ("offset",)
 
-    def __init__(self, ring, coeffs, order, offset=None, min_t=0):
-        self.ring = ring
-        self.order = order
-        self.min_t = min_t
-        self.offset = _normalize_exponent(ring, offset)
-        clean = {}
-        for key, value in coeffs.items():
-            key = (int(key[0]), tuple(key[1]))
-            if len(key[1]) != ring.num_group_vars:
-                raise PreconditionError("exponent vector has the wrong arity")
-            if not min_t <= key[0] <= order:
-                raise PreconditionError(
-                    "coefficient at t^%d outside the declared window" % key[0]
-                )
-            if value:
-                clean[key] = int(value)
-        self.coeffs = clean
+    def __init__(self, ring, terms, order, offset=None, min_t=0):
+        self._adopt(NovikovTruncation(ring, order, terms, min_t), offset)
+
+    def _adopt(self, series, offset):
+        """Take over a truncation's term dict as is and attach the offset."""
+        if not series.is_integral():
+            raise ArithmeticError("coefficient function needs integer coefficients")
+        self.ring = series.ring
+        self.order = series.order
+        self.terms = series.terms
+        self.min_t = series.min_t
+        self.offset = _normalize_exponent(series.ring, offset)
+        return self
 
 
 def i3_coefficients(zeta, detP, k):
@@ -176,25 +165,14 @@ def i3_coefficients(zeta, detP, k):
         raise PreconditionError("counting factor must be a truncation or a fraction")
     if zeta.ring != ring:
         raise PreconditionError("mismatched ring specs")
-    order = min(k, zeta.order)
-    product = (zeta * detP.poly).truncate(order)
-    return CoefficientFunction(
-        ring, product.terms, order, offset=detP.offset, min_t=product.min_t
-    )
+    product = (zeta * detP.poly).truncate(min(k, zeta.order))
+    return object.__new__(CoefficientFunction)._adopt(product, detP.offset)
 
 
 def t_invariant(cf, xi_exp):
     """Evaluate the coefficient function on the class the lift points at."""
-    p = _normalize_exponent(cf.ring, xi_exp)
-    rel = _exp_sub(p, cf.offset)
-    if rel[0] > cf.order:
-        raise PreconditionError(
-            "class at t-degree %d is outside the computed window" % rel[0]
-        )
-    if rel[0] < cf.min_t:
-        # below the product's least degree nothing exists, exactly
-        return 0
-    return cf.coeffs.get(rel, 0)
+    t_exp, v = _exp_sub(_normalize_exponent(cf.ring, xi_exp), cf.offset)
+    return cf.coefficient(t_exp, v)
 
 
 def sw_consistency_check(P, cn, xi=None, k=16):

@@ -188,12 +188,24 @@ def _validate_maps(maps):
 
 def _map_entry(ring, entry):
     if isinstance(entry, int):
-        return TPolynomial.monomial(ring, coeff=entry) if entry else TPolynomial.zero(ring)
+        return TPolynomial.monomial(ring, coeff=entry)
     if isinstance(entry, TPolynomial):
         if not entry.is_t_free():
             raise PreconditionError("return map entries must not involve t")
         return entry
     raise PreconditionError("return map entries must be integers or t-free polynomials")
+
+
+def _twist_block(ring, A):
+    """1 - t*A as a square polynomial matrix, for a square map A."""
+    one = TPolynomial.one(ring)
+    zero = TPolynomial.zero(ring)
+    t = TPolynomial.t(ring)
+    n = len(A)
+    return [
+        [(one if r == c else zero) - t * _map_entry(ring, A[r][c]) for c in range(n)]
+        for r in range(n)
+    ]
 
 
 def zeta_trace(ring, maps, order):
@@ -228,18 +240,8 @@ def zeta_lefschetz(ring, maps):
             raise PreconditionError("return map in degree %d is not square" % i)
     num = TPolynomial.one(ring)
     den = TPolynomial.one(ring)
-    t = TPolynomial.t(ring)
     for i, A in enumerate(maps):
-        n = len(A)
-        M = [
-            [
-                (TPolynomial.one(ring) if r == c else TPolynomial.zero(ring))
-                - t * _map_entry(ring, A[r][c])
-                for c in range(n)
-            ]
-            for r in range(n)
-        ]
-        d = bareiss_det(ring, M)
+        d = bareiss_det(ring, _twist_block(ring, A))
         if i % 2 == 0:
             den = den * d
         else:

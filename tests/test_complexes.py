@@ -216,6 +216,26 @@ class TestTauHat:
         # and the representatives pass the full validation inside tau_hat
         torsion_tau_hat(C, h)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_one_elimination_per_boundary(self, seed, monkeypatch):
+        import torsionlab.complexes as complexes
+
+        calls = []
+        real = complexes.poly_rank_pivots
+
+        def counted(ring, M):
+            calls.append(len(M))
+            return real(ring, M)
+
+        monkeypatch.setattr(complexes, "poly_rank_pivots", counted)
+        rng = oracles.seeded(250 + seed)
+        C = oracles.random_valid_complex(rng, R0 if seed % 2 else R1, length=3)
+        torsion_tau_hat(C)
+        assert len(calls) == len(C.boundaries)
+        calls.clear()
+        torsion_tau_hat(trefoil_surgery_complex())
+        assert len(calls) == 3
+
 
 class TestRebase:
     @pytest.mark.parametrize("seed", range(10))

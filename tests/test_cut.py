@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from torsionlab.complexes import BasedChainComplex, torsion_tau
 from torsionlab.cut import (
@@ -566,6 +568,109 @@ class TestApproxEqual:
         b = RationalFunction(ONE, rp((0, 1), (1, -1), (5, 1)))
         assert approx_equal(a, b, 5)
         assert not approx_equal(a, b, 6)
+
+
+    def test_fraction_expanded_only_through_window(self, monkeypatch):
+        import torsionlab.cut as cut
+
+        seen = []
+        real = cut.expand_series
+
+        def recorded(r, k):
+            seen.append(k)
+            return real(r, k)
+
+        monkeypatch.setattr(cut, "expand_series", recorded)
+        assert approx_equal(RationalFunction(ONE, 1 - T), rp((0, 1), (1, 1), (2, 1)), 3)
+        assert seen == [2]
+
+
+# ---- approx_equal against a window oracle over sympy series (b = 0) ----
+
+LOW, HIGH = -4, 14
+
+_coeff_dicts = st.dictionaries(st.integers(-2, 4), st.integers(-2, 2), max_size=3)
+_bases = st.one_of(
+    st.tuples(st.just("int"), st.integers(-2, 2)),
+    st.tuples(st.just("poly"), _coeff_dicts),
+    st.tuples(
+        st.just("frac"),
+        _coeff_dicts,
+        st.sampled_from([1, -1]),
+        st.dictionaries(st.integers(1, 2), st.integers(-2, 2), max_size=2),
+        st.integers(0, 1),
+    ),
+)
+
+
+@st.composite
+def _operand_pairs(draw):
+    """Two operand specs (base, perturbation, truncation order or None).
+
+    The second base repeats the first half the time, so that windows
+    agree on a prefix and differ, if at all, at a perturbed degree.
+    """
+    base_x = draw(_bases)
+    base_y = draw(st.one_of(st.just(base_x), _bases))
+    specs = []
+    for base in (base_x, base_y):
+        perturb = draw(st.dictionaries(st.integers(-2, 6), st.integers(-1, 1), max_size=1))
+        order = draw(st.one_of(st.none(), st.integers(-2, 12)))
+        specs.append((base, perturb, order))
+    return specs
+
+
+def _spec_value(sympy, t, spec):
+    """(torsionlab operand, coefficients of t^LOW..t^HIGH, known order)."""
+    (kind, *data), perturb, order = spec
+    if kind == "int":
+        value, expr = data[0], sympy.Integer(data[0])
+    elif kind == "poly":
+        value = rp(*data[0].items())
+        expr = sum((c * t**d for d, c in data[0].items()), sympy.Integer(0))
+    else:
+        num, unit, tail, shift = data
+        den_terms = {0: unit, **tail}
+        value = RationalFunction(rp(*num.items()), rp(*den_terms.items()) * T**shift)
+        expr = sum((c * t**d for d, c in num.items()), sympy.Integer(0)) / (
+            sum(c * t**d for d, c in den_terms.items()) * t**shift
+        )
+    for d, c in perturb.items():
+        value = value + TPolynomial.monomial(R0, t_exp=d, coeff=c)
+        expr = expr + c * t**d
+    if kind == "frac":
+        expr = sympy.series(expr, t, 0, HIGH + 1).removeO()
+    series = sympy.expand(expr)
+    coeffs = [int(series.coeff(t, d)) for d in range(LOW, HIGH + 1)]
+    if order is None:
+        return value, coeffs, None
+    known = {
+        (d, ()): c for d, c in zip(range(LOW, order + 1), coeffs) if c
+    }
+    return NovikovTruncation(R0, order, known, LOW), coeffs[: order - LOW + 1], order
+
+
+def _window_oracle(ops, k):
+    """Coefficient lists agree from the least nonzero degree for k places,
+    never past an operand's known order."""
+    lows = [LOW + next(i for i, c in enumerate(co) if c) for co, _ in ops if any(co)]
+    if not lows:
+        return True
+    top = min([min(lows) + k - 1] + [order for _, order in ops if order is not None])
+    assert top <= HIGH
+    (cx, _), (cy, _) = ops
+    return all(cx[d - LOW] == cy[d - LOW] for d in range(LOW, top + 1))
+
+
+@seed(20260518)
+@settings(max_examples=60)
+@given(_operand_pairs(), st.integers(0, 8))
+def test_approx_equal_matches_sympy_window_oracle(specs, k):
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    built = [_spec_value(sympy, t, spec) for spec in specs]
+    (x, *ox), (y, *oy) = built
+    assert approx_equal(x, y, k) == _window_oracle([ox, oy], k)
 
 
 class TestCheckKAgainstNovikov:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from torsionlab.rings import (
 )
 from torsionlab.threedim import (
     CoefficientFunction,
+    OffsetPolynomial,
     PathMatrix,
     i3_coefficients,
     path_matrix_det,
@@ -156,7 +159,7 @@ class TestRebasing:
 class TestI3Coefficients:
     def test_unit_counting_factor(self):
         cf = i3_coefficients(trunc_one(6), path_matrix_det(PathMatrix(R0, [[ONE - T]])), 6)
-        assert cf.coeffs == {(0, ()): 1, (1, ()): -1}
+        assert cf.terms == {(0, ()): 1, (1, ()): -1}
         assert t_invariant(cf, 0) == 1
         assert t_invariant(cf, 1) == -1
         assert t_invariant(cf, 4) == 0
@@ -164,17 +167,17 @@ class TestI3Coefficients:
     def test_geometric_factor_cancels(self):
         zeta = RationalFunction(ONE, ONE - T)
         cf = i3_coefficients(zeta, path_matrix_det(PathMatrix(R0, [[ONE - T]])), 6)
-        assert cf.coeffs == {(0, ()): 1}
+        assert cf.terms == {(0, ()): 1}
 
     def test_no_critical_points(self):
         cf = i3_coefficients(CATMAP_ZETA, path_matrix_det(PathMatrix(R0, [])), 2)
-        assert cf.coeffs == {(0, ()): 1, (1, ()): -1, (2, ()): -2}
+        assert cf.terms == {(0, ()): 1, (1, ()): -1, (2, ()): -2}
 
     def test_expanded_factor_agrees_with_fraction(self):
         detP = path_matrix_det(PathMatrix(R0, [[TREFOIL]]))
         a = i3_coefficients(CATMAP_ZETA, detP, 5)
         b = i3_coefficients(expand_series(CATMAP_ZETA, 5), detP, 5)
-        assert a.coeffs == b.coeffs and a.order == b.order
+        assert a.terms == b.terms and a.order == b.order
 
     def test_order_capped_by_factor(self):
         cf = i3_coefficients(trunc_one(2), path_matrix_det(PathMatrix(R0, [[ONE]])), 9)
@@ -190,6 +193,18 @@ class TestI3Coefficients:
             CoefficientFunction(R0, {(5, ()): 1}, 3)
         with pytest.raises(PreconditionError):
             CoefficientFunction(R0, {(0, (1,)): 1}, 3)
+
+    def test_fractional_coefficients_rejected(self):
+        halves = NovikovTruncation(
+            R0, 2, {(1, ()): Fraction(1, 2), (2, ()): Fraction(3, 2)}
+        )
+        with pytest.raises(ArithmeticError):
+            i3_coefficients(halves, OffsetPolynomial(ONE, (0, ())), 2)
+        with pytest.raises(ArithmeticError):
+            CoefficientFunction(R0, {(1, ()): Fraction(1, 2)}, 2)
+        whole = NovikovTruncation(R0, 2, {(1, ()): Fraction(4, 2)})
+        cf = i3_coefficients(whole, OffsetPolynomial(ONE, (0, ())), 2)
+        assert cf.terms == {(1, ()): 2} and type(cf.terms[(1, ())]) is int
 
 
 class TestTInvariant:
