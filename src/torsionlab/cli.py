@@ -74,6 +74,10 @@ def _build_parser():
     return parser
 
 
+# parse_args returns a fresh namespace per call, so one parser serves all
+_PARSER = _build_parser()
+
+
 def _want(fixture, *kinds):
     if fixture.kind not in kinds:
         raise PreconditionError(
@@ -96,8 +100,6 @@ def _lifted_complex(fixture):
 
 def _order_for(args, fixture):
     if args.order is not None:
-        if args.order < 0:
-            raise PreconditionError("order must be nonnegative")
         return args.order
     if fixture.kind == "scenario" and fixture.payload.order is not None:
         return fixture.payload.order
@@ -313,15 +315,16 @@ _COMMANDS = {
 
 def run_command(argv):
     """Dispatch one invocation; returns the exit code, output on stdout."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     if args.command is None:
-        parser.print_usage(sys.stderr)
+        _PARSER.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
+        if args.order is not None and args.order < 0:
+            raise PreconditionError("order must be nonnegative")
         return _COMMANDS[args.command](args)
     except FixtureError as exc:
         print("fixture error: %s" % exc, file=sys.stderr)

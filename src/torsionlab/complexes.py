@@ -12,6 +12,7 @@ from math import gcd
 from .errors import PreconditionError
 from .linalg import (
     _clear_row_denominators,
+    _eliminate,
     mat_apply,
     mat_is_zero,
     mat_mul,
@@ -26,6 +27,7 @@ from .rings import (
     RationalFunction,
     TPolynomial,
     canonical_mod_units,
+    exact_div,
     unit_equivalent,
 )
 
@@ -128,83 +130,48 @@ class TorsionValue:
     canonical: RationalFunction
 
 
-def _entry_weight(entry):
-    return len(entry.num) + len(entry.den)
-
-
-def _select_pivot_columns(ring, W, need):
-    """Greedy fraction-field elimination; returns chosen column indices or None.
-
-    Pivots prefer sparse entries, then low row, then low column, all in the
-    original indexing, which keeps the subbasis choice deterministic.
-    """
-    rows = len(W)
-    cols = len(W[0]) if rows else 0
-    W = [list(row) for row in W]
-    used_rows = set()
-    used_cols = set()
-    chosen = []
-    for _ in range(need):
-        best = None
-        for i in range(rows):
-            if i in used_rows:
-                continue
-            for c in range(cols):
-                if c in used_cols or W[i][c].is_zero:
-                    continue
-                key = (_entry_weight(W[i][c]), i, c)
-                if best is None or key < best[0]:
-                    best = (key, i, c)
-        if best is None:
-            return None
-        _, pi, pc = best
-        used_rows.add(pi)
-        used_cols.add(pc)
-        chosen.append(pc)
-        inv = W[pi][pc].inverse()
-        for i in range(rows):
-            if i in used_rows:
-                continue
-            if W[i][pc].is_zero:
-                continue
-            factor = W[i][pc] * inv
-            W[i] = [W[i][j] - factor * W[pi][j] for j in range(cols)]
-    return chosen
-
-
-def _torsion_engine(ring, min_degree, dims, matrices):
+def _torsion_engine(ring, min_degree, dims, matrices, row_factors):
     """Torsion of an acyclic based complex from its boundary matrices.
 
-    matrices[j] has rational function entries and shape dims[j] x dims[j+1].
-    Returns None when the complex fails to be acyclic.
+    matrices[j] has polynomial entries and shape dims[j] x dims[j+1].
+    row_factors is None, or per matrix the polynomial each row was
+    multiplied by to clear its denominators; each minor is divided by
+    the factors of the rows it keeps.  Returns None when the complex
+    fails to be acyclic.
+
+    Each boundary runs one fraction-free elimination on its rows outside
+    the previous chain, and its pivot columns are the next chain.
+    Restricted to those columns the elimination is Bareiss on that
+    square: an update of a pivot column reads only pivot columns, and
+    every row swap is decided in a pivot column.  So the last pivot,
+    times the row-swap sign, is the square's determinant, which is the
+    minor the tau-chain formula takes.
     """
-    n = len(dims)
-    if n == 0:
-        one = RationalFunction.one(ring)
-        return TorsionValue(one, one)
-    s_prev = []
-    result = RationalFunction.one(ring)
-    for j in range(1, n):
-        need = dims[j - 1] - len(s_prev)
-        if need < 0 or need > dims[j]:
+    one = TPolynomial.one(ring)
+    num = den = one
+    chain = []
+    for j in range(1, len(dims)):
+        in_chain = set(chain)
+        kept = [r for r in range(dims[j - 1]) if r not in in_chain]
+        need = len(kept)
+        W = [list(matrices[j - 1][r]) for r in kept]
+        chain, sign = _eliminate(W, exact_div, one)
+        if len(chain) < need:
             return None
-        row_complement = [r for r in range(dims[j - 1]) if r not in set(s_prev)]
-        sub = [[matrices[j - 1][r][c] for c in range(dims[j])] for r in row_complement]
-        chosen = _select_pivot_columns(ring, sub, need)
-        if chosen is None:
-            return None
-        cols = sorted(chosen)
-        square = [[matrices[j - 1][r][c] for c in cols] for r in row_complement]
-        d = rf_det(ring, square)
-        if d.is_zero:
-            return None
+        minor = W[-1][chain[-1]] if need else one
+        if sign < 0:
+            minor = -minor
+        cleared = one
+        if row_factors is not None:
+            for r in kept:
+                cleared = cleared * row_factors[j - 1][r]
         if (min_degree + j) % 2:
-            result = result * d.inverse()
+            num, den = num * cleared, den * minor
         else:
-            result = result * d
-        s_prev = cols
-    if dims[n - 1] != len(s_prev):
+            num, den = num * minor, den * cleared
+    if dims and dims[-1] != len(chain):
         return None
+    result = RationalFunction(num, den)
     return TorsionValue(result, canonical_mod_units(result))
 
 
@@ -213,8 +180,7 @@ def torsion_tau(C):
     report = validate_complex(C)
     if report:
         raise PreconditionError("; ".join(report))
-    matrices = [rf_matrix(mat) for mat in C.boundaries]
-    return _torsion_engine(C.ring, C.min_degree, C.dims, matrices)
+    return _torsion_engine(C.ring, C.min_degree, C.dims, C.boundaries, None)
 
 
 class HomologyBasis:
@@ -522,8 +488,12 @@ def product_formula_check(ses, h_sub=None, h_total=None, h_quot=None):
     tau_sub = torsion_tau_hat(ses.sub, h_sub)
     tau_total = torsion_tau_hat(ses.total, h_total)
     tau_quot = torsion_tau_hat(ses.quotient, h_quot)
+    ring = ses.total.ring
     dims, matrices = _connecting_sequence(ses, h_sub, h_total, h_quot)
-    tau_les = _torsion_engine(ses.total.ring, 0, dims, matrices)
+    cleared = [_clear_row_denominators(ring, mat) for mat in matrices]
+    tau_les = _torsion_engine(
+        ring, 0, dims, [mat for mat, _ in cleared], [f for _, f in cleared]
+    )
     if tau_les is None:
         return False
     product = tau_sub.raw * tau_quot.raw * tau_les.raw

@@ -21,7 +21,7 @@ from .complexes import (
     validate_complex,
 )
 from .errors import PreconditionError
-from .linalg import mat_mul, scaled_solve
+from .linalg import _clear_row_denominators, mat_mul, scaled_solve
 from .novikov import apply_lift, invariant_I, tau_novikov
 from .rings import (
     NovikovTruncation,
@@ -225,11 +225,12 @@ def compute_K(cs):
 def tau_via_products(cs):
     """Torsion of the glued complex through the degreewise factorization.
 
-    The critical complex with boundaries K is paired by the same greedy
-    square splitting used for direct torsion, then weighted by the
-    alternating product of det(1 - t phi_i), which is the counting
-    function zeta_lefschetz returns.  A split that exists dimensionally
-    but meets only singular blocks yields the zero value.
+    The critical complex with boundaries K goes through the same torsion
+    engine as direct torsion, each K's rows cleared of denominators
+    first, and is then weighted by the alternating product of
+    det(1 - t phi_i), which is the counting function zeta_lefschetz
+    returns.  A split that exists dimensionally but meets only singular
+    blocks yields the zero value.
     """
     ring = cs.ring
     crit = cs.crit_dims
@@ -240,7 +241,10 @@ def tau_via_products(cs):
             raise PreconditionError("critical ranks admit no square splitting")
     if carried != crit[-1]:
         raise PreconditionError("critical ranks admit no square splitting")
-    engine = _torsion_engine(ring, 0, crit, compute_K(cs))
+    cleared = [_clear_row_denominators(ring, K) for K in compute_K(cs)]
+    engine = _torsion_engine(
+        ring, 0, crit, [K for K, _ in cleared], [f for _, f in cleared]
+    )
     if engine is None:
         z = RationalFunction.zero(ring)
         return TorsionValue(z, z)

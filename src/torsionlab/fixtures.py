@@ -305,6 +305,8 @@ def _scenario(ring, obj, where):
     order = _get(obj, "order", where, required=False)
     if order is not None:
         parts["order"] = _int(order, where + ".order")
+        if order < 0:
+            _fail("order must be nonnegative", where + ".order")
     return Scenario(**parts)
 
 

@@ -5,7 +5,8 @@ lists, a 0 x c matrix is the empty list; every function that needs to mint
 an element for a degenerate shape takes the ring spec explicitly.
 
 Determinants, ranks and scaled solves over the polynomial ring (and
-integer determinants) all run one fraction-free elimination, _eliminate.
+integer determinants) all run one fraction-free elimination, _eliminate,
+which the torsion engine in complexes also runs once per boundary.
 """
 
 from .errors import PreconditionError

@@ -143,6 +143,46 @@ class TestTorsionEngine:
         b = torsion_tau(C)
         assert a.raw.num == b.raw.num and a.raw.den == b.raw.den
 
+    def test_fraction_rows_divide_only_kept_factors(self):
+        from torsionlab.complexes import _torsion_engine
+        from torsionlab.linalg import _clear_row_denominators
+
+        # d1 = [p, q] puts column 0 in the chain, so d2 = [-q/r, p/r]^T
+        # keeps only its row 1 and the torsion is (p/r) / p = 1/r
+        t = TPolynomial.t(R0)
+        p, q, r = 1 + t, 2 + t**2, 1 - t
+        d1 = [[RationalFunction(p), RationalFunction(q)]]
+        d2 = [[RationalFunction(-q, r)], [RationalFunction(p, r)]]
+        cleared = [_clear_row_denominators(R0, m) for m in (d1, d2)]
+        value = _torsion_engine(
+            R0, 0, [1, 2, 1], [m for m, _ in cleared], [f for _, f in cleared]
+        )
+        assert frac_equal(value.raw, RationalFunction(TPolynomial.one(R0), r))
+
+    def test_one_elimination_per_boundary(self, monkeypatch):
+        import torsionlab.complexes as complexes
+
+        plain, sheared = oracles.random_acyclic_complex(oracles.seeded(6009), R1)
+        expected = torsion_tau(plain)
+        calls = []
+        real = complexes._eliminate
+
+        def counted(W, div, one):
+            calls.append(len(W))
+            return real(W, div, one)
+
+        def refused(ring, M):
+            raise AssertionError("torsion_tau took a separate determinant")
+
+        monkeypatch.setattr(complexes, "_eliminate", counted)
+        monkeypatch.setattr(complexes, "rf_det", refused)
+        for C in (trefoil_surgery_complex(), sheared):
+            calls.clear()
+            value = torsion_tau(C)
+            assert value is not None
+            assert len(calls) == len(C.boundaries)
+        assert frac_equal(value.raw, expected.raw)
+
     @pytest.mark.parametrize("seed", range(12))
     def test_invariant_under_shearing(self, seed):
         rng = oracles.seeded(seed)

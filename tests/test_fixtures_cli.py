@@ -176,7 +176,7 @@ class TestCommandContract:
             capsys, "tau", "--fixture", fix("trefoil_surgery_cw.json")
         )
         assert code == 0
-        assert out == "tau: (1 + t^3) / (1 - t - t^2 + t^3) [canonical]\n"
+        assert out == "tau: (1 - t + t^2) / (1 - 2*t + t^2) [canonical]\n"
 
     def test_tau_on_novikov_fixture(self, capsys):
         code, out, _ = invoke(
@@ -444,6 +444,40 @@ class TestExitCodes:
             capsys, "tau", "--fixture", fix("circle_cw.json"), "--order", "-1"
         )
         assert code == 4
+        # the sign is checked before any value is printed
+        for argv in (
+            ("tau", "--fixture", fix("circle_cw.json")),
+            ("tau-hat", "--fixture", fix("circle_cw.json")),
+            ("canon", "--fixture", fix("rational_sample.json")),
+        ):
+            code, out, err = invoke(capsys, *argv, "--order", "-1")
+            assert code == 4
+            assert out == ""
+            assert err == "precondition failed: order must be nonnegative\n"
+
+    def test_negative_scenario_order_is_code_3(self, capsys, tmp_path):
+        data = load_data("catmap_scenario.json")
+        data["order"] = -3
+        path = tmp_path / "catmap_negative_order.json"
+        path.write_text(json.dumps(data), encoding="ascii")
+        for command in ("check-k", "i3"):
+            code, out, err = invoke(capsys, command, "--fixture", str(path))
+            assert code == 3
+            assert out == ""
+            assert err.startswith("fixture error: ")
+            assert err.endswith(".order: order must be nonnegative\n")
+
+    def test_back_to_back_calls_share_no_flags(self, capsys):
+        maps = fix("catmap_returnmaps.json")
+        code, out, _ = invoke(
+            capsys, "zeta", "--method", "trace", "--fixture", maps, "--order", "3"
+        )
+        assert code == 0
+        assert len(out.splitlines()) == 4
+        code, out, _ = invoke(capsys, "zeta", "--method", "lefschetz", "--fixture", maps)
+        assert code == 0
+        assert len(out.splitlines()) == 1
+        assert out.startswith("zeta: ")
 
     def test_broken_complex_through_tau_is_code_4(self, capsys):
         # tau refuses outright; only validate maps the defect to code 2
