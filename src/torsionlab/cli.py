@@ -18,6 +18,7 @@ from .errors import FixtureError, PreconditionError
 from .fixtures import parse_fixture
 from .novikov import apply_lift
 from .rings import (
+    MAX_ORDER,
     TPolynomial,
     canonical_mod_units,
     expand_series,
@@ -323,8 +324,11 @@ def run_command(argv):
         _PARSER.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
-        if args.order is not None and args.order < 0:
-            raise PreconditionError("order must be nonnegative")
+        if args.order is not None:
+            if args.order < 0:
+                raise PreconditionError("order must be nonnegative")
+            if args.order > MAX_ORDER:
+                raise PreconditionError("order must be at most %d" % MAX_ORDER)
         return _COMMANDS[args.command](args)
     except FixtureError as exc:
         print("fixture error: %s" % exc, file=sys.stderr)

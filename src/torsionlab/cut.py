@@ -232,6 +232,12 @@ def tau_via_products(cs):
     returns.  A split that exists dimensionally but meets only singular
     blocks yields the zero value.
     """
+    return _tau_via_products(cs, compute_K(cs), zeta_lefschetz(cs.ring, cs.phi))
+
+
+def _tau_via_products(cs, K, zeta):
+    """tau_via_products with the transfer matrices K and the counting
+    function zeta already computed."""
     ring = cs.ring
     crit = cs.crit_dims
     carried = 0
@@ -241,14 +247,14 @@ def tau_via_products(cs):
             raise PreconditionError("critical ranks admit no square splitting")
     if carried != crit[-1]:
         raise PreconditionError("critical ranks admit no square splitting")
-    cleared = [_clear_row_denominators(ring, K) for K in compute_K(cs)]
+    cleared = [_clear_row_denominators(ring, block) for block in K]
     engine = _torsion_engine(
-        ring, 0, crit, [K for K, _ in cleared], [f for _, f in cleared]
+        ring, 0, crit, [block for block, _ in cleared], [f for _, f in cleared]
     )
     if engine is None:
         z = RationalFunction.zero(ring)
         return TorsionValue(z, z)
-    total = engine.raw * zeta_lefschetz(ring, cs.phi)
+    total = engine.raw * zeta
     return TorsionValue(total, canonical_mod_units(total))
 
 
@@ -300,6 +306,11 @@ def check_K_vs_novikov(cs, cn, k):
     and every entry must agree through t-degree k, capped by cn's
     declared order when it has one.
     """
+    return _check_K_vs_novikov(cs, cn, k, compute_K(cs))
+
+
+def _check_K_vs_novikov(cs, cn, k, K):
+    """check_K_vs_novikov with the transfer matrices K already computed."""
     by_degree = {}
     for j, d in enumerate(cn.dims):
         by_degree[cn.min_degree + j] = d
@@ -309,7 +320,6 @@ def check_K_vs_novikov(cs, cn, k):
     if any(by_degree.values()):
         raise PreconditionError("dimension mismatch")
     cap = k if cn.order is None else min(k, cn.order)
-    K = compute_K(cs)
     for i in range(1, cs.n + 1):
         rows = cs.crit_dims[i - 1]
         cols = cs.crit_dims[i]
@@ -344,16 +354,19 @@ def verify_main_theorem(cs, cn, xi=None, order=16):
     The invariant side multiplies the counting function of the return
     maps by the torsion of the critical-point complex in the basis the
     lift picks; the topological side takes the torsion of the assembled
-    complex with the same basing applied to its D generators.
+    complex with the same basing applied to its D generators.  The
+    transfer matrices and the counting function are computed once and
+    shared by the series check and the product route.
     """
     k = cn.order if cn.order is not None else order
-    series_ok = check_K_vs_novikov(cs, cn, k)
+    K = compute_K(cs)
+    series_ok = _check_K_vs_novikov(cs, cn, k, K)
     zeta = zeta_lefschetz(cs.ring, cs.phi)
     tau_cn = tau_novikov(cn, xi)
     inv = invariant_I(zeta, tau_cn)
     assembled = apply_lift(assemble_boundary(cs), xi, cn.min_degree)
     direct = torsion_tau(assembled)
-    product_route = tau_via_products(cs)
+    product_route = _tau_via_products(cs, K, zeta)
     if inv.is_zero or inv.value is None or direct is None:
         main = inv.is_zero and direct is None
     else:

@@ -14,7 +14,7 @@ from .complexes import BasedChainComplex
 from .cut import CutSystem
 from .errors import FixtureError, PreconditionError
 from .novikov import EulerLift, NovikovComplex
-from .rings import RationalFunction, RingSpec, TPolynomial
+from .rings import MAX_ORDER, RationalFunction, RingSpec, TPolynomial
 from .threedim import PathMatrix
 from .zeta import ClosedOrbit
 
@@ -154,10 +154,20 @@ def _grading(cn):
     return out
 
 
-def _novikov(ring, obj, where):
+def _order(obj, where):
+    """The optional truncation order of an object, within [0, MAX_ORDER]."""
     order = _get(obj, "order", where, required=False)
     if order is not None:
         order = _int(order, where + ".order")
+        if order < 0:
+            _fail("order must be nonnegative", where + ".order")
+        if order > MAX_ORDER:
+            _fail("order must be at most %d" % MAX_ORDER, where + ".order")
+    return order
+
+
+def _novikov(ring, obj, where):
+    order = _order(obj, where)
     cn = _complex(ring, obj, where, cls=NovikovComplex, order=order)
     indices = [
         _int(i, where + ".indices")
@@ -302,11 +312,7 @@ def _scenario(ring, obj, where):
         sub = _get(obj, key, where, required=False)
         if sub is not None:
             parts[key] = parser(ring, sub, where + "." + key)
-    order = _get(obj, "order", where, required=False)
-    if order is not None:
-        parts["order"] = _int(order, where + ".order")
-        if order < 0:
-            _fail("order must be nonnegative", where + ".order")
+    parts["order"] = _order(obj, where)
     return Scenario(**parts)
 
 

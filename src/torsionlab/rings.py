@@ -43,6 +43,11 @@ from operator import add
 
 from .errors import PreconditionError
 
+# Highest truncation order accepted from a command line or a fixture.  The
+# series recurrences hold one slice per t-degree and sum over all earlier
+# ones, so their memory grows with the order and their time with its square.
+MAX_ORDER = 1024
+
 
 @dataclass(frozen=True)
 class RingSpec:
@@ -548,18 +553,66 @@ class NovikovTruncation:
         return f"NovikovTruncation[{self.min_t}..{self.order}]({body})"
 
 
+def _slice_recurrence(zero_v, order, a, step):
+    """Z[V] (or Q[V]) slices z_0 .. z_order of a series, one per t-degree.
+
+    z_0 = 1 and z_n = step(n, sum_{k=1..n} a_k * z_{n-k}), where a maps a
+    positive t-degree k to the slice a_k = {v_exps: coeff} (missing
+    slices and zero coefficients are zero) and step maps each nonzero
+    coefficient of the summed slice.
+    Each slice is built once from the earlier ones, so nothing is raised
+    to a power and no degree above order is ever formed.
+    """
+    support = sorted(k for k, s in a.items() if s)
+    z = [None] * (order + 1)
+    if order >= 0:
+        z[0] = {zero_v: 1}
+    for n in range(1, order + 1):
+        acc = {}
+        for k in support:
+            if k > n:
+                break
+            for va, ca in a[k].items():
+                for vz, cz in z[n - k].items():
+                    v = tuple(map(add, va, vz))
+                    acc[v] = acc.get(v, 0) + ca * cz
+        z[n] = {v: step(n, c) for v, c in acc.items() if c}
+    return z
+
+
+def _over(n, c):
+    """c / n, kept an int when an int divides exactly."""
+    if type(c) is int and not c % n:
+        return c // n
+    return Fraction(c, n)
+
+
+def _exp_power_sums(ring, order, sums):
+    """exp(sum_n p_n t^n / n) through t^order, from its power sums p_n.
+
+    sums maps a t-degree n >= 1 to the slice p_n = {v_exps: coeff}.  The
+    coefficients obey Newton's identity n*z_n = sum_{k=1..n} p_k z_{n-k};
+    each quotient by n stays an int when it divides exactly and becomes a
+    Fraction only where it does not.
+    """
+    z = _slice_recurrence(ring.zero_v(), order, sums, _over)
+    terms = {(n, v): c for n, zn in enumerate(z) for v, c in zn.items()}
+    return NovikovTruncation._trusted(ring, order, terms, 0)
+
+
 def series_exp(x: NovikovTruncation) -> NovikovTruncation:
-    """exp of a truncation supported in strictly positive t-degrees."""
+    """exp of a truncation supported in strictly positive t-degrees.
+
+    With x = sum_n x_n t^n the power sums are p_n = n * x_n, and the
+    result z obeys n*z_n = sum_{k=1..n} p_k z_{n-k}, one pass per
+    t-degree through x.order.
+    """
     if x.min_t < 0 or any(k[0] < 1 for k in x.terms):
         raise PreconditionError("series exponential needs strictly positive t-degrees")
-    acc = NovikovTruncation.one(x.ring, x.order)
-    power = NovikovTruncation.one(x.ring, x.order)
-    for j in range(1, x.order + 1):
-        power = (power * x).scale(Fraction(1, j)).truncate(x.order)
-        if not power:
-            break
-        acc = acc + power
-    return NovikovTruncation._trusted(x.ring, x.order, acc.terms, 0)
+    sums = {}
+    for (n, v), c in x.terms.items():
+        sums.setdefault(n, {})[v] = _coeff_normal(n * c)
+    return _exp_power_sums(x.ring, x.order, sums)
 
 
 def series_invert(p: TPolynomial, k: int) -> NovikovTruncation:
@@ -568,8 +621,9 @@ def series_invert(p: TPolynomial, k: int) -> NovikovTruncation:
     The lowest t-slice of p must be a single monomial with coefficient +-1;
     that is exactly invertibility in the series ring, since the units of
     Z[V] are the signed monomials.  Writing p = u * (1 + r) with u the unit
-    and r of positive t-degree, the inverse is u^-1 * sum (-r)^j.  The
-    result s satisfies p * s = 1 + O(t^(k+1)).
+    and r = sum_j r_j t^j of positive t-degree, the inverse of 1 + r has
+    slices s_0 = 1 and s_n = -sum_{j=1..n} r_j s_{n-j}, and the result is
+    u^-1 times that.  It satisfies p * s = 1 + O(t^(k+1)).
     """
     if not p:
         raise PreconditionError("zero is not invertible")
@@ -580,19 +634,18 @@ def series_invert(p: TPolynomial, k: int) -> NovikovTruncation:
             "lowest t-coefficient is not a unit monomial; element not invertible"
         )
     (v_exps, sign), = low
-    # p1 = u^-1 * p has constant slice exactly 1
+    # the slices of r = u^-1 * p - 1, through t-degree k
     v_inv = tuple(-x for x in v_exps)
-    p1 = p.times_monomial(-m, v_inv, sign)
-    r = p1 - TPolynomial.one(p.ring)
-    r_trunc = NovikovTruncation.from_tpolynomial(r, k)
-    inv1 = NovikovTruncation.one(p.ring, k)
-    power = NovikovTruncation.one(p.ring, k)
-    for _ in range(1, k + 1):
-        power = (power * r_trunc).scale(-1).truncate(k)
-        if not power:
-            break
-        inv1 = inv1 + power
-    terms = _mul_terms(inv1.terms, {(-m, v_inv): sign})
+    r = {}
+    for (te, v), c in p.terms.items():
+        if 0 < te - m <= k:
+            r.setdefault(te - m, {})[tuple(map(add, v, v_inv))] = sign * c
+    s = _slice_recurrence(p.ring.zero_v(), k, r, lambda n, c: -c)
+    terms = {
+        (n - m, tuple(map(add, v, v_inv))): sign * c
+        for n, sn in enumerate(s)
+        for v, c in sn.items()
+    }
     return NovikovTruncation._trusted(p.ring, k - m, terms, -m)
 
 

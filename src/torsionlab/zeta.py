@@ -8,11 +8,10 @@ suite leans on that agreement instead of trusting any single shape.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import PreconditionError
 from .linalg import bareiss_det, int_det, mat_mul
-from .rings import NovikovTruncation, RationalFunction, TPolynomial, series_exp
+from .rings import RationalFunction, TPolynomial, _exp_power_sums
 
 
 @dataclass(frozen=True)
@@ -76,7 +75,25 @@ def orbit_sign(orbit, power=1):
     complex pairs never contribute).
     """
     A = orbit.map_rows()
-    if not A:
+    P = A
+    for _ in range(power - 1):
+        P = mat_mul(P, A, 0)
+    return _power_sign(orbit, P, power)
+
+
+def _orbit_signs(orbit):
+    """orbit_sign(orbit, 1), orbit_sign(orbit, 2), ... in turn, each
+    matrix power taken from the one before."""
+    A = orbit.map_rows()
+    P, power = A, 1
+    while True:
+        yield _power_sign(orbit, P, power)
+        P, power = mat_mul(P, A, 0), power + 1
+
+
+def _power_sign(orbit, P, power):
+    """orbit_sign given P = A^power (empty when the orbit has no map)."""
+    if not P:
         if orbit.eps not in (-1, 1):
             raise PreconditionError("orbit sign is not pinned down")
         if power == 1:
@@ -86,10 +103,7 @@ def orbit_sign(orbit, power=1):
                 return orbit.eps
             return -orbit.eps if orbit.i_minus % 2 else orbit.eps
         raise PreconditionError("orbit powers need a return map or index counts")
-    P = A
-    for _ in range(power - 1):
-        P = mat_mul(P, A, 0)
-    n = len(A)
+    n = len(P)
     M = [[(1 if i == j else 0) - P[i][j] for j in range(n)] for i in range(n)]
     d = int_det(M)
     if d == 0:
@@ -113,24 +127,26 @@ def orbit_counts(orbit):
 
 
 def zeta_exp(ring, orbits, order):
-    """Orbit-sum exponential, truncated at the given t-degree."""
+    """Orbit-sum exponential, truncated at the given t-degree.
+
+    The j-th power of an orbit of t-degree d and class g adds
+    sign_j * g^j / j to the logarithm, so it adds d * sign_j * g^j to
+    the integer power sum at t-degree j*d; those sums feed the
+    exponential's recurrence directly.
+    """
     if order < 0:
         raise PreconditionError("truncation order must be nonnegative")
-    terms = {}
+    sums = {}
     for orbit in orbits:
         if orbit.homology_class.ring != ring:
             raise PreconditionError("mismatched ring specs")
         d = orbit.t_degree
-        power = 1
-        accumulated = TPolynomial.one(ring)
-        while power * d <= order:
-            accumulated = accumulated * orbit.homology_class
-            sign = orbit_sign(orbit, power)
-            coeff = Fraction(sign, power)
-            for key, c in accumulated.terms.items():
-                terms[key] = terms.get(key, 0) + coeff * c
-            power += 1
-    return series_exp(NovikovTruncation(ring, order, terms))
+        v_class = orbit.homology_class.unit_parts()[2]
+        for power, sign in zip(range(1, order // d + 1), _orbit_signs(orbit)):
+            slice_ = sums.setdefault(power * d, {})
+            key = tuple(power * e for e in v_class)
+            slice_[key] = slice_.get(key, 0) + d * sign
+    return _exp_power_sums(ring, order, sums)
 
 
 def zeta_product(ring, orbits):
@@ -209,20 +225,30 @@ def _twist_block(ring, A):
 
 
 def zeta_trace(ring, maps, order):
-    """Trace exponential of graded return maps, truncated at the order."""
+    """Trace exponential of graded return maps, truncated at the order.
+
+    zeta = exp(sum_m L(phi^m) t^m / m) with the Lefschetz numbers
+    L(phi^m) = sum_i (-1)^i tr(phi_i^m) (Milnor, Infinite cyclic
+    coverings, 1968; Fried, Homological identities for closed orbits,
+    1983).  The integers L(phi^m) are the power sums of the exponential's
+    recurrence n*z_n = sum_{m=1..n} L(phi^m) z_{n-m}, whose divisions by
+    n are exact whenever the result is integral.
+    """
     if order < 0:
         raise PreconditionError("truncation order must be nonnegative")
     maps = _validate_maps(maps)
-    terms = {}
-    powers = [[list(row) for row in A] for A in maps]
+    zero_v = ring.zero_v()
+    sums = {}
+    powers = maps
     for m in range(1, order + 1):
+        if m > 1:
+            powers = [mat_mul(P, A, 0) for P, A in zip(powers, maps)]
         lefschetz = 0
         for i, P in enumerate(powers):
             trace = sum(P[k][k] for k in range(len(P)))
             lefschetz += trace if i % 2 == 0 else -trace
-        terms[(m, ring.zero_v())] = Fraction(lefschetz, m)
-        powers = [mat_mul(P, A, 0) for P, A in zip(powers, maps)]
-    result = series_exp(NovikovTruncation(ring, order, terms))
+        sums[m] = {zero_v: lefschetz}
+    result = _exp_power_sums(ring, order, sums)
     if not result.is_integral():
         raise ArithmeticError("trace exponential left the integral lattice")
     return result

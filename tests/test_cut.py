@@ -777,3 +777,30 @@ class TestVerifyMainTheorem:
         assert frac_equal(
             report.product_route.raw, RationalFunction(rp((0, 1), (1, -2)), 1 - T)
         )
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: (circle_onecrit(), NovikovComplex(R0, 0, [1, 1], [[[1 - T]]])),
+            lambda: (catmap_cut(), NovikovComplex(R0, 0, [], [])),
+            lambda: (stabilized_cut(), stabilized_cn()),
+        ],
+    )
+    def test_transfer_and_counting_computed_once(self, build, monkeypatch):
+        # the series check and the product route share one K and one zeta
+        import torsionlab.cut as cut
+
+        calls = {"compute_K": 0, "zeta_lefschetz": 0}
+        for name in calls:
+            original = getattr(cut, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(cut, name, counted)
+        cs, cn = build()
+        report = verify_main_theorem(cs, cn)
+        assert calls == {"compute_K": 1, "zeta_lefschetz": 1}
+        assert report.product_identity
+        assert frac_equal(report.product_route.raw, tau_via_products(cs).raw)

@@ -467,6 +467,44 @@ class TestExitCodes:
             assert err.startswith("fixture error: ")
             assert err.endswith(".order: order must be nonnegative\n")
 
+    def test_order_above_ceiling_is_code_4(self, capsys):
+        code, out, err = invoke(
+            capsys, "zeta", "--method", "trace",
+            "--fixture", fix("catmap_returnmaps.json"), "--order", "1025",
+        )
+        assert code == 4
+        assert out == ""
+        assert err == "precondition failed: order must be at most 1024\n"
+
+    def test_scenario_order_above_ceiling_is_code_3(self, capsys, tmp_path):
+        data = load_data("catmap_scenario.json")
+        data["order"] = 1025
+        path = tmp_path / "catmap_huge_order.json"
+        path.write_text(json.dumps(data), encoding="ascii")
+        code, out, err = invoke(capsys, "i3", "--fixture", str(path))
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "fixture error: catmap_huge_order.json.order: order must be at most 1024\n"
+        )
+
+    @pytest.mark.parametrize(
+        "order, message",
+        [(-2, "order must be nonnegative"), (1025, "order must be at most 1024")],
+    )
+    def test_novikov_order_is_checked_at_its_key(self, capsys, tmp_path, order, message):
+        data = load_data("trefoil_novikov.json")
+        data["order"] = order
+        path = tmp_path / "trefoil_bad_order.json"
+        path.write_text(json.dumps(data), encoding="ascii")
+        code, out, err = invoke(capsys, "validate", "--fixture", str(path))
+        assert code == 3
+        assert out == ""
+        assert err == "fixture error: trefoil_bad_order.json.order: %s\n" % message
+        with pytest.raises(FixtureError) as info:
+            parse_fixture_data(data)
+        assert info.value.location == "fixture.order"
+
     def test_back_to_back_calls_share_no_flags(self, capsys):
         maps = fix("catmap_returnmaps.json")
         code, out, _ = invoke(

@@ -498,6 +498,7 @@ class TestTrustedPath:
             half + half,
             half * half,
             series_exp(x),
+            series_exp(half),
         ]
         for result in results:
             assert_well_formed(result)
@@ -556,3 +557,76 @@ def test_sympy_series_exp(sympy, seed):
     want = sympy_coefficients(sympy, sympy.exp(log_expr), t, k)
     got = [e.coefficient(d) for d in range(k + 1)]
     assert [sympy.Rational(c.numerator, c.denominator) for c in map(Fraction, got)] == want
+
+
+def as_sympy_laurent(sympy, terms, syms, t):
+    """A term dict {(t_exp, v_exps): coeff} as a sympy expression."""
+    out = sympy.Integer(0)
+    for (te, v), c in terms.items():
+        c = Fraction(c)
+        term = sympy.Rational(c.numerator, c.denominator) * t**te
+        for sym, e in zip(syms, v):
+            term *= sym**e
+        out += term
+    return out
+
+
+def as_sympy_slice(sympy, x, syms, d):
+    """The Z[V] (or Q[V]) coefficient of t^d in x, as a sympy expression."""
+    return as_sympy_laurent(sympy, {k: c for k, c in x.terms.items() if k[0] == d}, syms, 1)
+
+
+def random_laurent_terms(rng, ring, t_lo, t_hi, count, coeff):
+    """count terms at t-degrees t_lo..t_hi with V-exponents in [-2, 2]."""
+    terms = {}
+    for _ in range(count):
+        key = (rng.randint(t_lo, t_hi), tuple(rng.randint(-2, 2) for _ in ring.var_names))
+        terms[key] = coeff(rng)
+    return terms
+
+
+def sympy_series_slices(sympy, expr, t, lo, hi):
+    """Coefficients of t^lo .. t^hi in the Laurent expansion of expr at 0."""
+    series = sympy.expand(sympy.series(expr, t, 0, hi + 1).removeO())
+    return [series.coeff(t, d) for d in range(lo, hi + 1)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sympy_series_exp_with_group_variables(sympy, seed):
+    import random
+
+    rng = random.Random(1100 + seed)
+    ring = (R1, R2)[seed % 2]
+    syms = sympy.symbols(ring.var_names)
+    t = sympy.Symbol("t")
+    k = rng.randint(4, 8)
+    logs = random_laurent_terms(
+        rng, ring, 1, k, rng.randint(2, 4),
+        lambda r: Fraction(r.choice([-3, -1, 1, 2]), r.randint(1, 3)),
+    )
+    e = series_exp(NovikovTruncation(ring, k, logs))
+    log_expr = as_sympy_laurent(sympy, logs, syms, t)
+    want = sympy_series_slices(sympy, sympy.exp(log_expr), t, 0, k)
+    for d, expected in enumerate(want):
+        assert sympy.expand(as_sympy_slice(sympy, e, syms, d) - expected) == 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sympy_series_invert_with_group_variables(sympy, seed):
+    import random
+
+    rng = random.Random(1200 + seed)
+    ring = (R1, R2)[seed % 2]
+    syms = sympy.symbols(ring.var_names)
+    t = sympy.Symbol("t")
+    k = rng.randint(4, 8)
+    shift = rng.randint(0, 1)
+    unit_v = tuple(rng.randint(-2, 1) for _ in ring.var_names)
+    tail = random_laurent_terms(rng, ring, 1, 3, rng.randint(2, 4), lambda r: r.randint(-3, 3))
+    unit = TPolynomial.monomial(ring, t_exp=shift, v=unit_v, coeff=rng.choice([1, -1]))
+    den = unit * (1 + TPolynomial(ring, tail))
+    inv = series_invert(den, k)
+    den_expr = as_sympy_laurent(sympy, den.terms, syms, t)
+    want = sympy_series_slices(sympy, 1 / den_expr, t, -shift, k - shift)
+    for d, expected in zip(range(-shift, k - shift + 1), want):
+        assert sympy.expand(as_sympy_slice(sympy, inv, syms, d) - expected) == 0

@@ -1,6 +1,9 @@
+from itertools import islice
+
 import pytest
 
 from torsionlab.errors import PreconditionError
+from torsionlab.linalg import mat_mul
 from torsionlab.rings import (
     NovikovTruncation,
     RationalFunction,
@@ -10,6 +13,7 @@ from torsionlab.rings import (
 )
 from torsionlab.zeta import (
     ClosedOrbit,
+    _orbit_signs,
     orbit_counts,
     orbit_sign,
     zeta_exp,
@@ -66,6 +70,9 @@ class TestOrbitData:
         witness = ClosedOrbit(t, return_map=[[-2, 0], [0, 3]])
         for j in range(1, 7):
             assert orbit_sign(orbit, j) == orbit_sign(witness, j)
+        # zeta_exp's running sequence agrees with the one-power definition
+        for o in (orbit, witness):
+            assert list(islice(_orbit_signs(o), 6)) == [orbit_sign(o, j) for j in range(1, 7)]
 
     def test_degenerate_sign(self):
         t = TPolynomial.t(R0)
@@ -117,6 +124,26 @@ class TestOrbitForms:
         assert frac_equal(product, RationalFunction(TPolynomial.one(R1), 1 - t * v))
         assert series == expand_series(product, 3)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_twisted_even_orbits_to_order_60(self, seed):
+        # b = 1 classes, V-exponents of both signs, even transversal dimension
+        rng = oracles.seeded(700 + seed)
+        t = TPolynomial.t(R1)
+        orbits = []
+        for _ in range(rng.randint(2, 3)):
+            size = rng.choice([0, 2, 4])
+            diag = [rng.choice([-3, -2, 0, 2, 3]) for _ in range(size)]
+            A = [[diag[i] if i == j else 0 for j in range(size)] for i in range(size)]
+            v = TPolynomial.var(R1, "v1", rng.choice([-2, -1, 1, 2]))
+            cls = t ** rng.randint(1, 3) * v
+            if size == 0:
+                orbits.append(ClosedOrbit(cls, i_minus=0, i_zero=0, eps=1))
+            else:
+                orbits.append(ClosedOrbit(cls, return_map=A))
+        order = 60
+        series = zeta_exp(R1, orbits, order)
+        assert series == expand_series(zeta_product(R1, orbits), order)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_random_even_diagonal_agreement(self, seed):
         rng = oracles.seeded(500 + seed)
@@ -163,6 +190,19 @@ class TestMapForms:
             zeta_lefschetz(R0, [[[1, 2]]])
         with pytest.raises(PreconditionError):
             zeta_trace(R0, [[[1, 2]]], 3)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_trace_matches_lefschetz_to_order_100(self, seed):
+        # a seeded hyperbolic cat map: a word in the two elementary shears
+        rng = oracles.seeded(800 + seed)
+        A = [[1, 0], [0, 1]]
+        while abs(A[0][0] + A[1][1]) <= 2:
+            A = mat_mul(A, rng.choice([[[1, 1], [0, 1]], [[1, 0], [1, 1]]]), 0)
+        maps = [[[1]], A, [[1]]]
+        order = 100
+        series = zeta_trace(R0, maps, order)
+        assert series == expand_series(zeta_lefschetz(R0, maps), order)
+        assert series.order == order
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_agreement(self, seed):
