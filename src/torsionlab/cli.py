@@ -22,7 +22,6 @@ from .rings import (
     TPolynomial,
     canonical_mod_units,
     expand_series,
-    format_by_degree,
     format_rational,
     format_tpolynomial,
     format_truncation,
@@ -258,7 +257,7 @@ def _cmd_i3(args):
         )
     offset_body = TPolynomial.monomial(cf.ring, t_exp=cf.offset[0], v=cf.offset[1])
     print("offset: %s" % format_tpolynomial(offset_body))
-    for line in format_by_degree(cf.ring, cf.terms):
+    for line in format_truncation(cf):
         print(line)
     if consistent is None:
         return EXIT_OK

@@ -260,11 +260,9 @@ def _tau_via_products(cs, K, zeta):
 
 def _least_degree(value):
     """Lowest t-degree carrying a nonzero coefficient of a nonzero value."""
-    if isinstance(value, NovikovTruncation):
-        return min(key[0] for key in value.terms)
-    if isinstance(value, TPolynomial):
-        return value.min_t_degree()
-    return value.num.min_t_degree() - value.den.min_t_degree()
+    if isinstance(value, RationalFunction):
+        return value.num.min_t_degree() - value.den.min_t_degree()
+    return value.min_t_degree()
 
 
 def _known_through(value, top):

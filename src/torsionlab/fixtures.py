@@ -80,7 +80,12 @@ def _term(ring, obj, where):
     v = _list(_get(obj, "v", where), where + ".v")
     if len(v) != ring.num_group_vars:
         _fail("exponent vector needs %d entries" % ring.num_group_vars, where + ".v")
-    return c, t, tuple(_int(e, where + ".v") for e in v)
+    v = tuple(_int(e, where + ".v") for e in v)
+    try:
+        ring.pack(t, v)
+    except PreconditionError as exc:
+        _fail(str(exc), where + ".v")
+    return c, t, v
 
 
 def _poly(ring, data, where):

@@ -38,12 +38,16 @@ def mat_mul(A, B, zero, cols=None):
     if rb == 0:
         cb = cols or 0
     out = []
-    for i in range(ra):
+    for a_row in A:
+        # zero operands add nothing, so each sum runs over the nonzero pairs
+        nonzero = [(a, B[k]) for k, a in enumerate(a_row) if a]
         row = []
         for j in range(cb):
             acc = zero
-            for k in range(ca):
-                acc = acc + A[i][k] * B[k][j]
+            for a, b_row in nonzero:
+                b = b_row[j]
+                if b:
+                    acc = acc + a * b
             row.append(acc)
         out.append(row)
     return out

@@ -4,7 +4,7 @@ fraction field.
 The base coefficient ring is the group ring Z[V] of a free abelian group with
 b named generators, realised as multivariate integer Laurent polynomials.
 Every element of Z[V][t, t^-1] and of its Novikov completion is stored the
-same way: a term dict {(t_exp, v_exps): coeff} holding only nonzero
+same way: a term dict {key: coeff} from packed monomial keys to nonzero
 coefficients.  One addition kernel and one multiplication kernel do all the
 arithmetic on term dicts.  On top of them sit:
 
@@ -18,16 +18,20 @@ arithmetic on term dicts.  On top of them sit:
 * RationalFunction, an exact quotient of two TPolynomials compared by
   cross-multiplication, never by representative.
 
-Public constructors check what they are given (exponent arity, coefficient
-type, the truncation window).  Arithmetic results skip those checks: the
-kernels only ever produce well-formed keys, and a private constructor keeps
-the remaining invariants (no zero coefficient, integral Fractions stored as
-int).
+Public constructors check what they are given (exponent arity and range,
+coefficient type, the truncation window).  Arithmetic results skip those
+checks: the kernels only ever produce well-formed keys, and a private
+constructor keeps the remaining invariants (no zero coefficient, integral
+Fractions stored as int).
 
-Monomial order everywhere: lexicographic with the t-exponent most
-significant, then the V-exponents in declaration order.  A full monomial key
-is the tuple (t_exp, v_exps), so plain tuple comparison implements the
-order.
+Monomial keys and order: a monomial t^a V^v is stored as one int, its
+packed key (RingSpec.pack), with the t-exponent as the most significant
+digit and each V-exponent a balanced digit below it.  Plain int order of
+keys is the monomial order everywhere, lexicographic with the t-exponent
+most significant and then the V-exponents in declaration order, and the
+key of a product of monomials is the sum of their keys.  Keys are unpacked
+to (t_exp, v_exps) only at the public surface: the terms view, coefficient
+and lex_*_key queries, and formatting.
 
 All values are treated as immutable after construction; every operation
 returns a fresh object.
@@ -37,9 +41,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
+from heapq import heapify, heappop, heappush
 from math import gcd
-from operator import add
 
 from .errors import PreconditionError
 
@@ -47,6 +50,12 @@ from .errors import PreconditionError
 # series recurrences hold one slice per t-degree and sum over all earlier
 # ones, so their memory grows with the order and their time with its square.
 MAX_ORDER = 1024
+
+# Width of one V-exponent digit of a packed key: every group exponent e
+# satisfies |e| < 2**(SLOT_BITS - 1).
+SLOT_BITS = 32
+_HALF = 1 << (SLOT_BITS - 1)
+_MASK = (1 << SLOT_BITS) - 1
 
 
 @dataclass(frozen=True)
@@ -68,6 +77,12 @@ class RingSpec:
             raise PreconditionError("duplicate group variable names")
         if self.t_name in names:
             raise PreconditionError("t variable clashes with a group variable")
+        b = len(names)
+        # key layout: the shift of the t digit, the shift of each V digit,
+        # and the bias that makes every V digit of key + bias nonnegative
+        object.__setattr__(self, "_t_shift", SLOT_BITS * b)
+        object.__setattr__(self, "_shifts", tuple(SLOT_BITS * i for i in reversed(range(b))))
+        object.__setattr__(self, "_bias", sum(_HALF << s for s in self._shifts))
 
     @property
     def num_group_vars(self) -> int:
@@ -75,6 +90,55 @@ class RingSpec:
 
     def zero_v(self) -> tuple:
         return (0,) * len(self.var_names)
+
+    def pack(self, t_exp=0, v_exps=None) -> int:
+        """The key of the monomial t^t_exp * V^v_exps (v_exps None: V^0).
+
+        With W = 2**SLOT_BITS the key is t_exp * W^b + sum_i v_i * W^(b-i),
+        each v_i a balanced digit, |v_i| < W/2, so int order of keys is the
+        lexicographic monomial order and multiplying monomials adds keys.
+        The t-exponent is the top digit and is unbounded; a V-exponent that
+        cannot fit its slot raises PreconditionError instead of carrying
+        into its neighbour.
+
+        Kernel outputs stay in range without packing again: sums and scalar
+        multiples keep their keys; _mul_terms (and the series recurrences)
+        check before adding keys that, in every V digit, the least and the
+        greatest exponents of the two factors sum to inside the slot, and
+        exact_div checks the same of quotient and divisor, so a product key
+        is formed only when no digit can carry.  Each value caches its
+        exponent ranges, so the check costs a few comparisons per product.
+        """
+        if v_exps is None:
+            return t_exp << self._t_shift
+        v_exps = tuple(v_exps)
+        if len(v_exps) != len(self.var_names):
+            raise PreconditionError(
+                f"exponent vector {v_exps} has length {len(v_exps)}, "
+                f"ring has {len(self.var_names)} variables"
+            )
+        key = t_exp
+        for e in v_exps:
+            if not -_HALF < e < _HALF:
+                raise PreconditionError(
+                    f"group exponent {e} is outside the packed range |e| < 2^{SLOT_BITS - 1}"
+                )
+            key = (key << SLOT_BITS) + e
+        return key
+
+    def unpack(self, key: int):
+        """(t_exp, v_exps) of a packed key; the inverse of pack."""
+        u = key + self._bias
+        return u >> self._t_shift, tuple(((u >> s) & _MASK) - _HALF for s in self._shifts)
+
+    def _split(self, key):
+        """(t_exp, packed V-part) of a key: key == pack(t_exp) + V-part."""
+        t_exp = (key + self._bias) >> self._t_shift
+        return t_exp, key - (t_exp << self._t_shift)
+
+    def _top_key(self, t_exp):
+        """The greatest key of t-degree at most t_exp."""
+        return ((t_exp + 1) << self._t_shift) - self._bias - 1
 
 
 def _coeff_normal(c):
@@ -87,25 +151,50 @@ def _coeff_normal(c):
 
 
 def _check_same_ring(a, b):
-    if a.ring != b.ring:
+    if a.ring is not b.ring and a.ring != b.ring:
         raise PreconditionError("mismatched ring specs")
 
 
 def _checked_terms(ring, terms):
-    """A caller's term dict with keys normalised, arity and coefficient
-    types checked, and zero coefficients dropped."""
-    b = ring.num_group_vars
+    """A caller's {(t_exp, v_exps): coeff} dict as packed keys, with arity,
+    exponent range and coefficient types checked and zeros dropped."""
     clean = {}
     for (t_exp, v), c in (terms or {}).items():
-        v = tuple(v)
-        if len(v) != b:
-            raise PreconditionError(
-                f"exponent vector {v} has length {len(v)}, ring has {b} variables"
-            )
+        key = ring.pack(t_exp, v)
         c = _coeff_normal(c)
         if c:
-            clean[(t_exp, v)] = c
+            clean[key] = c
     return clean
+
+
+def _v_ranges(ring, keys):
+    """(least, greatest) exponent of each group variable over nonempty keys."""
+    bias = ring._bias
+    out = []
+    for s in ring._shifts:
+        digits = [((k + bias) >> s) & _MASK for k in keys]
+        out.append((min(digits) - _HALF, max(digits) - _HALF))
+    return out
+
+
+def _ranges(x):
+    """_v_ranges of a nonzero value's terms, computed once per value."""
+    r = x._ranges
+    if r is None:
+        r = x._ranges = _v_ranges(x.ring, x._terms)
+    return r
+
+
+def _fits(ra, rb):
+    """Whether the products of two term sets with these exponent ranges
+    keep every group exponent inside its slot."""
+    return all(-_HALF < la + lb and ha + hb < _HALF for (la, ha), (lb, hb) in zip(ra, rb))
+
+
+def _range_error():
+    return PreconditionError(
+        f"a group exponent of the product leaves the packed range |e| < 2^{SLOT_BITS - 1}"
+    )
 
 
 def _add_terms(a, b, scale=1):
@@ -120,16 +209,25 @@ def _add_terms(a, b, scale=1):
     return out
 
 
-def _mul_terms(a, b, cap=None):
-    """Term dict of a * b, leaving out every t-degree above cap."""
+def _mul_terms(x, y, cap=None):
+    """Term dict of x * y, two values of one ring, leaving out every t-degree
+    above cap.  A group exponent that would leave its slot raises before any
+    key is added."""
+    a, b = x._terms, y._terms
+    if not a or not b:
+        return {}
+    ring = x.ring
+    if ring._shifts and not _fits(_ranges(x), _ranges(y)):
+        raise _range_error()
+    top = max(a) + max(b) if cap is None else ring._top_key(cap)
     out = {}
-    for (ta, va), ca in a.items():
-        for (tb, vb), cb in b.items():
-            te = ta + tb
-            if cap is not None and te > cap:
+    get = out.get
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = ka + kb
+            if k > top:
                 continue
-            k = (te, tuple(map(add, va, vb)))
-            s = out.get(k, 0) + ca * cb
+            s = get(k, 0) + ca * cb
             if s:
                 out[k] = s
             else:
@@ -140,27 +238,30 @@ def _mul_terms(a, b, cap=None):
 class TPolynomial:
     """Laurent polynomial in t over Z[V], the dense working ring.
 
-    Keys are (t_exponent, v_exponent_vector); coefficients are nonzero
-    integers.  Rational coefficients are deliberately rejected here: every
-    determinant and torsion computation stays in the integral ring, with
-    quotients handled by RationalFunction.
+    The stored term dict maps packed monomial keys to nonzero integers;
+    terms is its {(t_exp, v_exps): coeff} view.  Rational coefficients are
+    deliberately rejected here: every determinant and torsion computation
+    stays in the integral ring, with quotients handled by RationalFunction.
     """
 
-    __slots__ = ("ring", "terms")
+    # _ranges caches the exponent ranges the multiplication kernel checks
+    __slots__ = ("ring", "_terms", "_ranges")
 
     def __init__(self, ring: RingSpec, terms=None):
         clean = _checked_terms(ring, terms)
         if any(isinstance(c, Fraction) for c in clean.values()):
             raise TypeError("TPolynomial coefficients must be integers")
         self.ring = ring
-        self.terms = clean
+        self._terms = clean
+        self._ranges = None
 
     @classmethod
     def _trusted(cls, ring, terms):
-        """Wrap a kernel result: integer, zero-free, keys already normal."""
+        """Wrap a kernel result: integer, zero-free, keys already packed."""
         p = object.__new__(cls)
         p.ring = ring
-        p.terms = terms
+        p._terms = terms
+        p._ranges = None
         return p
 
     @classmethod
@@ -169,7 +270,7 @@ class TPolynomial:
 
     @classmethod
     def one(cls, ring):
-        return cls._trusted(ring, {(0, ring.zero_v()): 1})
+        return cls._trusted(ring, {0: 1})
 
     @classmethod
     def monomial(cls, ring, t_exp=0, v=None, coeff=1):
@@ -189,61 +290,65 @@ class TPolynomial:
 
     # ---- structure queries ----
 
+    @property
+    def terms(self):
+        """The terms as a fresh {(t_exp, v_exps): coeff} dict."""
+        unpack = self.ring.unpack
+        return {unpack(k): c for k, c in self._terms.items()}
+
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._terms)
 
     @property
     def is_zero(self):
-        return not self.terms
+        return not self._terms
 
     def __len__(self):
-        return len(self.terms)
+        return len(self._terms)
 
     def min_t_degree(self) -> int:
-        """Lowest t-exponent present; 0 for the zero polynomial."""
-        if not self.terms:
+        """Lowest t-exponent present; 0 when there are no terms."""
+        if not self._terms:
             return 0
-        return min(k[0] for k in self.terms)
+        return self.ring._split(min(self._terms))[0]
 
     def lex_min_key(self):
-        if not self.terms:
+        if not self._terms:
             raise PreconditionError("zero polynomial has no lexicographically least term")
-        return min(self.terms)
+        return self.ring.unpack(min(self._terms))
 
     def lex_max_key(self):
-        if not self.terms:
+        if not self._terms:
             raise PreconditionError("zero polynomial has no lexicographically greatest term")
-        return max(self.terms)
+        return self.ring.unpack(max(self._terms))
 
     def is_t_free(self) -> bool:
-        return all(k[0] == 0 for k in self.terms)
+        top = self.ring._top_key(0)
+        return all(-top <= k <= top for k in self._terms)
 
     def unit_parts(self):
         """Return (coeff, t_exp, v_exps) when self is a single +-1 monomial, else None."""
-        if len(self.terms) != 1:
+        if len(self._terms) != 1:
             return None
-        (k, c), = self.terms.items()
+        (k, c), = self._terms.items()
         if c == 1 or c == -1:
-            return c, k[0], k[1]
+            return (c, *self.ring.unpack(k))
         return None
 
     def content(self) -> int:
         g = 0
-        for c in self.terms.values():
+        for c in self._terms.values():
             g = gcd(g, abs(c))
         return g
 
     def coefficient(self, t_exp, v=None):
-        v = self.ring.zero_v() if v is None else tuple(v)
-        return self.terms.get((t_exp, v), 0)
+        return self._terms.get(self.ring.pack(t_exp, v), 0)
 
     # ---- arithmetic ----
 
     def _coerce(self, other):
         if isinstance(other, int):
-            return TPolynomial._trusted(
-                self.ring, {(0, self.ring.zero_v()): other} if other else {}
-            )
+            return TPolynomial._trusted(self.ring, {0: other} if other else {})
         if isinstance(other, TPolynomial):
             _check_same_ring(self, other)
             return other
@@ -253,7 +358,7 @@ class TPolynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.terms == other.terms
+        return self._terms == other._terms
 
     __hash__ = None
 
@@ -264,7 +369,7 @@ class TPolynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return TPolynomial._trusted(self.ring, _add_terms(self.terms, other.terms, scale))
+        return TPolynomial._trusted(self.ring, _add_terms(self._terms, other._terms, scale))
 
     def __add__(self, other):
         return self._plus(other, 1)
@@ -279,10 +384,10 @@ class TPolynomial:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            terms = _add_terms({}, self.terms, other) if other else {}
+            terms = _add_terms({}, self._terms, other) if other else {}
         elif isinstance(other, TPolynomial):
             _check_same_ring(self, other)
-            terms = _mul_terms(self.terms, other.terms)
+            terms = _mul_terms(self, other)
         else:
             return NotImplemented
         return TPolynomial._trusted(self.ring, terms)
@@ -306,18 +411,14 @@ class TPolynomial:
 
     def times_monomial(self, t_exp, v=None, coeff=1):
         """Fast multiply by coeff * t^t_exp * V^v."""
-        v = self.ring.zero_v() if v is None else tuple(v)
-        if len(v) != self.ring.num_group_vars:
-            raise PreconditionError("monomial exponent vector has the wrong arity")
-        if not coeff:
-            return TPolynomial.zero(self.ring)
-        return TPolynomial._trusted(self.ring, _mul_terms(self.terms, {(t_exp, v): coeff}))
+        key = self.ring.pack(t_exp, v)
+        return _times_key(self, key, coeff) if coeff else TPolynomial.zero(self.ring)
 
     def divide_content(self, g: int):
         if g in (0, 1):
             return self
         out = {}
-        for k, c in self.terms.items():
+        for k, c in self._terms.items():
             if c % g:
                 raise ArithmeticError(f"content {g} does not divide coefficient {c}")
             out[k] = c // g
@@ -330,60 +431,94 @@ class TPolynomial:
         return format_tpolynomial(self)
 
 
+def _times_key(p, key, coeff=1):
+    """p times the monomial coeff * t^a V^v packed as key."""
+    return TPolynomial._trusted(p.ring, _mul_terms(p, TPolynomial._trusted(p.ring, {key: coeff})))
+
+
+def _spans(p):
+    """Exponent span of a nonzero polynomial in t, then in each group variable."""
+    split = p.ring._split
+    t_span = split(max(p._terms))[0] - split(min(p._terms))[0]
+    return [t_span] + [hi - lo for lo, hi in _ranges(p)]
+
+
 def exact_div(a: TPolynomial, b: TPolynomial) -> TPolynomial:
     """Divide a by b in Z[V][t, t^-1], where the division is known exact.
 
-    Lead-term division in the lexicographic order.  When b | a exactly the
-    loop runs once per quotient term; the quotient's exponent spans are
-    bounded by span(a) - span(b) in every variable, which gives a hard
-    iteration cap.  Exceeding the cap, or hitting a coefficient that the
-    lead coefficient of b fails to divide, raises ArithmeticError: the
-    division was not exact.
+    Lead-term division in the monomial order, with the remainder's keys in
+    a max-heap (Johnson 1974; Monagan-Pearce 2011): each step pops the
+    greatest remainder key, divides its coefficient by b's lead coefficient
+    and subtracts that quotient term times b, whose non-lead keys were
+    shifted by -lead(b) once so that every update key is the popped key
+    plus a fixed offset.  Keys whose coefficient cancels stay in the heap
+    and are skipped when popped.  When b | a exactly the loop runs once per
+    quotient term, and the quotient's exponent spans are bounded by
+    span(a) - span(b) in every variable, which gives a hard iteration cap.
+    Exceeding the cap, a quotient key below min(a) - min(b) (the least key
+    of an exact quotient), hitting a coefficient that the lead coefficient
+    of b fails to divide, or a quotient whose product with b would leave
+    the packed exponent range, raises ArithmeticError: the division was
+    not exact.
     """
     _check_same_ring(a, b)
     if not b:
         raise PreconditionError("division by the zero polynomial")
     if not a:
         return TPolynomial.zero(a.ring)
-
-    nvars = a.ring.num_group_vars + 1
-
-    def spans(p):
-        keys = [(k[0], *k[1]) for k in p.terms]
-        return [
-            max(k[i] for k in keys) - min(k[i] for k in keys) for i in range(nvars)
-        ]
+    ring = a.ring
+    A, B = a._terms, b._terms
 
     cap = 1
-    for sa, sb in zip(spans(a), spans(b)):
+    for sa, sb in zip(_spans(a), _spans(b)):
         if sa < sb:
             raise ArithmeticError("inexact polynomial division (span mismatch)")
         cap *= sa - sb + 1
 
-    lead_b = b.lex_max_key()
-    cb = b.terms[lead_b]
-    rem = dict(a.terms)
+    lead = max(B)
+    cb = B[lead]
+    tail = [(k - lead, c) for k, c in B.items() if k != lead]
+    # an exact quotient's least key is min(A) - min(B), so no remainder key
+    # below floor can lead a step
+    floor = min(A) - min(B) + lead
+    rem = dict(A)
+    get = rem.get
+    heap = [-k for k in rem]
+    heapify(heap)
     quo = {}
-    steps = 0
-    while rem:
-        steps += 1
-        if steps > cap:
+    while heap:
+        k = -heappop(heap)
+        cr = rem.pop(k, 0)
+        if not cr:
+            continue
+        if len(quo) == cap:
             raise ArithmeticError("inexact polynomial division (no termination)")
-        lead_r = max(rem)
-        cr = rem[lead_r]
-        if cr % cb:
+        if k < floor:
+            raise ArithmeticError("inexact polynomial division (remainder below the quotient)")
+        qc, r = divmod(cr, cb)
+        if r:
             raise ArithmeticError("inexact polynomial division (leading coefficient)")
-        qc = cr // cb
-        qk = (lead_r[0] - lead_b[0], tuple(x - y for x, y in zip(lead_r[1], lead_b[1])))
-        quo[qk] = qc
-        for (tb, vb), cc in b.terms.items():
-            k = (qk[0] + tb, tuple(x + y for x, y in zip(qk[1], vb)))
-            s = rem.get(k, 0) - qc * cc
-            if s:
-                rem[k] = s
+        quo[k - lead] = qc
+        for d, c in tail:
+            kd = k + d
+            m = qc * c
+            s = get(kd)
+            if s is None:
+                rem[kd] = -m
+                heappush(heap, -kd)
+            elif s == m:
+                del rem[kd]
             else:
-                rem.pop(k, None)
-    return TPolynomial._trusted(a.ring, quo)
+                rem[kd] = s - m
+    q = TPolynomial._trusted(ring, quo)
+    if ring._shifts:
+        # the heap divided the keys as integers; that is the division of
+        # monomials only when q * b keeps every exponent in its slot
+        if not _fits(_ranges(q), _ranges(b)):
+            raise ArithmeticError("inexact polynomial division (exponent range)")
+        if any(lo == -_HALF for lo, _ in _ranges(q)):
+            raise _range_error()
+    return q
 
 
 class NovikovTruncation:
@@ -396,19 +531,21 @@ class NovikovTruncation:
     raise, queries below min_t return zero.
     """
 
-    __slots__ = ("ring", "order", "terms", "min_t")
+    __slots__ = ("ring", "order", "_terms", "min_t", "_ranges")
 
     def __init__(self, ring: RingSpec, order: int, terms=None, min_t: int = 0):
         clean = _checked_terms(ring, terms)
-        for t_exp, _ in clean:
+        for k in clean:
+            t_exp = ring._split(k)[0]
             if t_exp > order or t_exp < min_t:
                 raise PreconditionError(
                     f"term at t-degree {t_exp} outside declared window [{min_t}, {order}]"
                 )
         self.ring = ring
         self.order = order
-        self.terms = clean
+        self._terms = clean
         self.min_t = min_t
+        self._ranges = None
 
     @classmethod
     def _trusted(cls, ring, order, terms, min_t):
@@ -423,42 +560,46 @@ class NovikovTruncation:
         x = object.__new__(cls)
         x.ring = ring
         x.order = order
-        x.terms = terms
+        x._terms = terms
         x.min_t = min_t
+        x._ranges = None
         return x
 
     @classmethod
     def from_tpolynomial(cls, p: TPolynomial, order: int):
-        terms = {k: c for k, c in p.terms.items() if k[0] <= order}
+        top = p.ring._top_key(order)
+        terms = {k: c for k, c in p._terms.items() if k <= top}
         min_t = p.min_t_degree() if p else 0
         return cls._trusted(p.ring, order, terms, min(min_t, order))
 
     @classmethod
     def one(cls, ring, order):
         # a negative order knows no degree at all, the constant included
-        return cls._trusted(ring, order, {(0, ring.zero_v()): 1} if order >= 0 else {}, 0)
+        return cls._trusted(ring, order, {0: 1} if order >= 0 else {}, 0)
 
     @classmethod
     def zero(cls, ring, order, min_t=0):
         return cls._trusted(ring, order, {}, min_t)
+
+    terms = TPolynomial.terms
+    min_t_degree = TPolynomial.min_t_degree
 
     def coefficient(self, t_exp, v=None):
         if t_exp > self.order:
             raise PreconditionError(
                 f"coefficient at t^{t_exp} is beyond the truncation order {self.order}"
             )
-        v = self.ring.zero_v() if v is None else tuple(v)
-        return self.terms.get((t_exp, v), 0)
+        return self._terms.get(self.ring.pack(t_exp, v), 0)
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._terms)
 
     def __eq__(self, other):
         if not isinstance(other, NovikovTruncation):
             return NotImplemented
         _check_same_ring(self, other)
         k = min(self.order, other.order)
-        return self.truncate(k).terms == other.truncate(k).terms
+        return self.truncate(k)._terms == other.truncate(k)._terms
 
     __hash__ = None
 
@@ -477,7 +618,7 @@ class NovikovTruncation:
             if not other:
                 return NovikovTruncation.zero(self.ring, self.order, self.min_t)
             # an exact scalar is known to every order; clamp to ours
-            terms = {(0, self.ring.zero_v()): other} if self.order >= 0 else {}
+            terms = {0: other} if self.order >= 0 else {}
             return NovikovTruncation._trusted(
                 self.ring, self.order, terms, min(0, self.min_t)
             )
@@ -488,7 +629,7 @@ class NovikovTruncation:
         if other is None:
             return NotImplemented
         order = min(self.order, other.order)
-        terms = _add_terms(self.truncate(order).terms, other.truncate(order).terms, scale)
+        terms = _add_terms(self.truncate(order)._terms, other.truncate(order)._terms, scale)
         return NovikovTruncation._trusted(
             self.ring, order, terms, min(self.min_t, other.min_t)
         )
@@ -519,7 +660,7 @@ class NovikovTruncation:
             min_t = self.min_t + other.min_t
         else:
             return NotImplemented
-        terms = _mul_terms(self.terms, other.terms, order)
+        terms = _mul_terms(self, other, order)
         return NovikovTruncation._trusted(self.ring, order, terms, min_t)
 
     def __rmul__(self, other):
@@ -532,52 +673,67 @@ class NovikovTruncation:
         if not c:
             return NovikovTruncation.zero(self.ring, self.order, self.min_t)
         return NovikovTruncation._trusted(
-            self.ring, self.order, _add_terms({}, self.terms, c), self.min_t
+            self.ring, self.order, _add_terms({}, self._terms, c), self.min_t
         )
 
     def truncate(self, order):
         if order >= self.order:
             return self
+        top = self.ring._top_key(order)
         return NovikovTruncation._trusted(
             self.ring,
             order,
-            {k: c for k, c in self.terms.items() if k[0] <= order},
+            {k: c for k, c in self._terms.items() if k <= top},
             min(self.min_t, order),
         )
 
     def is_integral(self) -> bool:
-        return all(isinstance(c, int) for c in self.terms.values())
+        return all(isinstance(c, int) for c in self._terms.values())
 
     def __repr__(self):
         body = "; ".join(format_truncation(self))
         return f"NovikovTruncation[{self.min_t}..{self.order}]({body})"
 
 
-def _slice_recurrence(zero_v, order, a, step):
+def _slice_recurrence(ring, order, a, step):
     """Z[V] (or Q[V]) slices z_0 .. z_order of a series, one per t-degree.
 
     z_0 = 1 and z_n = step(n, sum_{k=1..n} a_k * z_{n-k}), where a maps a
-    positive t-degree k to the slice a_k = {v_exps: coeff} (missing
+    positive t-degree k to the slice a_k = {packed V-part: coeff} (missing
     slices and zero coefficients are zero) and step maps each nonzero
     coefficient of the summed slice.
     Each slice is built once from the earlier ones, so nothing is raised
     to a power and no degree above order is ever formed.
     """
     support = sorted(k for k, s in a.items() if s)
+    checked = bool(ring._shifts)
     z = [None] * (order + 1)
     if order >= 0:
-        z[0] = {zero_v: 1}
+        z[0] = {0: 1}
     for n in range(1, order + 1):
         acc = {}
         for k in support:
             if k > n:
                 break
-            for va, ca in a[k].items():
-                for vz, cz in z[n - k].items():
-                    v = tuple(map(add, va, vz))
+            ak, zk = a[k], z[n - k]
+            if checked and zk and not _fits(_v_ranges(ring, ak), _v_ranges(ring, zk)):
+                raise _range_error()
+            for va, ca in ak.items():
+                for vz, cz in zk.items():
+                    v = va + vz
                     acc[v] = acc.get(v, 0) + ca * cz
         z[n] = {v: step(n, c) for v, c in acc.items() if c}
     return z
+
+
+def _join_slices(ring, z):
+    """The term dict whose t-degree n slice is z[n]."""
+    terms = {}
+    for n, zn in enumerate(z):
+        base = ring.pack(n)
+        for v, c in zn.items():
+            terms[base + v] = c
+    return terms
 
 
 def _over(n, c):
@@ -590,14 +746,14 @@ def _over(n, c):
 def _exp_power_sums(ring, order, sums):
     """exp(sum_n p_n t^n / n) through t^order, from its power sums p_n.
 
-    sums maps a t-degree n >= 1 to the slice p_n = {v_exps: coeff}.  The
-    coefficients obey Newton's identity n*z_n = sum_{k=1..n} p_k z_{n-k};
-    each quotient by n stays an int when it divides exactly and becomes a
-    Fraction only where it does not.
+    sums maps a t-degree n >= 1 to the slice p_n = {packed V-part: coeff}
+    (the key of V^v is ring.pack(0, v)).  The coefficients obey Newton's
+    identity n*z_n = sum_{k=1..n} p_k z_{n-k}; each quotient by n stays an
+    int when it divides exactly and becomes a Fraction only where it does
+    not.
     """
-    z = _slice_recurrence(ring.zero_v(), order, sums, _over)
-    terms = {(n, v): c for n, zn in enumerate(z) for v, c in zn.items()}
-    return NovikovTruncation._trusted(ring, order, terms, 0)
+    z = _slice_recurrence(ring, order, sums, _over)
+    return NovikovTruncation._trusted(ring, order, _join_slices(ring, z), 0)
 
 
 def series_exp(x: NovikovTruncation) -> NovikovTruncation:
@@ -607,12 +763,14 @@ def series_exp(x: NovikovTruncation) -> NovikovTruncation:
     result z obeys n*z_n = sum_{k=1..n} p_k z_{n-k}, one pass per
     t-degree through x.order.
     """
-    if x.min_t < 0 or any(k[0] < 1 for k in x.terms):
+    ring = x.ring
+    if x.min_t < 0 or (x and min(x._terms) <= ring._top_key(0)):
         raise PreconditionError("series exponential needs strictly positive t-degrees")
     sums = {}
-    for (n, v), c in x.terms.items():
+    for k, c in x._terms.items():
+        n, v = ring._split(k)
         sums.setdefault(n, {})[v] = _coeff_normal(n * c)
-    return _exp_power_sums(x.ring, x.order, sums)
+    return _exp_power_sums(ring, x.order, sums)
 
 
 def series_invert(p: TPolynomial, k: int) -> NovikovTruncation:
@@ -627,26 +785,25 @@ def series_invert(p: TPolynomial, k: int) -> NovikovTruncation:
     """
     if not p:
         raise PreconditionError("zero is not invertible")
-    m = p.min_t_degree()
-    low = [(v, c) for (te, v), c in p.terms.items() if te == m]
-    if len(low) != 1 or low[0][1] not in (1, -1):
+    ring = p.ring
+    low = min(p._terms)
+    sign = p._terms[low]
+    m = ring._split(low)[0]
+    top = ring._top_key(m)
+    if sign not in (1, -1) or any(low < key <= top for key in p._terms):
         raise PreconditionError(
             "lowest t-coefficient is not a unit monomial; element not invertible"
         )
-    (v_exps, sign), = low
+    # u^-1 = sign * t^-m V^-v for the lowest monomial u = sign * t^m V^v
+    u_inv = TPolynomial._trusted(ring, {-low: sign})
     # the slices of r = u^-1 * p - 1, through t-degree k
-    v_inv = tuple(-x for x in v_exps)
     r = {}
-    for (te, v), c in p.terms.items():
-        if 0 < te - m <= k:
-            r.setdefault(te - m, {})[tuple(map(add, v, v_inv))] = sign * c
-    s = _slice_recurrence(p.ring.zero_v(), k, r, lambda n, c: -c)
-    terms = {
-        (n - m, tuple(map(add, v, v_inv))): sign * c
-        for n, sn in enumerate(s)
-        for v, c in sn.items()
-    }
-    return NovikovTruncation._trusted(p.ring, k - m, terms, -m)
+    for key, c in _mul_terms(p, u_inv, k).items():
+        n, v = ring._split(key)
+        if n:
+            r.setdefault(n, {})[v] = c
+    s = _slice_recurrence(ring, k, r, lambda n, c: -c)
+    return NovikovTruncation._trusted(ring, k, _join_slices(ring, s), 0) * u_inv
 
 
 class RationalFunction:
@@ -676,12 +833,11 @@ class RationalFunction:
             if g > 1:
                 num = num.divide_content(g)
                 den = den.divide_content(g)
-            lt, lv = den.lex_min_key()
-            if lt or any(lv):
-                inv = tuple(-x for x in lv)
-                num = num.times_monomial(-lt, inv)
-                den = den.times_monomial(-lt, inv)
-            if den.terms[den.lex_min_key()] < 0:
+            low = min(den._terms)
+            if low:
+                num = _times_key(num, -low)
+                den = _times_key(den, -low)
+            if den._terms[0] < 0:
                 num = -num
                 den = -den
         self.num = num
@@ -805,11 +961,8 @@ def frac_equal(r1: RationalFunction, r2: RationalFunction) -> bool:
 
 def _strip_unit(p: TPolynomial) -> TPolynomial:
     """Divide by the lex-least monomial and fix the sign of its coefficient."""
-    lt, lv = p.lex_min_key()
-    out = p.times_monomial(-lt, tuple(-x for x in lv))
-    if out.terms[(0, p.ring.zero_v())] < 0:
-        out = -out
-    return out
+    low = min(p._terms)
+    return _times_key(p, -low, 1 if p._terms[low] > 0 else -1)
 
 
 def canonical_mod_units(r: RationalFunction) -> RationalFunction:
@@ -884,7 +1037,8 @@ def _format_terms(ring, items):
 
 
 def format_tpolynomial(p: TPolynomial) -> str:
-    items = [(te, ve, c) for (te, ve), c in sorted(p.terms.items())]
+    unpack = p.ring.unpack
+    items = [(*unpack(k), c) for k, c in sorted(p._terms.items())]
     return _format_terms(p.ring, items)
 
 
@@ -898,16 +1052,12 @@ def format_rational(r: RationalFunction) -> str:
     return f"({format_tpolynomial(num)}) / ({format_tpolynomial(den)})"
 
 
-def format_by_degree(ring: RingSpec, terms) -> list:
-    """One line 't^d: <Z[V] coefficient>' per t-degree present in a term
-    dict, in increasing order; ["0"] when there are no terms."""
-    lines = [
-        f"t^{d}: {_format_terms(ring, [(0, v, c) for (_, v), c in group])}"
-        for d, group in groupby(sorted(terms.items()), key=lambda item: item[0][0])
-    ]
-    return lines or ["0"]
-
-
 def format_truncation(x: NovikovTruncation) -> list:
-    """One line per nonzero known t-degree, in increasing order."""
-    return format_by_degree(x.ring, x.terms)
+    """One line 't^d: <Z[V] coefficient>' per nonzero known t-degree, in
+    increasing order; ["0"] when there are no terms."""
+    ring = x.ring
+    slices = {}
+    for k, c in sorted(x._terms.items()):
+        d, v = ring.unpack(k)
+        slices.setdefault(d, []).append((0, v, c))
+    return [f"t^{d}: {_format_terms(ring, items)}" for d, items in slices.items()] or ["0"]

@@ -145,13 +145,11 @@ class CoefficientFunction(NovikovTruncation):
         self._adopt(NovikovTruncation(ring, order, terms, min_t), offset)
 
     def _adopt(self, series, offset):
-        """Take over a truncation's term dict as is and attach the offset."""
+        """Take over a truncation's state as is and attach the offset."""
         if not series.is_integral():
             raise ArithmeticError("coefficient function needs integer coefficients")
-        self.ring = series.ring
-        self.order = series.order
-        self.terms = series.terms
-        self.min_t = series.min_t
+        for name in NovikovTruncation.__slots__:
+            setattr(self, name, getattr(series, name))
         self.offset = _normalize_exponent(series.ring, offset)
         return self
 

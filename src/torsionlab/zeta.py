@@ -144,7 +144,7 @@ def zeta_exp(ring, orbits, order):
         v_class = orbit.homology_class.unit_parts()[2]
         for power, sign in zip(range(1, order // d + 1), _orbit_signs(orbit)):
             slice_ = sums.setdefault(power * d, {})
-            key = tuple(power * e for e in v_class)
+            key = ring.pack(0, [power * e for e in v_class])
             slice_[key] = slice_.get(key, 0) + d * sign
     return _exp_power_sums(ring, order, sums)
 
@@ -176,12 +176,10 @@ def _as_plain_int(entry):
     if isinstance(entry, int):
         return entry
     if isinstance(entry, TPolynomial):
-        if not entry.terms:
-            return 0
-        if len(entry.terms) == 1:
-            ((t_exp, v), c), = entry.terms.items()
-            if t_exp == 0 and not any(v):
-                return c
+        # a constant has no term but (possibly) the one at the origin
+        c = entry.coefficient(0)
+        if len(entry) == (1 if c else 0):
+            return c
     return None
 
 
@@ -237,7 +235,7 @@ def zeta_trace(ring, maps, order):
     if order < 0:
         raise PreconditionError("truncation order must be nonnegative")
     maps = _validate_maps(maps)
-    zero_v = ring.zero_v()
+    origin = ring.pack(0)
     sums = {}
     powers = maps
     for m in range(1, order + 1):
@@ -247,7 +245,7 @@ def zeta_trace(ring, maps, order):
         for i, P in enumerate(powers):
             trace = sum(P[k][k] for k in range(len(P)))
             lefschetz += trace if i % 2 == 0 else -trace
-        sums[m] = {zero_v: lefschetz}
+        sums[m] = {origin: lefschetz}
     result = _exp_power_sums(ring, order, sums)
     if not result.is_integral():
         raise ArithmeticError("trace exponential left the integral lattice")

@@ -505,6 +505,25 @@ class TestExitCodes:
             parse_fixture_data(data)
         assert info.value.location == "fixture.order"
 
+    def test_exponent_outside_its_slot_is_code_3(self, capsys, tmp_path):
+        data = load_data("rational_sample.json")
+        data["ring"]["group_vars"] = ["v"]
+        for term in data["num"] + data["den"]:
+            term["v"] = [0]
+        data["num"][1]["v"] = [2**40]
+        path = tmp_path / "rational_huge_exponent.json"
+        path.write_text(json.dumps(data), encoding="ascii")
+        code, out, err = invoke(capsys, "canon", "--fixture", str(path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith(
+            "fixture error: rational_huge_exponent.json.num[1].v: "
+            "group exponent 1099511627776 is outside the packed range"
+        )
+        with pytest.raises(FixtureError) as info:
+            parse_fixture_data(data)
+        assert info.value.location == "fixture.num[1].v"
+
     def test_back_to_back_calls_share_no_flags(self, capsys):
         maps = fix("catmap_returnmaps.json")
         code, out, _ = invoke(

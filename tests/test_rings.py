@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from torsionlab.errors import PreconditionError
 from torsionlab.rings import (
+    SLOT_BITS,
     NovikovTruncation,
     RationalFunction,
     RingSpec,
@@ -22,6 +23,9 @@ from torsionlab.rings import (
 )
 
 from conftest import R0, R1, R2, RINGS, mono, tpoly, tpolynomials, unit_monomials
+
+# half the slot width: every group exponent e of a packed key has |e| < HALF
+HALF = 2 ** (SLOT_BITS - 1)
 
 
 def geom(ring, k):
@@ -142,12 +146,128 @@ class TestExactDiv:
         with pytest.raises(PreconditionError):
             exact_div(TPolynomial.one(R0), TPolynomial.zero(R0))
 
+    def test_inexact_multivariate_raises(self):
+        v = TPolynomial.var(R1, "v1")
+        with pytest.raises(ArithmeticError, match="span"):
+            exact_div(TPolynomial.one(R1), 1 - v)
+        with pytest.raises(ArithmeticError, match="termination"):
+            exact_div(1 + v, 1 - v)
+        with pytest.raises(ArithmeticError, match="leading coefficient"):
+            exact_div(1 + v, 1 + 2 * v)
+
     @given(data=st.data())
     def test_product_then_divide(self, data):
         ring = data.draw(st.sampled_from(RINGS))
         a = data.draw(tpolynomials(ring=ring, max_terms=3))
         b = data.draw(tpolynomials(ring=ring, max_terms=3, nonzero=True))
         assert exact_div(a * b, b) == a
+
+
+class TestPackedKeys:
+    EDGE = HALF - 1
+
+    @pytest.mark.parametrize("ring", [R1, R2])
+    def test_slot_edge_round_trips_and_orders(self, ring):
+        b = ring.num_group_vars
+        monomials = sorted(
+            {
+                (t, tuple(e if i == j else 0 for i in range(b)))
+                for t in (-1, 0, 1)
+                for j in range(b)
+                for e in (-self.EDGE, -1, 0, 1, self.EDGE)
+            }
+            | {(0, (self.EDGE,) * b), (0, (-self.EDGE,) * b)}
+        )
+        keys = [ring.pack(t, v) for t, v in monomials]
+        assert [ring.unpack(k) for k in keys] == monomials
+        assert keys == sorted(keys)
+        assert len(set(keys)) == len(keys)
+        p = TPolynomial(ring, {m: 1 for m in monomials})
+        assert p.terms == {m: 1 for m in monomials}
+        assert p.lex_min_key() == monomials[0] and p.lex_max_key() == monomials[-1]
+
+    def test_t_exponent_is_unbounded(self):
+        p = TPolynomial.monomial(R1, t_exp=-(2**70), v=(self.EDGE,))
+        assert p.terms == {(-(2**70), (self.EDGE,)): 1}
+        assert (p * TPolynomial.t(R1, 2**70)).terms == {(0, (self.EDGE,)): 1}
+
+    @pytest.mark.parametrize("e", [HALF, -HALF, 2**40])
+    def test_out_of_slot_exponent_raises(self, e):
+        with pytest.raises(PreconditionError, match="packed range"):
+            R2.pack(0, (0, e))
+        with pytest.raises(PreconditionError, match="packed range"):
+            TPolynomial(R1, {(0, (e,)): 1})
+        with pytest.raises(PreconditionError, match="packed range"):
+            NovikovTruncation(R1, 2, {(1, (e,)): 1})
+        with pytest.raises(PreconditionError, match="packed range"):
+            TPolynomial.monomial(R2, v=(e, 0))
+        with pytest.raises(PreconditionError, match="packed range"):
+            TPolynomial.var(R1, "v1", power=e)
+        with pytest.raises(PreconditionError, match="packed range"):
+            TPolynomial.one(R1).times_monomial(0, (e,))
+        with pytest.raises(PreconditionError, match="packed range"):
+            TPolynomial.one(R1).coefficient(0, (e,))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_products_that_cross_the_slot_raise(self, sign):
+        edge = TPolynomial.var(R2, "v2", power=sign * self.EDGE)
+        step = TPolynomial.var(R2, "v2", power=sign)
+        assert (edge * step ** 0).terms == {(0, (0, sign * self.EDGE)): 1}
+        with pytest.raises(PreconditionError, match="packed range"):
+            edge * step
+        with pytest.raises(PreconditionError, match="packed range"):
+            edge.times_monomial(0, (0, sign))
+        with pytest.raises(PreconditionError, match="packed range"):
+            TPolynomial.var(R2, "v2", power=sign * HALF // 2) ** 2
+        with pytest.raises(PreconditionError, match="packed range"):
+            NovikovTruncation.from_tpolynomial(edge, 3) * step
+        # a product whose extreme terms stay in range is fine even near the edge
+        near = TPolynomial.var(R2, "v2", power=sign * (self.EDGE - 1))
+        assert (near * step).terms == {(0, (0, sign * self.EDGE)): 1}
+
+    def test_quotient_outside_the_slot_raises(self):
+        v = TPolynomial.var(R1, "v1")
+        low = TPolynomial.var(R1, "v1", power=1 - HALF)
+        assert exact_div(low, TPolynomial.var(R1, "v1", power=-1)) == low * v
+        with pytest.raises(PreconditionError, match="packed range"):
+            exact_div(low, v)
+
+    def test_quotient_that_only_divides_the_keys_is_inexact(self):
+        # 1 + v^2 divides the keys of a exactly as integers once v^(HALF + 1)
+        # carries into t, but not the monomials themselves
+        t_v = {(0, (0,)): 1, (0, (2,)): 1, (0, (self.EDGE,)): 1, (1, (-self.EDGE,)): 1}
+        b = TPolynomial(R1, {(0, (0,)): 1, (0, (self.EDGE,)): 1})
+        with pytest.raises(ArithmeticError, match="exponent range"):
+            exact_div(TPolynomial(R1, t_v), b)
+
+    def test_inexact_division_with_a_huge_span_stops_at_once(self):
+        # the span cap alone would allow 2^32 steps here
+        t_v = {(0, (0,)): 1, (0, (2,)): 1, (0, (self.EDGE,)): 1, (1, (1 - self.EDGE,)): 1}
+        b = TPolynomial(R1, {(0, (0,)): 1, (0, (self.EDGE,)): 1})
+        with pytest.raises(ArithmeticError, match="below the quotient"):
+            exact_div(TPolynomial(R1, t_v), b)
+
+    def test_series_that_cross_the_slot_raise(self):
+        t = TPolynomial.t(R1)
+        edge = TPolynomial.var(R1, "v1", power=self.EDGE)
+        assert series_invert(1 - t * edge, 1).coefficient(1, (self.EDGE,)) == 1
+        with pytest.raises(PreconditionError, match="packed range"):
+            series_invert(1 - t * edge, 2)
+        with pytest.raises(PreconditionError, match="packed range"):
+            series_exp(NovikovTruncation.from_tpolynomial(t * edge, 2))
+
+    @given(data=st.data())
+    def test_packed_order_is_tuple_order(self, data):
+        ring = data.draw(st.sampled_from(RINGS))
+        exps = st.integers(-(HALF - 1), HALF - 1)
+        monomial = st.tuples(
+            st.integers(-(2**40), 2**40),
+            st.tuples(*[exps] * ring.num_group_vars),
+        )
+        x, y = data.draw(monomial), data.draw(monomial)
+        kx, ky = ring.pack(*x), ring.pack(*y)
+        assert ring.unpack(kx) == x and ring.unpack(ky) == y
+        assert (kx < ky) == (x < y) and (kx == ky) == (x == y)
 
 
 class TestSeriesInvert:
@@ -449,17 +569,26 @@ class TestFormatting:
 
 def assert_well_formed(x):
     """The invariants a trusted-path result must keep without re-validation."""
-    b = x.ring.num_group_vars
-    for key, c in x.terms.items():
+    ring = x.ring
+    b = ring.num_group_vars
+    view = x.terms
+    for key, c in view.items():
         assert c != 0
         assert not (isinstance(c, Fraction) and c.denominator == 1)
         t_exp, v = key
         assert type(t_exp) is int
         assert type(v) is tuple and len(v) == b
+        assert ring.unpack(ring.pack(t_exp, v)) == key
+    # the view is a fresh dict: changing it leaves the value alone
+    view.clear()
+    assert x.terms or not x
     if isinstance(x, TPolynomial):
-        assert TPolynomial(x.ring, x.terms).terms == x.terms
+        assert TPolynomial(ring, x.terms) == x
+        assert TPolynomial(ring, x.terms).terms == x.terms
     else:
         assert all(x.min_t <= t_exp <= x.order for t_exp, _ in x.terms)
+        rebuilt = NovikovTruncation(ring, x.order, x.terms, x.min_t)
+        assert rebuilt == x and rebuilt.terms == x.terms
 
 
 class TestTrustedPath:
@@ -630,3 +759,29 @@ def test_sympy_series_invert_with_group_variables(sympy, seed):
     want = sympy_series_slices(sympy, 1 / den_expr, t, -shift, k - shift)
     for d, expected in zip(range(-shift, k - shift + 1), want):
         assert sympy.expand(as_sympy_slice(sympy, inv, syms, d) - expected) == 0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sympy_product_and_exact_div_with_negative_exponents(sympy, seed):
+    import random
+
+    rng = random.Random(1300 + seed)
+    syms = sympy.symbols(R2.var_names)
+    t = sympy.Symbol("t")
+
+    def laurent():
+        terms = {}
+        for _ in range(rng.randint(1, 5)):
+            key = (rng.randint(-3, 3), (rng.randint(-3, 3), rng.randint(-3, 3)))
+            terms[key] = rng.choice([-3, -2, -1, 1, 2, 3])
+        return TPolynomial(R2, terms)
+
+    a, b = laurent(), laurent()
+    prod = a * b
+    a_expr = as_sympy_laurent(sympy, a.terms, syms, t)
+    b_expr = as_sympy_laurent(sympy, b.terms, syms, t)
+    assert sympy.expand(as_sympy_laurent(sympy, prod.terms, syms, t) - a_expr * b_expr) == 0
+    q = exact_div(prod, b)
+    assert q == a
+    quotient = sympy.cancel(a_expr * b_expr / b_expr)
+    assert sympy.simplify(as_sympy_laurent(sympy, q.terms, syms, t) - quotient) == 0
