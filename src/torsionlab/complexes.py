@@ -143,7 +143,8 @@ def _torsion_engine(ring, min_degree, dims, matrices, row_factors):
     the previous chain, and its pivot columns are the next chain.
     Restricted to those columns the elimination is Bareiss on that
     square: an update of a pivot column reads only pivot columns, and
-    every row swap is decided in a pivot column.  So the last pivot,
+    every row swap is decided in a pivot column.  The kernel's pivot rows
+    are Bareiss's even where it scales rows lazily, so the last pivot,
     times the row-swap sign, is the square's determinant, which is the
     minor the tau-chain formula takes.
     """
@@ -216,8 +217,13 @@ def default_homology_basis(C):
 
 def _default_homology_basis(C, pivots):
     ring = C.ring
+    ranks = _homology_ranks(C, pivots)
     vectors = []
     for j, d in enumerate(C.dims):
+        if not ranks[j]:
+            # an acyclic degree chooses no vectors, so it skips the kernel
+            vectors.append([])
+            continue
         mat_in = C.boundary_into(j)
         mat_out = C.boundary_out_of(j)
         if mat_out is None:

@@ -14,7 +14,7 @@ from .complexes import BasedChainComplex
 from .cut import CutSystem
 from .errors import FixtureError, PreconditionError
 from .novikov import EulerLift, NovikovComplex
-from .rings import MAX_ORDER, RationalFunction, RingSpec, TPolynomial
+from .rings import MAX_ORDER, RationalFunction, RingSpec, TPolynomial, _from_packed
 from .threedim import PathMatrix
 from .zeta import ClosedOrbit
 
@@ -75,6 +75,7 @@ def parse_ring(obj, where="ring"):
 
 
 def _term(ring, obj, where):
+    """(c, packed key) of one fixture term; packing checks the exponent range."""
     c = _int(_get(obj, "c", where), where + ".c")
     t = _int(_get(obj, "t", where), where + ".t")
     v = _list(_get(obj, "v", where), where + ".v")
@@ -82,18 +83,17 @@ def _term(ring, obj, where):
         _fail("exponent vector needs %d entries" % ring.num_group_vars, where + ".v")
     v = tuple(_int(e, where + ".v") for e in v)
     try:
-        ring.pack(t, v)
+        return c, ring.pack(t, v)
     except PreconditionError as exc:
         _fail(str(exc), where + ".v")
-    return c, t, v
 
 
 def _poly(ring, data, where):
     terms = {}
     for i, item in enumerate(_list(data, where)):
-        c, t, v = _term(ring, item, "%s[%d]" % (where, i))
-        terms[(t, v)] = terms.get((t, v), 0) + c
-    return TPolynomial(ring, terms)
+        c, key = _term(ring, item, "%s[%d]" % (where, i))
+        terms[key] = terms.get(key, 0) + c
+    return _from_packed(ring, terms)
 
 
 def _matrix(ring, data, where):
@@ -115,10 +115,10 @@ def _matrices(ring, data, where):
 
 
 def _unit_term(ring, obj, where):
-    c, t, v = _term(ring, obj, where)
+    c, key = _term(ring, obj, where)
     if c != 1:
         _fail("offset term must have c = 1", where)
-    return TPolynomial.monomial(ring, t_exp=t, v=v)
+    return _from_packed(ring, {key: 1})
 
 
 def _complex(ring, obj, where, cls=BasedChainComplex, **extra):

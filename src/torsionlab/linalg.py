@@ -6,7 +6,9 @@ an element for a degenerate shape takes the ring spec explicitly.
 
 Determinants, ranks and scaled solves over the polynomial ring (and
 integer determinants) all run one fraction-free elimination, _eliminate,
-which the torsion engine in complexes also runs once per boundary.
+which the torsion engine in complexes also runs once per boundary.  It
+scales rows lazily: a row with a zero in the pivot column skips the
+step, so sparse boundary matrices do a fraction of Bareiss's divisions.
 """
 
 from .errors import PreconditionError
@@ -73,15 +75,31 @@ def mat_is_zero(M):
 
 
 def _eliminate(W, div, one):
-    """Fraction-free forward elimination of W in place (Bareiss 1968).
+    """Fraction-free forward elimination of W in place (Bareiss 1968),
+    with lazy row scaling (Lee and Saunders, J. Symb. Comput. 19, 1995).
 
-    Each update divides by the previous pivot through div, which must be
-    exact.  Returns the pivot columns and the sign of the row swaps; rows
-    past the rank and entries below the pivots are left as scratch.
+    Returns the pivot columns and the sign of the row swaps.  Each pivot
+    row, from its pivot column rightwards, is exactly what Bareiss leaves
+    there, so the last pivot of a square of full rank is its determinant;
+    rows past the rank and entries left of a row's pivot are scratch.
+
+    Invariant: row i holds its Bareiss entries as of base[i], the pivot
+    it was last divided by (one at the start; swapped with its row).
+    Bareiss updates every row below pivot p by w <- (p*w - f*q) / prev.
+    For a row whose pivot-column entry f is zero that is only a scaling
+    by p/prev, and consecutive scalings telescope, so the row is skipped
+    and keeps its base.  A row with f != 0 takes (p*w - f*q) / base[i],
+    which equals the eager entry, and its base becomes p; entries with
+    w = q = 0 stay zero without a division.  Scaling keeps zeros zero, so
+    pivot choice and swaps are Bareiss's own.  The pivot row catches up,
+    q <- prev*q / base, before it is used.  Every division is of a minor
+    by a minor and div must be exact on them.  On a dense matrix no row
+    is skipped and the divisions are exactly Bareiss's.
     """
     rows = len(W)
     cols = len(W[0]) if rows else 0
     prev = one
+    base = [one] * rows
     sign = 1
     pivots = []
     for c in range(cols):
@@ -93,14 +111,26 @@ def _eliminate(W, div, one):
             continue
         if pivot_row != r:
             W[r], W[pivot_row] = W[pivot_row], W[r]
+            base[r], base[pivot_row] = base[pivot_row], base[r]
             sign = -sign
         pr = W[r]
+        s = base[r]
+        if s is not prev:
+            for j in range(c, cols):
+                if pr[j]:
+                    pr[j] = div(prev * pr[j], s)
         p = pr[c]
         for i in range(r + 1, rows):
             wi = W[i]
             f = wi[c]
+            if not f:
+                continue
+            s = base[i]
             for j in range(c + 1, cols):
-                wi[j] = div(p * wi[j] - f * pr[j], prev)
+                w, q = wi[j], pr[j]
+                if w or q:
+                    wi[j] = div(p * w - f * q, s)
+            base[i] = p
         prev = p
         pivots.append(c)
     return pivots, sign

@@ -431,6 +431,13 @@ class TPolynomial:
         return format_tpolynomial(self)
 
 
+def _from_packed(ring, terms):
+    """The polynomial with these integer coefficients on keys that
+    RingSpec.pack made, zeros dropped: a parser that packs each term to
+    check its range wraps the keys without packing them again."""
+    return TPolynomial._trusted(ring, {k: c for k, c in terms.items() if c})
+
+
 def _times_key(p, key, coeff=1):
     """p times the monomial coeff * t^a V^v packed as key."""
     return TPolynomial._trusted(p.ring, _mul_terms(p, TPolynomial._trusted(p.ring, {key: coeff})))

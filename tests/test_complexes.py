@@ -222,6 +222,24 @@ class TestTauHat:
         assert tau is not None
         assert unit_equivalent(tau.raw, hat.raw)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_acyclic_runs_no_fraction_field_elimination(self, seed, monkeypatch):
+        import torsionlab.complexes as complexes
+        import torsionlab.linalg as linalg
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("fraction-field elimination in an acyclic degree")
+
+        for module in (complexes, linalg):
+            monkeypatch.setattr(module, "rf_kernel", forbidden)
+            monkeypatch.setattr(module, "rf_rref", forbidden)
+        rng = oracles.seeded(150 + seed)
+        _, C = oracles.random_acyclic_complex(rng, R1 if seed % 2 else R0)
+        tau = torsion_tau(C)
+        hat = torsion_tau_hat(C)
+        assert tau is not None
+        assert unit_equivalent(tau.raw, hat.raw)
+
     def test_count_mismatch_rejected(self):
         C = BasedChainComplex(R0, 0, [1], [])
         with pytest.raises(PreconditionError):

@@ -524,6 +524,26 @@ class TestExitCodes:
             parse_fixture_data(data)
         assert info.value.location == "fixture.num[1].v"
 
+    def test_each_term_is_packed_once(self, monkeypatch):
+        from torsionlab.rings import RingSpec, TPolynomial
+
+        data = load_data("rational_sample.json")
+        # a repeated term cancels the first one when the terms are summed
+        data["num"].append(dict(data["num"][0], c=-data["num"][0]["c"]))
+        real = RingSpec.pack
+        calls = []
+
+        def counted(self, *args):
+            calls.append(args)
+            return real(self, *args)
+
+        monkeypatch.setattr(RingSpec, "pack", counted)
+        value = parse_fixture_data(data).payload
+        assert len(calls) == len(data["num"]) + len(data["den"])
+        monkeypatch.undo()
+        assert value.num == TPolynomial(R0, {(2, ()): -1, (3, ()): 1})
+        assert len(value.num) == 2
+
     def test_back_to_back_calls_share_no_flags(self, capsys):
         maps = fix("catmap_returnmaps.json")
         code, out, _ = invoke(

@@ -4,8 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import torsionlab.linalg as linalg
 from torsionlab.errors import PreconditionError
 from torsionlab.linalg import (
+    _eliminate,
+    _int_div,
     bareiss_det,
     int_det,
     mat_mul,
@@ -17,9 +20,9 @@ from torsionlab.linalg import (
     rf_solve,
     scaled_solve,
 )
-from torsionlab.rings import RationalFunction, TPolynomial
+from torsionlab.rings import RationalFunction, TPolynomial, exact_div
 
-from conftest import R0, R1, mono, tpoly, tpolynomials
+from conftest import R0, R1, R2, mono, tpoly, tpolynomials
 
 
 def ints_to_poly(ring, M):
@@ -370,3 +373,158 @@ def test_sympy_scaled_solve(sympy, ring):
             continue
         expected = sA.adjugate(method="berkowitz") * view.matrix(B)
         assert view.matrix(Y).applyfunc(sympy.expand) == expected.applyfunc(sympy.expand)
+
+
+# ---- lazy row scaling: the kernel against plain Bareiss ----
+
+
+def eager_bareiss(W, div, one):
+    """Textbook Bareiss in place: every row below the pivot is updated at
+    every step, divided by the previous pivot."""
+    rows = len(W)
+    cols = len(W[0]) if rows else 0
+    prev = one
+    sign = 1
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        pivot_row = next((i for i in range(r, rows) if W[i][c]), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            W[r], W[pivot_row] = W[pivot_row], W[r]
+            sign = -sign
+        p = W[r][c]
+        for i in range(r + 1, rows):
+            f = W[i][c]
+            for j in range(c + 1, cols):
+                W[i][j] = div(p * W[i][j] - f * W[r][j], prev)
+        prev = p
+        pivots.append(c)
+    return pivots, sign
+
+
+class CountingDiv:
+    def __init__(self, div):
+        self.div = div
+        self.calls = 0
+
+    def __call__(self, a, b):
+        self.calls += 1
+        return self.div(a, b)
+
+
+def nonzero_entry(rng, ring):
+    """A small nonzero int (ring None) or Laurent polynomial."""
+    if ring is None:
+        return rng.choice([-3, -2, -1, 1, 2, 3])
+    terms = {}
+    for _ in range(rng.randint(1, 2)):
+        v = tuple(rng.randint(-1, 1) for _ in range(ring.num_group_vars))
+        terms[(rng.randint(0, 1), v)] = rng.choice([-2, -1, 1, 2])
+    return TPolynomial(ring, terms)
+
+
+SPARSE_SHAPES = ("scattered", "banded", "blocks")
+
+
+def sparse_matrix(rng, ring, rows, cols, shape):
+    """A seeded sparse matrix, sometimes with a zero row, a zero column or a
+    row that is the sum of two others."""
+    zero = 0 if ring is None else TPolynomial.zero(ring)
+    density, width, size = rng.uniform(0.2, 0.4), rng.randint(0, 1), rng.randint(2, 3)
+
+    def keep(i, j):
+        if shape == "scattered":
+            return rng.random() < density
+        if shape == "banded":
+            return abs(i - j) <= width
+        return i // size == j // size and rng.random() < 0.8
+
+    M = [
+        [nonzero_entry(rng, ring) if keep(i, j) else zero for j in range(cols)]
+        for i in range(rows)
+    ]
+    if rows > 2 and rng.random() < 0.4:
+        a, b, d = rng.sample(range(rows), 3)
+        M[d] = [x + y for x, y in zip(M[a], M[b])]
+    if rng.random() < 0.3:
+        M[rng.randrange(rows)] = [zero] * cols
+    if rng.random() < 0.3:
+        j = rng.randrange(cols)
+        for row in M:
+            row[j] = zero
+    return M
+
+
+@pytest.mark.parametrize("ring", [None, R0, R1, R2], ids=["int", "b0", "b1", "b2"])
+def test_lazy_kernel_matches_eager_bareiss(ring):
+    one = 1 if ring is None else TPolynomial.one(ring)
+    div = _int_div if ring is None else exact_div
+    lazy_div, eager_div = CountingDiv(div), CountingDiv(div)
+    rng = random.Random(21)
+    for trial in range(36):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        M = sparse_matrix(rng, ring, rows, cols, SPARSE_SHAPES[trial % 3])
+        lazy = [list(row) for row in M]
+        eager = [list(row) for row in M]
+        pivots, sign = _eliminate(lazy, lazy_div, one)
+        assert (pivots, sign) == eager_bareiss(eager, eager_div, one)
+        # pivot rows agree from their pivot column on; the rest is scratch
+        for k, c in enumerate(pivots):
+            assert lazy[k][c:] == eager[k][c:]
+    assert lazy_div.calls < eager_div.calls
+
+
+def test_sparse_diagonal_skips_every_update(monkeypatch):
+    t = TPolynomial.t(R0)
+    zero = TPolynomial.zero(R0)
+    diagonal = [1 + (k + 2) * t for k in range(8)]
+    M = [[diagonal[i] if i == j else zero for j in range(8)] for i in range(8)]
+    eager = CountingDiv(exact_div)
+    eager_bareiss([list(row) for row in M], eager, TPolynomial.one(R0))
+    assert eager.calls == 140
+    lazy = CountingDiv(exact_div)
+    monkeypatch.setattr(linalg, "exact_div", lazy)
+    expected = TPolynomial.one(R0)
+    for d in diagonal:
+        expected = expected * d
+    assert bareiss_det(R0, M) == expected
+    # only the pivot entries catch up, one division each
+    assert lazy.calls <= 8
+
+
+def test_dense_matrix_divides_as_eager(monkeypatch):
+    rng = random.Random(23)
+    M = [[nonzero_entry(rng, R1) for _ in range(5)] for _ in range(5)]
+    eager = CountingDiv(exact_div)
+    eager_bareiss([list(row) for row in M], eager, TPolynomial.one(R1))
+    lazy = CountingDiv(exact_div)
+    monkeypatch.setattr(linalg, "exact_div", lazy)
+    bareiss_det(R1, M)
+    assert lazy.calls == eager.calls == sum(k * k for k in range(5))
+
+
+@BOTH_RINGS
+def test_sympy_sparse(sympy, ring):
+    from sympy.polys.matrices import DomainMatrix
+
+    view = SympyView(sympy, ring)
+    rng = random.Random(24)
+    for trial in range(12):
+        shape = SPARSE_SHAPES[trial % 3]
+        n = rng.randint(2, 6)
+        A = sparse_matrix(rng, ring, n, n, shape)
+        sA = view.matrix(A)
+        d = bareiss_det(ring, A)
+        assert sympy.expand(view.expr(d) - sA.det(method="berkowitz")) == 0
+        M = sparse_matrix(rng, ring, rng.randint(1, 6), rng.randint(1, 6), shape)
+        rank, pivots = poly_rank_pivots(ring, M)
+        _, exact_pivots = DomainMatrix.from_Matrix(view.matrix(M)).to_field().rref()
+        assert (rank, tuple(pivots)) == (len(exact_pivots), tuple(exact_pivots))
+        B = sparse_matrix(rng, ring, n, rng.randint(1, 2), "scattered")
+        d, Y = scaled_solve(ring, A, B)
+        residual = sA * view.matrix(Y) - view.expr(d) * view.matrix(B)
+        assert residual.applyfunc(sympy.expand).is_zero_matrix
