@@ -88,22 +88,56 @@ def _term(ring, obj, where):
         _fail(str(exc), where + ".v")
 
 
-def _poly(ring, data, where):
+def _packed_terms(ring, data):
+    """{packed key: summed c} of a well-formed term list, or None.
+
+    The checks are plain type tests, so nothing names a location here; when
+    one fails, _poly walks the list again with the checks that do."""
+    if type(data) is not list:
+        return None
+    n = ring.num_group_vars
+    pack = ring.pack
     terms = {}
-    for i, item in enumerate(_list(data, where)):
-        c, key = _term(ring, item, "%s[%d]" % (where, i))
+    for item in data:
+        if type(item) is not dict:
+            return None
+        c = item.get("c")
+        t = item.get("t")
+        v = item.get("v")
+        if type(c) is not int or type(t) is not int or type(v) is not list or len(v) != n:
+            return None
+        for e in v:
+            if type(e) is not int:
+                return None
+        try:
+            key = pack(t, v)
+        except PreconditionError:
+            return None
         terms[key] = terms.get(key, 0) + c
+    return terms
+
+
+def _poly(ring, data, where, *at):
+    """The polynomial of a term list.  Its location is where, or where % at
+    when at is given: formatted only when a check fails."""
+    terms = _packed_terms(ring, data)
+    if terms is None:
+        if at:
+            where = where % at
+        terms = {}
+        for i, item in enumerate(_list(data, where)):
+            c, key = _term(ring, item, "%s[%d]" % (where, i))
+            terms[key] = terms.get(key, 0) + c
     return _from_packed(ring, terms)
 
 
 def _matrix(ring, data, where):
     rows = []
     for i, row in enumerate(_list(data, where)):
+        if not isinstance(row, list):
+            _list(row, "%s[%d]" % (where, i))
         rows.append(
-            [
-                _poly(ring, entry, "%s[%d][%d]" % (where, i, j))
-                for j, entry in enumerate(_list(row, "%s[%d]" % (where, i)))
-            ]
+            [_poly(ring, entry, "%s[%d][%d]", where, i, j) for j, entry in enumerate(row)]
         )
     return rows
 

@@ -9,6 +9,7 @@ codes.
 import glob
 import json
 import os
+import random
 
 import pytest
 
@@ -591,3 +592,118 @@ class TestFixtureResolution:
         for _ in range(3):
             results.add(invoke(capsys, "tau", "--fixture", fix("circle_cw.json")))
         assert len(results) == 1
+
+
+# ---- parser fuzz: one corrupted node, located by its JSON path ----
+
+# fixture -> (command that loads it, where its polynomials sit: a dotted key
+# and whether it holds a list of matrices or one term list)
+FUZZ_FIXTURES = {
+    "trefoil_surgery_cw.json": (["tau"], {"boundaries": "matrices"}),
+    "stabilized_cut.json": (
+        ["assemble"],
+        {key: "matrices" for key in ("sigma.boundaries", "phi", "N", "M", "W")},
+    ),
+    "rational_sample.json": (["canon", "--order", "5"], {"num": "poly", "den": "poly"}),
+}
+FUZZ_CASES = [
+    (name, corruption)
+    for name, (_, fields) in sorted(FUZZ_FIXTURES.items())
+    for corruption in ("drop", "bad_int", "v_length", "huge", "row", "term")
+    if corruption != "row" or "matrices" in fields.values()
+]
+
+
+def fuzz_nodes(name, data):
+    """(kind, JSON path, container, index) of every term and matrix row,
+    with the path spelled as the parser reports it."""
+    nodes = []
+
+    def poly(terms, path):
+        for k in range(len(terms)):
+            nodes.append(("term", "%s[%d]" % (path, k), terms, k))
+
+    for dotted, shape in FUZZ_FIXTURES[name][1].items():
+        value = data
+        for part in dotted.split("."):
+            value = value[part]
+        where = "%s.%s" % (name, dotted)
+        if shape == "poly":
+            poly(value, where)
+            continue
+        for i, matrix in enumerate(value):
+            for r, row in enumerate(matrix):
+                nodes.append(("row", "%s[%d][%d]" % (where, i, r), matrix, r))
+                for c, entry in enumerate(row):
+                    poly(entry, "%s[%d][%d][%d]" % (where, i, r, c))
+    return nodes
+
+
+def lift(name, data):
+    """The same fixture over a ring with one group variable u: every
+    exponent vector gets a trailing 0."""
+    for holder in (data, data.get("sigma", {})):
+        if "ring" in holder:
+            holder["ring"]["group_vars"] = ["u"]
+    for kind, _, container, index in fuzz_nodes(name, data):
+        if kind == "term":
+            container[index]["v"].append(0)
+
+
+def corrupt(rng, name, data, corruption):
+    """Corrupt one seeded node of data in place; return the location and
+    the message the parser must report."""
+    b = len(data["ring"]["group_vars"])
+    want = "row" if corruption == "row" else "term"
+    _, path, container, index = rng.choice(
+        [node for node in fuzz_nodes(name, data) if node[0] == want]
+    )
+    if corruption == "row":
+        container[index] = rng.choice([{"c": 1}, 7, "row", None])
+        return path, "expected a list"
+    if corruption == "term":
+        container[index] = rng.choice([[1, 0, []], 3, "term", None])
+        return path, "expected an object"
+    term = container[index]
+    if corruption == "drop":
+        key = rng.choice("ctv")
+        del term[key]
+        return path, 'missing "%s"' % key
+    if corruption == "bad_int":
+        value = rng.choice([True, False, 1.5, "1"])
+        slot = rng.choice(["c", "t", "v"] if b else ["c", "t"])
+        if slot == "v":
+            term["v"][rng.randrange(b)] = value
+        else:
+            term[slot] = value
+        return "%s.%s" % (path, slot), "expected an integer"
+    if corruption == "v_length":
+        term["v"] = term["v"][:-1] if b and rng.random() < 0.5 else term["v"] + [0]
+        return path + ".v", "exponent vector needs %d entries" % b
+    value = rng.choice([2**40, -(2**40)])
+    term["v"][rng.randrange(b)] = value
+    return path + ".v", "group exponent %d is outside the packed range |e| < 2^31" % value
+
+
+class TestParserFuzz:
+    """A seeded copy of a corpus fixture with one node corrupted exits 3,
+    without a traceback, naming that node's JSON path."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("name,corruption", FUZZ_CASES)
+    def test_corrupted_node_is_located(self, capsys, tmp_path, name, corruption, seed):
+        rng = random.Random("%s:%s:%d" % (name, corruption, seed))
+        data = load_data(name)
+        # a 2**40 exponent needs a group variable to sit in
+        if corruption == "huge" or rng.random() < 0.5:
+            lift(name, data)
+        path = tmp_path / name
+        path.write_text(json.dumps(data), encoding="ascii")
+        parse_fixture(os.fspath(path))
+
+        location, message = corrupt(rng, name, data, corruption)
+        path.write_text(json.dumps(data), encoding="ascii")
+        command = FUZZ_FIXTURES[name][0]
+        code, out, err = invoke(capsys, command[0], "--fixture", os.fspath(path), *command[1:])
+        assert (code, out) == (3, "")
+        assert err == "fixture error: %s: %s\n" % (location, message)

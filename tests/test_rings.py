@@ -1,8 +1,9 @@
 import pytest
 from fractions import Fraction
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+import torsionlab.rings as rings
 from torsionlab.errors import PreconditionError
 from torsionlab.rings import (
     SLOT_BITS,
@@ -268,6 +269,132 @@ class TestPackedKeys:
         kx, ky = ring.pack(*x), ring.pack(*y)
         assert ring.unpack(kx) == x and ring.unpack(ky) == y
         assert (kx < ky) == (x < y) and (kx == ky) == (x == y)
+
+
+# ---- one-term operands against a tuple-keyed reference ----
+
+RANGE_MSG = f"a group exponent of the product leaves the packed range |e| < 2^{SLOT_BITS - 1}"
+SLOT_EXPONENTS = st.one_of(
+    st.integers(-2, 2), st.sampled_from([HALF - 1, 1 - HALF, HALF - 2, 2 - HALF])
+)
+
+
+def in_slot(v):
+    return all(-HALF < e < HALF for e in v)
+
+
+def ref_times_monomial(terms, m, cap=None):
+    """terms * m on {(t_exp, v_exps): coeff} dicts, m with one term, keeping
+    t-degrees up to cap.  Any product exponent outside its slot raises, as
+    the kernel checks the whole operands before the cap applies."""
+    ((mt, mv), mc), = m.items()
+    out = {}
+    for (t, v), c in terms.items():
+        w = tuple(x + y for x, y in zip(v, mv))
+        if not in_slot(w):
+            raise PreconditionError(RANGE_MSG)
+        if cap is None or t + mt <= cap:
+            out[(t + mt, w)] = c * mc
+    return out
+
+
+def ref_div_monomial(ring, terms, m):
+    """terms / m on {(t_exp, v_exps): coeff} dicts, m with one term.
+
+    A quotient exponent outside its slot is reported the way exact_div's
+    contract states: the packed keys are divided as integers, and the
+    quotient they spell is rejected as inexact when its product with m
+    leaves the slots, and otherwise (one of its exponents then sits on the
+    slot's edge) as out of range."""
+    ((mt, mv), mc), = m.items()
+    if any(c % mc for c in terms.values()):
+        raise ArithmeticError("inexact polynomial division (leading coefficient)")
+    quo = {(t - mt, tuple(x - y for x, y in zip(v, mv))): c // mc for (t, v), c in terms.items()}
+    if all(in_slot(v) for _, v in quo):
+        return quo
+    keyed = [ring.unpack(ring.pack(t, v) - ring.pack(mt, mv))[1] for t, v in terms]
+    for i, e in enumerate(mv):
+        lo, hi = min(v[i] for v in keyed), max(v[i] for v in keyed)
+        if lo + e <= -HALF or hi + e >= HALF:
+            raise ArithmeticError("inexact polynomial division (exponent range)")
+    raise PreconditionError(RANGE_MSG)
+
+
+def outcome(f):
+    """f()'s value, or the type and message of the error it raises."""
+    try:
+        return f()
+    except (ArithmeticError, PreconditionError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def monomial_cases(draw):
+    """(a, m, t-degree of m): a random a and m = c * t^e V^v, with group
+    exponents of both drawn near the slot edges as well as near 0."""
+    ring = draw(st.sampled_from(RINGS))
+    b = ring.num_group_vars
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        v = tuple(draw(SLOT_EXPONENTS) for _ in range(b))
+        terms[(draw(st.integers(-2, 3)), v)] = draw(st.integers(-6, 6))
+    a = TPolynomial(ring, terms)
+    e = draw(st.integers(-3, 3))
+    v = tuple(draw(SLOT_EXPONENTS) for _ in range(b))
+    m = TPolynomial.monomial(ring, t_exp=e, v=v, coeff=draw(st.sampled_from([1, -1, 2, -2, 3])))
+    return a, m, e
+
+
+class TestMonomialOperands:
+    """Products with and quotients by one-term values are key shifts; they
+    must agree with the tuple-keyed reference, errors included."""
+
+    @seed(20261018)
+    @settings(max_examples=300)
+    @given(case=monomial_cases(), k=st.integers(-1, 4), extra=st.integers(0, 3))
+    def test_against_tuple_reference(self, case, k, extra):
+        a, m, e = case
+        ring = a.ring
+        A, M = a.terms, m.terms
+        product = outcome(lambda: ref_times_monomial(A, M))
+        assert outcome(lambda: (a * m).terms) == product
+        assert outcome(lambda: (m * a).terms) == product
+        if isinstance(product, dict):
+            assert exact_div(a * m, m) == a
+        assert outcome(lambda: exact_div(a, m).terms) == outcome(
+            lambda: ref_div_monomial(ring, A, M)
+        )
+
+        # a truncation of a through t^k times m known through t^(e + extra)
+        x = NovikovTruncation.from_tpolynomial(a, k)
+        xm = NovikovTruncation.from_tpolynomial(m, e + extra)
+        cap = min(k + e, e + extra + x.min_t)
+        low = {key: c for key, c in A.items() if key[0] <= k}
+        truncated = outcome(lambda: (ref_times_monomial(low, M, cap), cap))
+        assert outcome(lambda: ((x * xm).terms, (x * xm).order)) == truncated
+        assert outcome(lambda: ((xm * x).terms, (xm * x).order)) == truncated
+
+    def test_one_term_divisors_skip_the_heap(self, monkeypatch):
+        def no_heap(*args):
+            raise AssertionError("the heap was used")
+
+        monkeypatch.setattr(rings, "heapify", no_heap)
+        monkeypatch.setattr(rings, "heappop", no_heap)
+        t = TPolynomial.t(R1)
+        v = TPolynomial.var(R1, "v1")
+        a = 2 - 4 * t * v + 6 * t**2 * TPolynomial.var(R1, "v1", power=-3)
+        one = TPolynomial.one(R1)
+        assert exact_div(a, one) is a
+        assert exact_div(a, -one) == -a
+        d = TPolynomial.monomial(R1, t_exp=3, v=(1,), coeff=-2)
+        assert exact_div(a * d, d) == a
+        assert exact_div(a, d) == tpoly(
+            R1, {(-3, (-1,)): -1, (-2, (0,)): 2, (-1, (-4,)): -3}
+        )
+        with pytest.raises(ArithmeticError, match="leading coefficient"):
+            exact_div(a + 1, d)
+        with pytest.raises(AssertionError, match="the heap was used"):
+            exact_div(a * (1 + t), 1 + t)
 
 
 class TestSeriesInvert:
