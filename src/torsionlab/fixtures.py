@@ -74,71 +74,63 @@ def parse_ring(obj, where="ring"):
         _fail(str(exc), where)
 
 
-def _term(ring, obj, where):
-    """(c, packed key) of one fixture term; packing checks the exponent range."""
-    c = _int(_get(obj, "c", where), where + ".c")
-    t = _int(_get(obj, "t", where), where + ".t")
-    v = _list(_get(obj, "v", where), where + ".v")
+def _path(at):
+    """The JSON path of a location string followed by list indices."""
+    return at[0] + "".join("[%d]" % i for i in at[1:])
+
+
+def _term(ring, obj, *at):
+    """(c, packed key) of one fixture term; packing checks the exponent range.
+
+    The term's location is a string and then list indices (see _path); the
+    checks are plain type tests, and the path is formatted only when one
+    fails."""
+    if type(obj) is not dict:
+        _fail("expected an object", _path(at))
+    c = obj.get("c")
+    if type(c) is not int:
+        _bad_field(obj, "c", "expected an integer", at)
+    t = obj.get("t")
+    if type(t) is not int:
+        _bad_field(obj, "t", "expected an integer", at)
+    v = obj.get("v")
+    if type(v) is not list:
+        _bad_field(obj, "v", "expected a list", at)
     if len(v) != ring.num_group_vars:
-        _fail("exponent vector needs %d entries" % ring.num_group_vars, where + ".v")
-    v = tuple(_int(e, where + ".v") for e in v)
+        _fail("exponent vector needs %d entries" % ring.num_group_vars, _path(at) + ".v")
+    for e in v:
+        if type(e) is not int:
+            _fail("expected an integer", _path(at) + ".v")
     try:
         return c, ring.pack(t, v)
     except PreconditionError as exc:
-        _fail(str(exc), where + ".v")
+        _fail(str(exc), _path(at) + ".v")
 
 
-def _packed_terms(ring, data):
-    """{packed key: summed c} of a well-formed term list, or None.
+def _bad_field(obj, key, message, at):
+    """Fail on the term field key: missing, or not what message expects."""
+    if key not in obj:
+        _fail('missing "%s"' % key, _path(at))
+    _fail(message, "%s.%s" % (_path(at), key))
 
-    The checks are plain type tests, so nothing names a location here; when
-    one fails, _poly walks the list again with the checks that do."""
+
+def _poly(ring, data, *at):
+    """The polynomial of a term list at the location at (see _term)."""
     if type(data) is not list:
-        return None
-    n = ring.num_group_vars
-    pack = ring.pack
+        _fail("expected a list", _path(at))
     terms = {}
-    for item in data:
-        if type(item) is not dict:
-            return None
-        c = item.get("c")
-        t = item.get("t")
-        v = item.get("v")
-        if type(c) is not int or type(t) is not int or type(v) is not list or len(v) != n:
-            return None
-        for e in v:
-            if type(e) is not int:
-                return None
-        try:
-            key = pack(t, v)
-        except PreconditionError:
-            return None
+    for i, item in enumerate(data):
+        c, key = _term(ring, item, *at, i)
         terms[key] = terms.get(key, 0) + c
-    return terms
-
-
-def _poly(ring, data, where, *at):
-    """The polynomial of a term list.  Its location is where, or where % at
-    when at is given: formatted only when a check fails."""
-    terms = _packed_terms(ring, data)
-    if terms is None:
-        if at:
-            where = where % at
-        terms = {}
-        for i, item in enumerate(_list(data, where)):
-            c, key = _term(ring, item, "%s[%d]" % (where, i))
-            terms[key] = terms.get(key, 0) + c
     return _from_packed(ring, terms)
 
 
 def _matrix(ring, data, where):
     rows = []
     for i, row in enumerate(_list(data, where)):
-        if not isinstance(row, list):
-            _list(row, "%s[%d]" % (where, i))
-        rows.append(
-            [_poly(ring, entry, "%s[%d][%d]", where, i, j) for j, entry in enumerate(row)]
-        )
+        if type(row) is not list:
+            _fail("expected a list", "%s[%d]" % (where, i))
+        rows.append([_poly(ring, entry, where, i, j) for j, entry in enumerate(row)])
     return rows
 
 

@@ -106,10 +106,8 @@ class RingSpec:
         check before adding keys that, in every V digit, the least and the
         greatest exponents of the two factors sum to inside the slot, and
         exact_div checks the same of quotient and divisor, so a product key
-        is formed only when no digit can carry.  A factor or divisor that
-        is a pure power of t needs no check: it moves no V digit.  Each
-        value caches its exponent ranges, so the check costs a few
-        comparisons per product.
+        is formed only when no digit can carry.  Each value caches its
+        exponent ranges, so the check costs a few comparisons per product.
         """
         if v_exps is None:
             return t_exp << self._t_shift
@@ -214,26 +212,11 @@ def _add_terms(a, b, scale=1):
 def _mul_terms(x, y, cap=None):
     """Term dict of x * y, two values of one ring, leaving out every t-degree
     above cap.  A group exponent that would leave its slot raises before any
-    key is added.
-
-    A one-term factor c * m is a key shift: every key of the other factor
-    moves by m's key and every coefficient is multiplied by c.  When m is a
-    pure power of t (its V-part is 0) no V digit can carry, so the range
-    check is skipped."""
+    key is added."""
     a, b = x._terms, y._terms
     if not a or not b:
         return {}
     ring = x.ring
-    if len(a) == 1:
-        a, b = b, a
-    if len(b) == 1:
-        (kb, cb), = b.items()
-        if ring._split(kb)[1] and not _fits(_ranges(x), _ranges(y)):
-            raise _range_error()
-        if cap is None:
-            return {k + kb: c * cb for k, c in a.items()}
-        top = ring._top_key(cap) - kb
-        return {k + kb: c * cb for k, c in a.items() if k <= top}
     if ring._shifts and not _fits(_ranges(x), _ranges(y)):
         raise _range_error()
     top = max(a) + max(b) if cap is None else ring._top_key(cap)
@@ -485,10 +468,7 @@ def exact_div(a: TPolynomial, b: TPolynomial) -> TPolynomial:
     the packed exponent range, raises ArithmeticError: the division was
     not exact.
 
-    The heap runs only for divisors of two or more terms.  A one-term
-    divisor c * m gives the quotient by shifting every key by -m and
-    dividing every coefficient by c, with the same errors; the divisor 1
-    returns a itself.
+    The divisor 1 returns a itself; every other divisor runs the heap.
     """
     _check_same_ring(a, b)
     if not b:
@@ -498,20 +478,8 @@ def exact_div(a: TPolynomial, b: TPolynomial) -> TPolynomial:
     ring = a.ring
     A, B = a._terms, b._terms
 
-    if len(B) == 1:
-        (lead, cb), = B.items()
-        if not lead and cb == 1:
-            return a
-        quo = {}
-        for k, c in A.items():
-            qc, r = divmod(c, cb)
-            if r:
-                raise ArithmeticError("inexact polynomial division (leading coefficient)")
-            quo[k - lead] = qc
-        q = TPolynomial._trusted(ring, quo)
-        if ring._split(lead)[1]:
-            _check_quotient_range(q, b)
-        return q
+    if len(B) == 1 and B.get(0) == 1:
+        return a
 
     cap = 1
     for sa, sb in zip(_spans(a), _spans(b)):
@@ -556,18 +524,13 @@ def exact_div(a: TPolynomial, b: TPolynomial) -> TPolynomial:
                 rem[kd] = s - m
     q = TPolynomial._trusted(ring, quo)
     if ring._shifts:
-        _check_quotient_range(q, b)
+        # the heap divided the keys as integers; that is the division of
+        # monomials only when q * b keeps every exponent in its slot
+        if not _fits(_ranges(q), _ranges(b)):
+            raise ArithmeticError("inexact polynomial division (exponent range)")
+        if any(lo == -_HALF for lo, _ in _ranges(q)):
+            raise _range_error()
     return q
-
-
-def _check_quotient_range(q, b):
-    """Raise unless the quotient q, found by dividing keys as integers, is
-    the division of monomials: that holds only when q * b keeps every
-    exponent in its slot and no exponent of q sits on the slot's edge."""
-    if not _fits(_ranges(q), _ranges(b)):
-        raise ArithmeticError("inexact polynomial division (exponent range)")
-    if any(lo == -_HALF for lo, _ in _ranges(q)):
-        raise _range_error()
 
 
 class NovikovTruncation:
