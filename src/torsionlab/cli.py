@@ -9,7 +9,7 @@ import sys
 
 from .complexes import torsion_tau, torsion_tau_hat, validate_complex
 from .cut import (
-    assemble_boundary,
+    _glue,
     check_K_vs_novikov,
     validate_cut_system,
     verify_main_theorem,
@@ -192,7 +192,7 @@ def _cmd_assemble(args):
         for line in report:
             print(line)
         return EXIT_VIOLATION
-    return _print_complex(assemble_boundary(cs))
+    return _print_complex(_glue(cs))
 
 
 def _tau_text(value):

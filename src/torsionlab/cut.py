@@ -21,18 +21,19 @@ from .complexes import (
     validate_complex,
 )
 from .errors import PreconditionError
-from .linalg import _clear_row_denominators, mat_mul, scaled_solve
+from .linalg import _clear_row_denominators, charpoly, mat_mul
 from .novikov import apply_lift, invariant_I, tau_novikov
 from .rings import (
     NovikovTruncation,
     RationalFunction,
     RingSpec,
     TPolynomial,
+    _from_t_coefficients,
     canonical_mod_units,
     expand_series,
     unit_equivalent,
 )
-from .zeta import _twist_block, zeta_lefschetz
+from .zeta import _plain_matrix, zeta_lefschetz
 
 
 def _check_block(mat, rows, cols, name):
@@ -150,6 +151,11 @@ def assemble_boundary(cs):
     report = validate_cut_system(cs)
     if report:
         raise PreconditionError("; ".join(report))
+    return _glue(cs)
+
+
+def _glue(cs):
+    """assemble_boundary for a cut system whose report is already empty."""
     ring = cs.ring
     zero = TPolynomial.zero(ring)
     t = TPolynomial.t(ring)
@@ -179,14 +185,14 @@ def assemble_boundary(cs):
                 mat[r][c] = cs.N[i - 1][r][c]
             for c in range(f_dim(i)):
                 mat[r][cd + ce + c] = cs.W[i - 1][r][c]
-        twist = _twist_block(ring, cs.phi[i - 1])
+        phi = cs.phi[i - 1]
         for r in range(re):
             for c in range(cd):
                 mat[rd + r][c] = -t * cs.M[i - 1][r][c]
             if i <= n - 1:
                 for c in range(ce):
                     mat[rd + r][cd + c] = cs.sigma.boundaries[i - 1][r][c]
-            mat[rd + r][cd + ce :] = twist[r]
+            mat[rd + r][cd + ce :] = [int(r == c) - t * e for c, e in enumerate(phi[r])]
         for r in range(f_dim(i - 1)):
             for c in range(f_dim(i)):
                 mat[rd + re + r][cd + ce + c] = -cs.sigma.boundaries[i - 2][r][c]
@@ -201,23 +207,31 @@ def assemble_boundary(cs):
 def compute_K(cs):
     """Handle-to-handle transfer matrices with the return-flow correction.
 
-    K_i = N_i + t W_i (1 - t phi_{i-1})^{-1} M_i.  One fraction-free solve
-    gives d = det(1 - t phi_{i-1}) and Y with (1 - t phi_{i-1}) Y = d M_i,
-    so K_i = (d N_i + t W_i Y) / d entry by entry.  The denominator d has
-    constant term 1, hence never vanishes.
+    K_i = N_i + t W_i (1 - t phi)^{-1} M_i for phi = phi_{i-1}.  With
+    det(x - phi) = sum_k c_k x^(n-k) from linalg.charpoly, d = det(1 - t phi)
+    = sum_k c_k t^k and adj(1 - t phi) M_i = sum_{k<n} t^k Y_k, where Y_0 =
+    M_i and Y_k = phi Y_{k-1} + c_k M_i.  So K_i = (d N_i + sum_k t^(k+1)
+    W_i Y_k) / d entry by entry, from products of t-free matrices alone.
+    The denominator d has constant term 1, hence never vanishes.
     """
     ring = cs.ring
-    t = TPolynomial.t(ring)
-    zero = TPolynomial.zero(ring)
     out = []
     for i in range(1, cs.n + 1):
-        det, Y = scaled_solve(ring, _twist_block(ring, cs.phi[i - 1]), cs.M[i - 1])
-        correction = mat_mul(cs.W[i - 1], Y, zero, cols=cs.crit_dims[i])
+        phi, N, M, W = (_plain_matrix(ring, X[i - 1]) for X in (cs.phi, cs.N, cs.M, cs.W))
+        cols = cs.crit_dims[i]
+        c = charpoly(phi)
+        num = [[[x] for x in row] for row in N]  # the numerators' t-coefficients
+        Y = M
+        for k in range(1, len(c)):
+            if k > 1:
+                PY = mat_mul(phi, Y, 0, cols=cols)
+                Y = [[y + c[k - 1] * m for y, m in zip(*rows)] for rows in zip(PY, M)]
+            for num_row, n_row, wy_row in zip(num, N, mat_mul(W, Y, 0, cols=cols)):
+                for coeffs, x, wy in zip(num_row, n_row, wy_row):
+                    coeffs.append(c[k] * x + wy)
+        d = _from_t_coefficients(ring, c)
         out.append(
-            [
-                [RationalFunction(n * det + t * c, det) for n, c in zip(N_row, c_row)]
-                for N_row, c_row in zip(cs.N[i - 1], correction)
-            ]
+            [[RationalFunction(_from_t_coefficients(ring, e), d) for e in row] for row in num]
         )
     return out
 

@@ -14,7 +14,7 @@ from .complexes import BasedChainComplex
 from .cut import CutSystem
 from .errors import FixtureError, PreconditionError
 from .novikov import EulerLift, NovikovComplex
-from .rings import MAX_ORDER, RationalFunction, RingSpec, TPolynomial, _from_packed
+from .rings import MAX_ORDER, RationalFunction, RingSpec, TPolynomial
 from .threedim import PathMatrix
 from .zeta import ClosedOrbit
 
@@ -121,8 +121,10 @@ def _poly(ring, data, *at):
     terms = {}
     for i, item in enumerate(data):
         c, key = _term(ring, item, *at, i)
-        terms[key] = terms.get(key, 0) + c
-    return _from_packed(ring, terms)
+        s = terms.pop(key, 0) + c
+        if s:
+            terms[key] = s
+    return TPolynomial._trusted(ring, terms)
 
 
 def _matrix(ring, data, where):
@@ -144,7 +146,7 @@ def _unit_term(ring, obj, where):
     c, key = _term(ring, obj, where)
     if c != 1:
         _fail("offset term must have c = 1", where)
-    return _from_packed(ring, {key: 1})
+    return TPolynomial._trusted(ring, {key: 1})
 
 
 def _complex(ring, obj, where, cls=BasedChainComplex, **extra):

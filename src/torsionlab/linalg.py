@@ -4,8 +4,8 @@ Matrices are plain lists of rows.  An r x 0 matrix is a list of r empty
 lists, a 0 x c matrix is the empty list; every function that needs to mint
 an element for a degenerate shape takes the ring spec explicitly.
 
-Determinants, ranks and scaled solves over the polynomial ring (and
-integer determinants) all run one fraction-free elimination, _eliminate,
+Determinants and ranks over the polynomial ring (and integer
+determinants) all run one fraction-free elimination, _eliminate,
 which the torsion engine in complexes also runs once per boundary.  It
 scales rows lazily: a row with a zero in the pivot column skips the
 step, so sparse boundary matrices do a fraction of Bareiss's divisions.
@@ -180,37 +180,30 @@ def poly_rank_pivots(ring, M):
     return len(pivots), pivots
 
 
-def scaled_solve(ring, A, B):
-    """(d, Y) with A Y = d B and d = det A, for square A.
+def charpoly(A):
+    """Coefficients [c_0, ..., c_n] of det(x - A) = sum_k c_k x^(n-k).
 
-    Eliminates [A | B] fraction-free, then back-substitutes.  Each
-    back-substitution division is exact because Y = adj(A) B.  A
-    singular A gives d = 0 and Y = 0.
+    Berkowitz's division-free recurrence (IPL 18, 1984) grows the leading
+    principal block A_r one row and column at a time.  Writing A_(r+1) =
+    [[A_r, C], [R, a]], the coefficients of det(x - A_(r+1)) are those of
+    det(x - A_r) times the lower-triangular Toeplitz matrix with first
+    column (1, -a, -R C, -R A_r C, ..., -R A_r^(r-1) C).  Only +, - and *
+    run, so integer entries give integers and ring elements ring elements.
     """
-    n = _square_size(A, "solve")
-    if len(B) != n:
-        raise PreconditionError("system shape mismatch")
-    k = len(B[0]) if n else 0
-    if any(len(row) != k for row in B):
-        raise PreconditionError("system shape mismatch")
-    one = TPolynomial.one(ring)
-    zero = TPolynomial.zero(ring)
-    W = [list(a) + list(b) for a, b in zip(A, B)]
-    pivots, sign = _eliminate(W, exact_div, one)
-    Y = [[zero] * k for _ in range(n)]
-    if pivots != list(range(n)):
-        return zero, Y
-    d = W[n - 1][n - 1] if n else one
-    if sign < 0:
-        d = -d
-    for i in reversed(range(n)):
-        wi = W[i]
-        for j in range(k):
-            acc = d * wi[n + j]
-            for m in range(i + 1, n):
-                acc = acc - wi[m] * Y[m][j]
-            Y[i][j] = exact_div(acc, wi[i])
-    return d, Y
+    n = _square_size(A, "characteristic polynomial")
+    p = [1]
+    for r in range(n):
+        row, v = A[r][:r], [A[i][r] for i in range(r)]
+        col = [1, -A[r][r]]
+        for k in range(r):
+            if k:
+                v = [sum(a * b for a, b in zip(A[i], v) if a and b) for i in range(r)]
+            col.append(-sum(a * b for a, b in zip(row, v) if a and b))
+        p = [
+            sum(col[k - j] * p[j] for j in range(max(0, k - r - 1), min(k, r) + 1))
+            for k in range(r + 2)
+        ]
+    return p
 
 
 def _clear_row_denominators(ring, M):

@@ -431,11 +431,14 @@ class TPolynomial:
         return format_tpolynomial(self)
 
 
-def _from_packed(ring, terms):
-    """The polynomial with these integer coefficients on keys that
-    RingSpec.pack made, zeros dropped: a parser that packs each term to
-    check its range wraps the keys without packing them again."""
-    return TPolynomial._trusted(ring, {k: c for k, c in terms.items() if c})
+def _from_t_coefficients(ring, coeffs):
+    """sum_k coeffs[k] t^k for int or t-free polynomial coefficients: the
+    key of t^k shifts each one onto its own t-degree, so none collide."""
+    terms = {}
+    for k, c in enumerate(coeffs):
+        c = c._terms if isinstance(c, TPolynomial) else {0: c} if c else {}
+        terms.update((key + ring.pack(k), a) for key, a in c.items())
+    return TPolynomial._trusted(ring, terms)
 
 
 def _times_key(p, key, coeff=1):
@@ -461,7 +464,8 @@ def exact_div(a: TPolynomial, b: TPolynomial) -> TPolynomial:
     plus a fixed offset.  Keys whose coefficient cancels stay in the heap
     and are skipped when popped.  When b | a exactly the loop runs once per
     quotient term, and the quotient's exponent spans are bounded by
-    span(a) - span(b) in every variable, which gives a hard iteration cap.
+    span(a) - span(b) in every variable, which gives a hard iteration cap;
+    it is computed only once the quotient has len(a) * len(b) terms.
     Exceeding the cap, a quotient key below min(a) - min(b) (the least key
     of an exact quotient), hitting a coefficient that the lead coefficient
     of b fails to divide, or a quotient whose product with b would leave
@@ -481,12 +485,6 @@ def exact_div(a: TPolynomial, b: TPolynomial) -> TPolynomial:
     if len(B) == 1 and B.get(0) == 1:
         return a
 
-    cap = 1
-    for sa, sb in zip(_spans(a), _spans(b)):
-        if sa < sb:
-            raise ArithmeticError("inexact polynomial division (span mismatch)")
-        cap *= sa - sb + 1
-
     lead = max(B)
     cb = B[lead]
     tail = [(k - lead, c) for k, c in B.items() if k != lead]
@@ -498,13 +496,21 @@ def exact_div(a: TPolynomial, b: TPolynomial) -> TPolynomial:
     heap = [-k for k in rem]
     heapify(heap)
     quo = {}
+    limit = len(A) * len(B)  # the cap takes a pass over a and b: wait for it
     while heap:
         k = -heappop(heap)
         cr = rem.pop(k, 0)
         if not cr:
             continue
-        if len(quo) == cap:
-            raise ArithmeticError("inexact polynomial division (no termination)")
+        if len(quo) >= limit:
+            cap = 1
+            for sa, sb in zip(_spans(a), _spans(b)):
+                if sa < sb:
+                    raise ArithmeticError("inexact polynomial division (span mismatch)")
+                cap *= sa - sb + 1
+            limit = max(limit, cap)
+            if len(quo) >= limit:
+                raise ArithmeticError("inexact polynomial division (no termination)")
         if k < floor:
             raise ArithmeticError("inexact polynomial division (remainder below the quotient)")
         qc, r = divmod(cr, cb)

@@ -10,8 +10,8 @@ suite leans on that agreement instead of trusting any single shape.
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .linalg import bareiss_det, int_det, mat_mul
-from .rings import RationalFunction, TPolynomial, _exp_power_sums
+from .linalg import charpoly, int_det, mat_mul
+from .rings import RationalFunction, TPolynomial, _exp_power_sums, _from_t_coefficients
 
 
 @dataclass(frozen=True)
@@ -172,54 +172,38 @@ def zeta_product(ring, orbits):
     return RationalFunction(num, den)
 
 
-def _as_plain_int(entry):
-    if isinstance(entry, int):
-        return entry
-    if isinstance(entry, TPolynomial):
-        # a constant has no term but (possibly) the one at the origin
-        c = entry.coefficient(0)
-        if len(entry) == (1 if c else 0):
-            return c
-    return None
-
-
-def _validate_maps(maps):
-    """Normalize to integer matrices; constant ring elements are unwrapped."""
-    out = []
-    for i, A in enumerate(maps):
-        n = len(A)
-        if any(len(row) != n for row in A):
-            raise PreconditionError("return map in degree %d is not square" % i)
-        rows = []
-        for row in A:
-            plain = [_as_plain_int(entry) for entry in row]
-            if any(entry is None for entry in plain):
-                raise PreconditionError("return maps must be integer matrices")
-            rows.append(plain)
-        out.append(rows)
-    return out
+def _as_plain_int(p):
+    """The value of a constant polynomial, else None."""
+    # a constant has no term but (possibly) the one at the origin
+    c = p.coefficient(0)
+    return c if len(p) == (1 if c else 0) else None
 
 
 def _map_entry(ring, entry):
-    if isinstance(entry, int):
-        return TPolynomial.monomial(ring, coeff=entry)
+    """A return-map entry: an int when constant, else a t-free ring element."""
     if isinstance(entry, TPolynomial):
+        if entry.ring != ring:
+            raise PreconditionError("mismatched ring specs")
         if not entry.is_t_free():
             raise PreconditionError("return map entries must not involve t")
+        plain = _as_plain_int(entry)
+        return entry if plain is None else plain
+    if isinstance(entry, int):
         return entry
     raise PreconditionError("return map entries must be integers or t-free polynomials")
 
 
-def _twist_block(ring, A):
-    """1 - t*A as a square polynomial matrix, for a square map A."""
-    one = TPolynomial.one(ring)
-    zero = TPolynomial.zero(ring)
-    t = TPolynomial.t(ring)
-    n = len(A)
-    return [
-        [(one if r == c else zero) - t * _map_entry(ring, A[r][c]) for c in range(n)]
-        for r in range(n)
-    ]
+def _plain_matrix(ring, A):
+    """A through _map_entry, so products of constant entries are int products."""
+    return [[_map_entry(ring, entry) for entry in row] for row in A]
+
+
+def _plain_maps(ring, maps):
+    """Graded return maps, each checked square, through _plain_matrix."""
+    for i, A in enumerate(maps):
+        if any(len(row) != len(A) for row in A):
+            raise PreconditionError("return map in degree %d is not square" % i)
+    return [_plain_matrix(ring, A) for A in maps]
 
 
 def zeta_trace(ring, maps, order):
@@ -234,7 +218,9 @@ def zeta_trace(ring, maps, order):
     """
     if order < 0:
         raise PreconditionError("truncation order must be nonnegative")
-    maps = _validate_maps(maps)
+    maps = _plain_maps(ring, maps)
+    if any(isinstance(e, TPolynomial) for A in maps for row in A for e in row):
+        raise PreconditionError("return maps must be integer matrices")
     origin = ring.pack(0)
     sums = {}
     powers = maps
@@ -255,17 +241,16 @@ def zeta_trace(ring, maps, order):
 def zeta_lefschetz(ring, maps):
     """Exact alternating product of the characteristic determinants.
 
-    Accepts integer matrices or matrices of t-free ring elements; the
-    twisting variable enters only through the 1 - t*map placement.
+    With det(x - phi_i) = sum_k c_k x^(n-k) from the division-free
+    linalg.charpoly, det(1 - t*phi_i) = sum_k c_k t^k; no 1 - t*phi
+    matrix is built.  Accepts integer matrices or matrices of t-free ring
+    elements.  It shares no step with zeta_trace, whose Newton recurrence
+    runs on traces of powers, so each checks the other.
     """
-    for i, A in enumerate(maps):
-        n = len(A)
-        if any(len(row) != n for row in A):
-            raise PreconditionError("return map in degree %d is not square" % i)
     num = TPolynomial.one(ring)
     den = TPolynomial.one(ring)
-    for i, A in enumerate(maps):
-        d = bareiss_det(ring, _twist_block(ring, A))
+    for i, A in enumerate(_plain_maps(ring, maps)):
+        d = _from_t_coefficients(ring, charpoly(A))
         if i % 2 == 0:
             den = den * d
         else:

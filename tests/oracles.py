@@ -10,7 +10,9 @@ without trusting it twice.
 import random
 
 from torsionlab.complexes import BasedChainComplex, ShortExactSequence
-from torsionlab.rings import TPolynomial
+from torsionlab.errors import PreconditionError
+from torsionlab.linalg import _eliminate
+from torsionlab.rings import TPolynomial, exact_div
 
 
 def random_poly(rng, ring, max_terms=2, t_lo=0, t_hi=2, coeff_span=2, v_span=1, nonzero=False):
@@ -159,3 +161,87 @@ def assemble_extension(rng, sub, quot, H=None):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+def random_return_map(rng, ring, n):
+    """An n x n t-free map mixing plain ints, constant polynomials and
+    Z[V] elements with negative exponents."""
+
+    def entry():
+        kind = rng.randrange(3)
+        if kind == 0:
+            return rng.randint(-3, 3)
+        if kind == 1:
+            return TPolynomial.monomial(ring, coeff=rng.randint(-3, 3))
+        return random_poly(rng, ring, max_terms=3, t_lo=0, t_hi=0, coeff_span=3)
+
+    return [[entry() for _ in range(n)] for _ in range(n)]
+
+
+class SympyView:
+    """Polynomials (or ints) and matrices of one ring, carried over to sympy."""
+
+    def __init__(self, sympy, ring):
+        self.sympy = sympy
+        self.syms = sympy.symbols(["t"] + list(ring.var_names))
+
+    def expr(self, p):
+        if isinstance(p, int):
+            return self.sympy.Integer(p)
+        total = 0
+        for (t_exp, v), c in p.terms.items():
+            term = c * self.syms[0] ** t_exp
+            for s, e in zip(self.syms[1:], v):
+                term *= s**e
+            total += term
+        return total
+
+    def matrix(self, M, cols=None):
+        cols = len(M[0]) if M else (cols or 0)
+        return self.sympy.Matrix(len(M), cols, [self.expr(e) for row in M for e in row])
+
+
+# ---- the return flow by elimination: references for the charpoly route ----
+
+
+def twist_block(ring, A):
+    """1 - t*A as a matrix of polynomials, for a square map of ints or
+    t-free polynomials."""
+    t = TPolynomial.t(ring)
+    return [
+        [(1 if r == c else 0) - t * entry for c, entry in enumerate(row)]
+        for r, row in enumerate(A)
+    ]
+
+
+def scaled_solve(ring, A, B):
+    """(d, Y) with A Y = d B and d = det A, for square A.
+
+    Eliminates [A | B] fraction-free, then back-substitutes.  Each
+    back-substitution division is exact because Y = adj(A) B.  A
+    singular A gives d = 0 and Y = 0.
+    """
+    n = len(A)
+    if any(len(row) != n for row in A) or len(B) != n:
+        raise PreconditionError("system shape mismatch")
+    k = len(B[0]) if n else 0
+    if any(len(row) != k for row in B):
+        raise PreconditionError("system shape mismatch")
+    one = TPolynomial.one(ring)
+    zero = TPolynomial.zero(ring)
+    W = [list(a) + list(b) for a, b in zip(A, B)]
+    pivots, sign = _eliminate(W, exact_div, one)
+    Y = [[zero] * k for _ in range(n)]
+    if pivots != list(range(n)):
+        return zero, Y
+    d = W[n - 1][n - 1] if n else one
+    if sign < 0:
+        d = -d
+    for i in reversed(range(n)):
+        wi = W[i]
+        for j in range(k):
+            acc = d * wi[n + j]
+            for m in range(i + 1, n):
+                acc = acc - wi[m] * Y[m][j]
+            Y[i][j] = exact_div(acc, wi[i])
+    return d, Y

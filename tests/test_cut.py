@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+import torsionlab.linalg as linalg
 from torsionlab.complexes import BasedChainComplex, torsion_tau
 from torsionlab.cut import (
     CutSystem,
@@ -23,9 +24,10 @@ from torsionlab.rings import (
     frac_equal,
     unit_equivalent,
 )
+from torsionlab.zeta import zeta_lefschetz
 
 import oracles
-from conftest import R0, tpoly
+from conftest import R0, RINGS, tpoly
 
 
 ONE = TPolynomial.one(R0)
@@ -379,6 +381,75 @@ class TestComputeK:
     def test_shapes_follow_crit_dims(self):
         K = compute_K(catmap_cut())
         assert K == [[], [], []]
+
+
+def random_one_level_system(rng, ring, m):
+    """A one-degree surface of m points with mixed int and Z[V] blocks;
+    with a single surface degree every block choice is consistent."""
+    a, b = rng.randint(0, 2), rng.randint(0, 2)
+
+    def block(rows, cols):
+        square = oracles.random_return_map(rng, ring, max(rows, cols))
+        return [row[:cols] for row in square[:rows]]
+
+    sigma = BasedChainComplex(ring, 0, [m], [])
+    phi = oracles.random_return_map(rng, ring, m)
+    return CutSystem(sigma, [phi], [a, b], [block(a, b)], [block(m, b)], [block(a, m)])
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=["b0", "b1", "b2"])
+def test_compute_K_matches_scaled_solve(ring):
+    # the adjugate recurrence against an elimination of [1 - t*phi | M]
+    rng = oracles.seeded(1400 + ring.num_group_vars)
+    t = TPolynomial.t(ring)
+    for m in range(8):
+        cs = random_one_level_system(rng, ring, m)
+        (K,) = compute_K(cs)
+        d, Y = oracles.scaled_solve(ring, oracles.twist_block(ring, cs.phi[0]), cs.M[0])
+        assert len(K) == cs.crit_dims[0]
+        for r, row in enumerate(K):
+            assert len(row) == cs.crit_dims[1]
+            for j, entry in enumerate(row):
+                correction = sum((w * y[j] for w, y in zip(cs.W[0][r], Y)), 0)
+                assert (entry.num, entry.den) == (d * cs.N[0][r][j] + t * correction, d)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=["b0", "b1", "b2"])
+def test_compute_K_matches_sympy_adjugate(ring):
+    sympy = pytest.importorskip("sympy")
+    view = oracles.SympyView(sympy, ring)
+    t = view.syms[0]
+    rng = oracles.seeded(1500 + ring.num_group_vars)
+    # sympy's Bareiss adjugate of a symbolic 5 x 5 already takes seconds;
+    # the scaled_solve oracle above covers the sizes up to 7
+    for m in range(5):
+        cs = random_one_level_system(rng, ring, m)
+        (K,) = compute_K(cs)
+        T = view.matrix(oracles.twist_block(ring, cs.phi[0]), cols=m)
+        d = T.det(method="bareiss")
+        N = view.matrix(cs.N[0], cols=cs.crit_dims[1])
+        W = view.matrix(cs.W[0], cols=m)
+        M = view.matrix(cs.M[0], cols=cs.crit_dims[1])
+        num = d * N + t * W * T.adjugate(method="bareiss") * M
+        for r, row in enumerate(K):
+            for j, entry in enumerate(row):
+                assert sympy.expand(view.expr(entry.den) - d) == 0
+                assert sympy.expand(view.expr(entry.num) - num[r, j]) == 0
+
+
+def test_compute_K_and_zeta_run_no_elimination(monkeypatch):
+    # the return flow comes from the characteristic polynomial alone
+    def refuse(*args):
+        raise AssertionError("elimination or division on the return-flow path")
+
+    monkeypatch.setattr(linalg, "_eliminate", refuse)
+    monkeypatch.setattr(linalg, "exact_div", refuse)
+    rng = oracles.seeded(1600)
+    for ring in RINGS:
+        cs = random_one_level_system(rng, ring, 5)
+        compute_K(cs)
+        zeta_lefschetz(ring, cs.phi)
+    compute_K(stabilized_cut())
 
 
 def omega_block(cs, i):

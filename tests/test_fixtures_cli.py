@@ -384,6 +384,23 @@ class TestCommandContract:
             "[1 - t]",
         ]
 
+    def test_assemble_validates_once(self, capsys, monkeypatch):
+        import torsionlab.cli as cli
+        import torsionlab.cut as cut
+
+        calls = []
+        real = cut.validate_cut_system
+
+        def counted(cs):
+            calls.append(cs)
+            return real(cs)
+
+        monkeypatch.setattr(cli, "validate_cut_system", counted)
+        monkeypatch.setattr(cut, "validate_cut_system", counted)
+        code, _, _ = invoke(capsys, "assemble", "--fixture", fix("catmap_scenario.json"))
+        assert code == 0
+        assert len(calls) == 1
+
     def test_assemble_catmap(self, capsys):
         code, out, _ = invoke(
             capsys, "assemble", "--fixture", fix("catmap_scenario.json")
@@ -544,6 +561,19 @@ class TestExitCodes:
         monkeypatch.undo()
         assert value.num == TPolynomial(R0, {(2, ()): -1, (3, ()): 1})
         assert len(value.num) == 2
+
+    def test_zero_sums_leave_no_term(self):
+        from torsionlab.rings import TPolynomial
+
+        data = load_data("rational_sample.json")
+        first = data["num"][0]
+        # cancel, then bring the term back; a zero term alone adds nothing
+        data["num"] += [dict(first, c=-first["c"]), first, dict(first, t=7, c=0)]
+        data["den"] += [dict(term, c=-term["c"]) for term in data["den"][1:]]
+        value = parse_fixture_data(data).payload
+        assert value.num == TPolynomial(R0, {(1, ()): 1, (2, ()): -1, (3, ()): 1})
+        assert value.den == TPolynomial.one(R0)
+        assert len(value.num) == 3 and len(value.den) == 1
 
     def test_back_to_back_calls_share_no_flags(self, capsys):
         maps = fix("catmap_returnmaps.json")

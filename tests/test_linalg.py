@@ -10,6 +10,7 @@ from torsionlab.linalg import (
     _eliminate,
     _int_div,
     bareiss_det,
+    charpoly,
     int_det,
     mat_mul,
     mat_transpose,
@@ -18,11 +19,11 @@ from torsionlab.linalg import (
     rf_kernel,
     rf_matrix,
     rf_solve,
-    scaled_solve,
 )
 from torsionlab.rings import RationalFunction, TPolynomial, exact_div
 
-from conftest import R0, R1, R2, mono, tpoly, tpolynomials
+from conftest import R0, R1, R2, RINGS, mono, tpoly, tpolynomials
+from oracles import SympyView, random_return_map, scaled_solve, seeded
 
 
 def ints_to_poly(ring, M):
@@ -285,27 +286,6 @@ def random_matrix(rng, ring, rows, cols, t_lo=0):
     return [[random_poly(rng, ring, t_lo) for _ in range(cols)] for _ in range(rows)]
 
 
-class SympyView:
-    """Polynomials and matrices of one ring, carried over to sympy."""
-
-    def __init__(self, sympy, ring):
-        self.sympy = sympy
-        self.syms = sympy.symbols(["t"] + list(ring.var_names))
-
-    def expr(self, p):
-        total = 0
-        for (t_exp, v), c in p.terms.items():
-            term = c * self.syms[0] ** t_exp
-            for s, e in zip(self.syms[1:], v):
-                term *= s**e
-            total += term
-        return total
-
-    def matrix(self, M):
-        cols = len(M[0]) if M else 0
-        return self.sympy.Matrix(len(M), cols, [self.expr(e) for row in M for e in row])
-
-
 @pytest.fixture
 def sympy():
     return pytest.importorskip("sympy")
@@ -528,3 +508,38 @@ def test_sympy_sparse(sympy, ring):
         d, Y = scaled_solve(ring, A, B)
         residual = sA * view.matrix(Y) - view.expr(d) * view.matrix(B)
         assert residual.applyfunc(sympy.expand).is_zero_matrix
+
+
+# ---- characteristic polynomial: Berkowitz against sympy ----
+
+
+class TestCharpoly:
+    def test_small_cases(self):
+        assert charpoly([]) == [1]
+        assert charpoly([[5]]) == [1, -5]
+        # trace 3, determinant 1
+        assert charpoly([[2, 1], [1, 1]]) == [1, -3, 1]
+
+    def test_integer_entries_stay_integers(self):
+        A = random_return_map(seeded(1200), R0, 6)
+        A = [[e if isinstance(e, int) else e.coefficient(0) for e in row] for row in A]
+        assert all(type(c) is int for c in charpoly(A))
+
+    def test_non_square_rejected(self):
+        with pytest.raises(PreconditionError):
+            charpoly([[1, 2]])
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=["b0", "b1", "b2"])
+def test_sympy_charpoly(sympy, ring):
+    # mixed int, constant and Z[V] entries, every size from 0 to 7
+    view = SympyView(sympy, ring)
+    x = sympy.Symbol("x")
+    rng = seeded(1210 + ring.num_group_vars)
+    for n in range(8):
+        A = random_return_map(rng, ring, n)
+        c = charpoly(A)
+        expected = view.matrix(A, cols=n).charpoly(x).all_coeffs()
+        assert len(c) == n + 1 == len(expected)
+        for ck, ek in zip(c, expected):
+            assert sympy.expand(view.expr(ck) - ek) == 0

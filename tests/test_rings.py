@@ -149,12 +149,33 @@ class TestExactDiv:
 
     def test_inexact_multivariate_raises(self):
         v = TPolynomial.var(R1, "v1")
-        with pytest.raises(ArithmeticError, match="span"):
+        with pytest.raises(ArithmeticError, match="below the quotient"):
             exact_div(TPolynomial.one(R1), 1 - v)
-        with pytest.raises(ArithmeticError, match="termination"):
+        with pytest.raises(ArithmeticError, match="below the quotient"):
             exact_div(1 + v, 1 - v)
         with pytest.raises(ArithmeticError, match="leading coefficient"):
             exact_div(1 + v, 1 + 2 * v)
+
+    def test_caps_stop_long_inexact_quotients(self):
+        # both caps come into play once the quotient has len(a) * len(b) terms
+        v = TPolynomial.var(R1, "v1")
+        t = TPolynomial.t(R1)
+        inv = TPolynomial.var(R1, "v1", power=-1)
+        with pytest.raises(ArithmeticError, match="span mismatch"):
+            exact_div(t + t**2, v - 1)
+        with pytest.raises(ArithmeticError, match="no termination"):
+            exact_div(t * v**3 - v**2, inv + 2 * inv**2)
+
+    def test_exact_division_skips_the_cap(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(rings, "_spans", lambda p: calls.append(p) or [])
+        v = TPolynomial.var(R2, "v1")
+        w = TPolynomial.var(R2, "v2")
+        t = TPolynomial.t(R2)
+        b = 1 - t * v + 2 * w
+        a = (3 + v * w - t**2) * b
+        assert exact_div(a, b) == 3 + v * w - t**2
+        assert calls == []
 
     @given(data=st.data())
     def test_product_then_divide(self, data):

@@ -3,7 +3,7 @@ from itertools import islice
 import pytest
 
 from torsionlab.errors import PreconditionError
-from torsionlab.linalg import mat_mul
+from torsionlab.linalg import bareiss_det, mat_mul
 from torsionlab.rings import (
     NovikovTruncation,
     RationalFunction,
@@ -23,7 +23,7 @@ from torsionlab.zeta import (
 )
 
 import oracles
-from conftest import R0, R1
+from conftest import R0, R1, RINGS
 
 
 CAT_MAP = [[2, 1], [1, 1]]
@@ -213,3 +213,33 @@ class TestMapForms:
             maps.append([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
         order = 12
         assert zeta_trace(R0, maps, order) == expand_series(zeta_lefschetz(R0, maps), order)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=["b0", "b1", "b2"])
+def test_twisted_lefschetz_matches_elimination(ring):
+    # the characteristic-polynomial route against a Bareiss determinant of
+    # the 1 - t*phi matrix, on maps mixing ints and Z[V] entries
+    rng = oracles.seeded(1300 + ring.num_group_vars)
+    maps = [oracles.random_return_map(rng, ring, n) for n in range(8)]
+    dets = [bareiss_det(ring, oracles.twist_block(ring, A)) for A in maps]
+    for A, d in zip(maps, dets):
+        z = zeta_lefschetz(ring, [[], A])
+        assert (z.num, z.den) == (d, TPolynomial.one(ring))
+    num = den = TPolynomial.one(ring)
+    for i, d in enumerate(dets):
+        if i % 2:
+            num = num * d
+        else:
+            den = den * d
+    assert frac_equal(zeta_lefschetz(ring, maps), RationalFunction(num, den))
+
+
+def test_twisted_map_entries_checked():
+    v = TPolynomial.var(R1, "v1")
+    t = TPolynomial.t(R1)
+    with pytest.raises(PreconditionError, match="must not involve t"):
+        zeta_lefschetz(R1, [[[v + t]]])
+    with pytest.raises(PreconditionError, match="mismatched ring"):
+        zeta_lefschetz(R0, [[[v]]])
+    with pytest.raises(PreconditionError, match="integers or t-free"):
+        zeta_lefschetz(R1, [[[0.5]]])
