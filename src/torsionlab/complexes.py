@@ -7,21 +7,17 @@ dims[j] x dims[j+1].
 """
 
 from dataclasses import dataclass
-from math import gcd
 
 from .errors import PreconditionError
 from .linalg import (
+    _back_substitute,
     _clear_row_denominators,
     _eliminate,
+    bareiss_det,
     mat_apply,
     mat_is_zero,
     mat_mul,
     poly_rank_pivots,
-    rf_det,
-    rf_kernel,
-    rf_matrix,
-    rf_rref,
-    rf_solve,
 )
 from .rings import (
     RationalFunction,
@@ -107,13 +103,20 @@ def validate_complex(C):
 
 
 def _boundary_pivots(C):
-    """Pivot columns of each boundary matrix over the fraction field."""
-    return [poly_rank_pivots(C.ring, mat)[1] for mat in C.boundaries]
+    """Each boundary matrix eliminated once: its pivot columns over the
+    fraction field, and the echelon rows _eliminate left."""
+    one = TPolynomial.one(C.ring)
+    pivots, echelons = [], []
+    for mat in C.boundaries:
+        W = [list(row) for row in mat]
+        pivots.append(_eliminate(W, exact_div, one)[0])
+        echelons.append(W)
+    return pivots, echelons
 
 
 def homology_ranks(C):
     """Betti numbers over the fraction field, bottom degree first."""
-    return _homology_ranks(C, _boundary_pivots(C))
+    return _homology_ranks(C, _boundary_pivots(C)[0])
 
 
 def _homology_ranks(C, pivots):
@@ -212,10 +215,13 @@ class HomologyBasis:
 
 def default_homology_basis(C):
     """Deterministic homology representatives with polynomial entries."""
-    return _default_homology_basis(C, _boundary_pivots(C))
+    return _default_homology_basis(C, *_boundary_pivots(C))
 
 
-def _default_homology_basis(C, pivots):
+def _default_homology_basis(C, pivots, echelons):
+    """Kernel vectors, one per free column of the boundary out of each
+    degree, back-substituted on its echelon rows; the ones that extend
+    the image of the boundary into the degree are chosen."""
     ring = C.ring
     ranks = _homology_ranks(C, pivots)
     vectors = []
@@ -224,24 +230,16 @@ def _default_homology_basis(C, pivots):
             # an acyclic degree chooses no vectors, so it skips the kernel
             vectors.append([])
             continue
+        # nothing leaves degree 0: no echelon rows, so every column is free
+        out_pivots, out_rows = (pivots[j - 1], echelons[j - 1]) if j else ([], [])
+        kernel = [
+            _back_substitute(ring, out_rows, out_pivots, d, f)
+            for f in range(d)
+            if f not in out_pivots
+        ]
         mat_in = C.boundary_into(j)
-        mat_out = C.boundary_out_of(j)
-        if mat_out is None:
-            kernel = []
-            for k in range(d):
-                vec = [RationalFunction.zero(ring) for _ in range(d)]
-                vec[k] = RationalFunction.one(ring)
-                kernel.append(vec)
-        else:
-            kernel = rf_kernel(ring, rf_matrix(mat_out), cols=d)
-        if mat_in is not None:
-            image = [
-                [RationalFunction(mat_in[r][c]) for r in range(d)] for c in pivots[j]
-            ]
-        else:
-            image = []
-        chosen = _complete_image_to_kernel(ring, d, image, kernel)
-        vectors.append([_clear_vector(ring, vec) for vec in chosen])
+        image = [[mat_in[r][c] for r in range(d)] for c in pivots[j]] if mat_in else []
+        vectors.append(_complete_image_to_kernel(ring, d, image, kernel))
     return HomologyBasis(ring, vectors)
 
 
@@ -253,24 +251,17 @@ def _complete_image_to_kernel(ring, dim, image_cols, kernel_cols):
     for r in range(dim):
         row = [col[r] for col in image_cols] + [col[r] for col in kernel_cols]
         stacked.append(row)
-    _, pivots = rf_rref(ring, stacked)
+    _, pivots = poly_rank_pivots(ring, stacked)
     cut = len(image_cols)
     return [kernel_cols[p - cut] for p in pivots if p >= cut]
 
 
-def _clear_vector(ring, vec):
-    """Scale a fraction vector to primitive polynomial entries."""
-    (cleared,), _ = _clear_row_denominators(ring, [vec])
-    content = 0
-    for p in cleared:
-        content = gcd(content, p.content())
-    if content > 1:
-        cleared = [p.divide_content(content) for p in cleared]
-    return [RationalFunction(p) for p in cleared]
-
-
 def _tau_hat_pieces(C, h, pivots):
-    """Per-degree transition matrices for the homology-weighted torsion."""
+    """Per-degree transition determinants for the homology-weighted torsion.
+
+    Each homology vector is cleared of denominators by one factor, so a
+    piece is the polynomial determinant over the product of the factors.
+    """
     ring = C.ring
     ranks = _homology_ranks(C, pivots)
     counts = h.counts()
@@ -281,38 +272,40 @@ def _tau_hat_pieces(C, h, pivots):
             raise PreconditionError(
                 "homology basis count mismatch at degree %d" % (C.min_degree + j)
             )
-    zero_rf = RationalFunction.zero(ring)
+    zero = TPolynomial.zero(ring)
+    one = TPolynomial.one(ring)
     pieces = []
     for j, d in enumerate(C.dims):
         mat_in = C.boundary_into(j)
         mat_out = C.boundary_out_of(j)
+        cols = []
+        if mat_in is not None:
+            for c in pivots[j]:
+                cols.append([mat_in[r][c] for r in range(d)])
+        den = one
         for vec in h.vectors[j]:
             if len(vec) != d:
                 raise PreconditionError(
                     "homology vector length mismatch at degree %d" % (C.min_degree + j)
                 )
-            if mat_out is not None:
-                image = mat_apply(rf_matrix(mat_out), vec, zero_rf)
-                if any(not entry.is_zero for entry in image):
-                    raise PreconditionError(
-                        "homology vector is not a cycle at degree %d" % (C.min_degree + j)
-                    )
-        cols = []
-        if mat_in is not None:
-            for c in pivots[j]:
-                cols.append([RationalFunction(mat_in[r][c]) for r in range(d)])
-        cols.extend(h.vectors[j])
+            (cleared,), (factor,) = _clear_row_denominators(ring, [vec])
+            if mat_out is not None and any(mat_apply(mat_out, cleared, zero)):
+                raise PreconditionError(
+                    "homology vector is not a cycle at degree %d" % (C.min_degree + j)
+                )
+            cols.append(cleared)
+            den = den * factor
         if mat_out is not None:
             for k in pivots[j - 1]:
-                vec = [zero_rf] * d
-                vec[k] = RationalFunction.one(ring)
+                vec = [zero] * d
+                vec[k] = one
                 cols.append(vec)
         if len(cols) != d:
             raise PreconditionError(
                 "transition matrix at degree %d is not square" % (C.min_degree + j)
             )
         T = [[cols[c][r] for c in range(d)] for r in range(d)]
-        pieces.append(rf_det(ring, T))
+        pieces.append(RationalFunction(bareiss_det(ring, T), den))
     return pieces
 
 
@@ -321,9 +314,9 @@ def torsion_tau_hat(C, h=None):
     report = validate_complex(C)
     if report:
         raise PreconditionError("; ".join(report))
-    pivots = _boundary_pivots(C)
+    pivots, echelons = _boundary_pivots(C)
     if h is None:
-        h = _default_homology_basis(C, pivots)
+        h = _default_homology_basis(C, pivots, echelons)
     pieces = _tau_hat_pieces(C, h, pivots)
     result = RationalFunction.one(C.ring)
     for j, det in enumerate(pieces):
@@ -406,22 +399,28 @@ class ShortExactSequence:
 
 
 def _class_coords(ring, h_vectors, bnd_into, target):
-    """Coordinates of a cycle's class in the given homology basis."""
+    """Coordinates of a cycle's class in the given homology basis.
+
+    One elimination of [h | d_in | target], with h and target cleared of
+    denominators: the target lies in the span when its column is no
+    pivot, and back-substitution from that column gives the coordinates.
+    """
     dim = len(target)
-    cols = list(h_vectors)
-    if bnd_into is not None:
-        lifted = rf_matrix(bnd_into)
-        for c in range(len(bnd_into[0]) if bnd_into else 0):
-            cols.append([lifted[r][c] for r in range(dim)])
-    if not cols:
-        if any(not entry.is_zero for entry in target):
-            raise ArithmeticError("nonzero class in a trivial homology group")
-        return []
-    A = [[cols[c][r] for c in range(len(cols))] for r in range(dim)]
-    x = rf_solve(ring, A, target)
-    if x is None:
+    n_in = len(bnd_into[0]) if bnd_into else 0
+    cleared, factors = _clear_row_denominators(ring, list(h_vectors) + [target])
+    h_cols, b = cleared[:-1], cleared[-1]
+    W = [
+        [col[r] for col in h_cols] + (bnd_into[r] if n_in else []) + [b[r]]
+        for r in range(dim)
+    ]
+    n = len(h_cols) + n_in
+    pivots, _ = _eliminate(W, exact_div, TPolynomial.one(ring))
+    if n in pivots:
         raise ArithmeticError("cycle does not lie in the displayed span")
-    return x[: len(h_vectors)]
+    v = _back_substitute(ring, W, pivots, n + 1, n)
+    # target * factors[-1] * v[n] = -sum_c v[c] * factors[c] * h_c + boundaries
+    scale = -(v[n] * factors[-1])
+    return [RationalFunction(v[c] * f, scale) for c, f in enumerate(factors[:-1])]
 
 
 def _connecting_sequence(ses, h_sub, h_total, h_quot):
@@ -465,7 +464,7 @@ def _connecting_sequence(ses, h_sub, h_total, h_quot):
                 if bnd is None:
                     moved = [zero_rf] * ses.total.dims[i]
                 else:
-                    moved = mat_apply(rf_matrix(bnd), lift, zero_rf)
+                    moved = mat_apply(bnd, lift, zero_rf)
                 tail = moved[ses.sub.dims[i] :]
                 if any(not entry.is_zero for entry in tail):
                     raise ArithmeticError("connecting image left the subcomplex")

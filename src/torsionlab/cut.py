@@ -33,7 +33,7 @@ from .rings import (
     expand_series,
     unit_equivalent,
 )
-from .zeta import _plain_matrix, zeta_lefschetz
+from .zeta import _lefschetz_product, _plain_matrix
 
 
 def _check_block(mat, rows, cols, name):
@@ -214,12 +214,23 @@ def compute_K(cs):
     W_i Y_k) / d entry by entry, from products of t-free matrices alone.
     The denominator d has constant term 1, hence never vanishes.
     """
+    return _compute_K(cs, _charpolys(cs))
+
+
+def _charpolys(cs):
+    """linalg.charpoly of each return map, for compute_K and the
+    counting function to share."""
+    return [charpoly(_plain_matrix(cs.ring, phi)) for phi in cs.phi]
+
+
+def _compute_K(cs, charpolys):
+    """compute_K with the return maps' characteristic polynomials already
+    computed."""
     ring = cs.ring
     out = []
-    for i in range(1, cs.n + 1):
+    for i, c in enumerate(charpolys, 1):
         phi, N, M, W = (_plain_matrix(ring, X[i - 1]) for X in (cs.phi, cs.N, cs.M, cs.W))
         cols = cs.crit_dims[i]
-        c = charpoly(phi)
         num = [[[x] for x in row] for row in N]  # the numerators' t-coefficients
         Y = M
         for k in range(1, len(c)):
@@ -246,7 +257,10 @@ def tau_via_products(cs):
     returns.  A split that exists dimensionally but meets only singular
     blocks yields the zero value.
     """
-    return _tau_via_products(cs, compute_K(cs), zeta_lefschetz(cs.ring, cs.phi))
+    charpolys = _charpolys(cs)
+    return _tau_via_products(
+        cs, _compute_K(cs, charpolys), _lefschetz_product(cs.ring, charpolys)
+    )
 
 
 def _tau_via_products(cs, K, zeta):
@@ -367,13 +381,15 @@ def verify_main_theorem(cs, cn, xi=None, order=16):
     maps by the torsion of the critical-point complex in the basis the
     lift picks; the topological side takes the torsion of the assembled
     complex with the same basing applied to its D generators.  The
-    transfer matrices and the counting function are computed once and
-    shared by the series check and the product route.
+    transfer matrices and the counting function are computed once, from
+    one characteristic polynomial per return map, and shared by the
+    series check and the product route.
     """
     k = cn.order if cn.order is not None else order
-    K = compute_K(cs)
+    charpolys = _charpolys(cs)
+    K = _compute_K(cs, charpolys)
     series_ok = _check_K_vs_novikov(cs, cn, k, K)
-    zeta = zeta_lefschetz(cs.ring, cs.phi)
+    zeta = _lefschetz_product(cs.ring, charpolys)
     tau_cn = tau_novikov(cn, xi)
     inv = invariant_I(zeta, tau_cn)
     assembled = apply_lift(assemble_boundary(cs), xi, cn.min_degree)

@@ -1,4 +1,4 @@
-"""Exact matrix routines over the Laurent polynomial ring and its fraction field.
+"""Exact matrix routines over the Laurent polynomial ring.
 
 Matrices are plain lists of rows.  An r x 0 matrix is a list of r empty
 lists, a 0 x c matrix is the empty list; every function that needs to mint
@@ -9,10 +9,15 @@ determinants) all run one fraction-free elimination, _eliminate,
 which the torsion engine in complexes also runs once per boundary.  It
 scales rows lazily: a row with a zero in the pivot column skips the
 step, so sparse boundary matrices do a fraction of Bareiss's divisions.
+Kernel vectors and solutions over the fraction field come from
+_back_substitute on the rows _eliminate leaves, as polynomial vectors,
+so no rational function is formed.
 """
 
+from math import gcd
+
 from .errors import PreconditionError
-from .rings import RationalFunction, TPolynomial, exact_div
+from .rings import TPolynomial, exact_div
 
 
 def mat_shape(M):
@@ -136,6 +141,44 @@ def _eliminate(W, div, one):
     return pivots, sign
 
 
+def _back_substitute(ring, W, pivots, cols, free):
+    """A vector v of length cols with W v = 0, for W and pivots as
+    _eliminate left them and free a column that is not a pivot.
+
+    v is zero on the other non-pivot columns and is built from the bottom
+    pivot row up; entries left of a row's pivot are scratch and read as
+    zero.  A row whose residual, the sum of w_j v_j right of its pivot, is
+    nonzero multiplies v by the row's pivot and sets minus the residual at
+    the pivot column; a row whose residual is zero leaves v alone.  The
+    integer content is divided out last, so a zero column free gives
+    exactly its unit vector.  Over the fraction field v is v[free] times
+    the kernel vector that is 1 at free and 0 at the other free columns.
+    """
+    zero = TPolynomial.zero(ring)
+    v = [zero] * cols
+    v[free] = TPolynomial.one(ring)
+    support = [free]
+    for i in reversed(range(len(pivots))):
+        p = pivots[i]
+        row = W[i]
+        residual = zero
+        for j in support:
+            if j > p and row[j]:
+                residual = residual + row[j] * v[j]
+        if residual:
+            a = row[p]
+            for j in support:
+                v[j] = v[j] * a
+            v[p] = -residual
+            support.append(p)
+    content = 0
+    for j in support:
+        content = gcd(content, v[j].content())
+    for j in support:
+        v[j] = v[j].divide_content(content)
+    return v
+
+
 def _int_div(a, b):
     q, r = divmod(a, b)
     if r:
@@ -221,89 +264,3 @@ def _clear_row_denominators(ring, M):
         cleared.append(new_row)
         factors.append(factor)
     return cleared, factors
-
-
-def rf_det(ring, M):
-    """Determinant of a matrix of rational functions."""
-    n, c = mat_shape(M)
-    if n != c:
-        raise PreconditionError("determinant of a non-square matrix")
-    if n == 0:
-        return RationalFunction.one(ring)
-    cleared, factors = _clear_row_denominators(ring, M)
-    num = bareiss_det(ring, cleared)
-    den = TPolynomial.one(ring)
-    for f in factors:
-        den = den * f
-    return RationalFunction(num, den)
-
-
-def rf_rref(ring, M):
-    """Reduced row echelon form over the fraction field; returns (R, pivots)."""
-    rows, cols = mat_shape(M)
-    W = [list(row) for row in M]
-    r = 0
-    pivots = []
-    for c in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if not W[i][c].is_zero:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            W[r], W[pivot_row] = W[pivot_row], W[r]
-        inv = W[r][c].inverse()
-        W[r] = [entry * inv for entry in W[r]]
-        for i in range(rows):
-            if i != r and not W[i][c].is_zero:
-                coeff = W[i][c]
-                W[i] = [W[i][j] - coeff * W[r][j] for j in range(cols)]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return W, pivots
-
-
-def rf_solve(ring, A, b):
-    """Any solution x of A x = b over the fraction field, or None."""
-    rows, cols = mat_shape(A)
-    if len(b) != rows:
-        raise PreconditionError("system shape mismatch")
-    aug = [list(A[i]) + [b[i]] for i in range(rows)]
-    R, pivots = rf_rref(ring, aug)
-    if cols in pivots:
-        return None
-    x = [RationalFunction.zero(ring) for _ in range(cols)]
-    for i, c in enumerate(pivots):
-        x[c] = R[i][cols]
-    return x
-
-
-def rf_kernel(ring, A, cols=None):
-    """Basis of the right kernel of A over the fraction field, as columns.
-
-    cols pins the domain dimension when A has no rows to read it from.
-    """
-    rows, inferred = mat_shape(A)
-    cols = inferred if rows else (cols if cols is not None else 0)
-    R, pivots = rf_rref(ring, A)
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(cols):
-        if f in pivot_set:
-            continue
-        vec = [RationalFunction.zero(ring) for _ in range(cols)]
-        vec[f] = RationalFunction.one(ring)
-        for i, c in enumerate(pivots):
-            vec[c] = -R[i][f]
-        basis.append(vec)
-    return basis
-
-
-def rf_matrix(M):
-    """Lift a Laurent polynomial matrix entrywise into the fraction field."""
-    return [[RationalFunction(entry) for entry in row] for row in M]
-

@@ -247,10 +247,16 @@ def zeta_lefschetz(ring, maps):
     elements.  It shares no step with zeta_trace, whose Newton recurrence
     runs on traces of powers, so each checks the other.
     """
+    return _lefschetz_product(ring, [charpoly(A) for A in _plain_maps(ring, maps)])
+
+
+def _lefschetz_product(ring, charpolys):
+    """zeta_lefschetz from each map's coefficients as linalg.charpoly
+    gives them."""
     num = TPolynomial.one(ring)
     den = TPolynomial.one(ring)
-    for i, A in enumerate(_plain_maps(ring, maps)):
-        d = _from_t_coefficients(ring, charpoly(A))
+    for i, c in enumerate(charpolys):
+        d = _from_t_coefficients(ring, c)
         if i % 2 == 0:
             den = den * d
         else:

@@ -11,8 +11,8 @@ import random
 
 from torsionlab.complexes import BasedChainComplex, ShortExactSequence
 from torsionlab.errors import PreconditionError
-from torsionlab.linalg import _eliminate
-from torsionlab.rings import TPolynomial, exact_div
+from torsionlab.linalg import _clear_row_denominators, _eliminate, bareiss_det
+from torsionlab.rings import RationalFunction, TPolynomial, exact_div
 
 
 def random_poly(rng, ring, max_terms=2, t_lo=0, t_hi=2, coeff_span=2, v_span=1, nonzero=False):
@@ -188,13 +188,14 @@ class SympyView:
     def expr(self, p):
         if isinstance(p, int):
             return self.sympy.Integer(p)
-        total = 0
+        terms = []
         for (t_exp, v), c in p.terms.items():
             term = c * self.syms[0] ** t_exp
             for s, e in zip(self.syms[1:], v):
                 term *= s**e
-            total += term
-        return total
+            terms.append(term)
+        # one Add of all terms; summing one by one re-sorts every partial sum
+        return self.sympy.Add(*terms)
 
     def matrix(self, M, cols=None):
         cols = len(M[0]) if M else (cols or 0)
@@ -212,6 +213,17 @@ def twist_block(ring, A):
         [(1 if r == c else 0) - t * entry for c, entry in enumerate(row)]
         for r, row in enumerate(A)
     ]
+
+
+def rf_det(ring, M):
+    """Determinant of a square matrix of rational functions: each row is
+    cleared of denominators, and the polynomial determinant is divided by
+    the product of the row factors."""
+    cleared, factors = _clear_row_denominators(ring, M)
+    den = TPolynomial.one(ring)
+    for f in factors:
+        den = den * f
+    return RationalFunction(bareiss_det(ring, cleared), den)
 
 
 def scaled_solve(ring, A, B):

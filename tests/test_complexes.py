@@ -175,7 +175,7 @@ class TestTorsionEngine:
             raise AssertionError("torsion_tau took a separate determinant")
 
         monkeypatch.setattr(complexes, "_eliminate", counted)
-        monkeypatch.setattr(complexes, "rf_det", refused)
+        monkeypatch.setattr(complexes, "bareiss_det", refused)
         for C in (trefoil_surgery_complex(), sheared):
             calls.clear()
             value = torsion_tau(C)
@@ -203,6 +203,18 @@ class TestTauHat:
         tinv = RationalFunction(TPolynomial.one(R0), t)
         assert frac_equal(value.raw, tinv)
 
+    def test_fraction_vector_scales_its_piece(self):
+        # a representative times r scales the degree-1 piece by r, which
+        # enters tau-hat as r in an odd degree
+        t = TPolynomial.t(R0)
+        z = TPolynomial.zero(R0)
+        C = BasedChainComplex(R0, 0, [1, 2], [[[1 - t, z]]])
+        base = torsion_tau_hat(C)
+        r = RationalFunction(2 + t, 1 + t**2)
+        h = default_homology_basis(C)
+        scaled = HomologyBasis(R0, [h.vectors[0], [[e * r for e in h.vectors[1][0]]]])
+        assert frac_equal(torsion_tau_hat(C, scaled).raw, base.raw * r)
+
     def test_two_term_values(self):
         t = TPolynomial.t(R0)
         low = BasedChainComplex(R0, 0, [1, 1], [[[1 - t]]])
@@ -223,22 +235,58 @@ class TestTauHat:
         assert unit_equivalent(tau.raw, hat.raw)
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_acyclic_runs_no_fraction_field_elimination(self, seed, monkeypatch):
+    def test_acyclic_runs_no_kernel(self, seed, monkeypatch):
         import torsionlab.complexes as complexes
         import torsionlab.linalg as linalg
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("fraction-field elimination in an acyclic degree")
+            raise AssertionError("kernel or completion in an acyclic degree")
 
         for module in (complexes, linalg):
-            monkeypatch.setattr(module, "rf_kernel", forbidden)
-            monkeypatch.setattr(module, "rf_rref", forbidden)
+            monkeypatch.setattr(module, "_back_substitute", forbidden)
+        monkeypatch.setattr(complexes, "poly_rank_pivots", forbidden)
         rng = oracles.seeded(150 + seed)
         _, C = oracles.random_acyclic_complex(rng, R1 if seed % 2 else R0)
         tau = torsion_tau(C)
         hat = torsion_tau_hat(C)
         assert tau is not None
         assert unit_equivalent(tau.raw, hat.raw)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_homology_path_adds_and_inverts_no_fractions(self, seed, monkeypatch):
+        from torsionlab.complexes import _boundary_pivots, _tau_hat_pieces
+
+        rng = oracles.seeded(170 + seed)
+        C = oracles.random_valid_complex(rng, R1 if seed % 2 else R0, max_len=4)
+        assert any(homology_ranks(C))
+        expected = torsion_tau_hat(C)
+
+        def refused(*args):
+            raise AssertionError("fraction-field arithmetic on the homology path")
+
+        monkeypatch.setattr(RationalFunction, "__add__", refused)
+        monkeypatch.setattr(RationalFunction, "inverse", refused)
+        h = default_homology_basis(C)
+        pieces = _tau_hat_pieces(C, h, _boundary_pivots(C)[0])
+        monkeypatch.undo()
+        value = RationalFunction.one(C.ring)
+        for j, det in enumerate(pieces):
+            value = value * (det if (C.min_degree + j) % 2 else det.inverse())
+        assert frac_equal(value, expected.raw)
+
+    def test_huge_exponent_finishes(self):
+        from time import perf_counter
+
+        # back-substitution multiplies by pivots and never trial-divides,
+        # so a degree-2^20 entry costs a handful of two-term products
+        t = TPolynomial.t(R0)
+        C = BasedChainComplex(R0, 0, [1, 2], [[[t + 2, t ** (2**20) + 2]]])
+        start = perf_counter()
+        value = torsion_tau_hat(C)
+        assert perf_counter() - start < 1.0
+        # H_1 is spanned by (-(t^N + 2), t + 2), which with e_0 has
+        # determinant -(t + 2), and degree 0 gives t + 2
+        assert unit_equivalent(value.raw, RationalFunction.one(R0))
 
     def test_count_mismatch_rejected(self):
         C = BasedChainComplex(R0, 0, [1], [])
@@ -278,21 +326,22 @@ class TestTauHat:
     def test_one_elimination_per_boundary(self, seed, monkeypatch):
         import torsionlab.complexes as complexes
 
-        calls = []
-        real = complexes.poly_rank_pivots
+        # the completion and the determinants eliminate inside linalg; the
+        # eliminations complexes runs itself are the boundary matrices'
+        seen = []
+        real = complexes._eliminate
 
-        def counted(ring, M):
-            calls.append(len(M))
-            return real(ring, M)
+        def recorded(W, div, one):
+            seen.append([list(row) for row in W])
+            return real(W, div, one)
 
-        monkeypatch.setattr(complexes, "poly_rank_pivots", counted)
+        monkeypatch.setattr(complexes, "_eliminate", recorded)
         rng = oracles.seeded(250 + seed)
         C = oracles.random_valid_complex(rng, R0 if seed % 2 else R1, length=3)
-        torsion_tau_hat(C)
-        assert len(calls) == len(C.boundaries)
-        calls.clear()
-        torsion_tau_hat(trefoil_surgery_complex())
-        assert len(calls) == 3
+        for C in (C, trefoil_surgery_complex()):
+            seen.clear()
+            torsion_tau_hat(C)
+            assert seen == C.boundaries
 
 
 class TestRebase:
@@ -368,13 +417,53 @@ class TestExtensions:
         ses = oracles.random_extension(rng, ring)
         assert product_formula_check(ses)
 
-    def test_multiplies_with_scaled_bases(self):
+    @pytest.mark.parametrize("by_fraction", [False, True], ids=["t", "1/(1+t)"])
+    def test_multiplies_with_scaled_bases(self, by_fraction):
         rng = oracles.seeded(55)
         ses = oracles.random_extension(rng, R0)
         t = TPolynomial.t(R0)
+        scale = RationalFunction(TPolynomial.one(R0), 1 + t) if by_fraction else RationalFunction(t)
         h_total = default_homology_basis(ses.total)
         scaled = [
-            [[entry * RationalFunction(t) for entry in vec] for vec in group]
+            [[entry * scale for entry in vec] for vec in group]
             for group in h_total.vectors
         ]
         assert product_formula_check(ses, h_total=HomologyBasis(R0, scaled))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_class_coords_recover_the_combination(self, seed):
+        from torsionlab.complexes import _class_coords
+
+        rng = oracles.seeded(480 + seed)
+        ring = R1 if seed % 2 else R0
+        C = oracles.random_valid_complex(rng, ring, length=3)
+        zero = RationalFunction.zero(ring)
+        h = default_homology_basis(C)
+        for j, group in enumerate(h.vectors):
+            # fraction-scaled representatives, a fraction combination of
+            # them, plus a boundary that the coordinates must ignore
+            scales = [RationalFunction(oracles.random_poly(rng, ring, nonzero=True),
+                                       oracles.random_poly(rng, ring, nonzero=True))
+                      for _ in group]
+            vectors = [[e * r for e in vec] for vec, r in zip(group, scales)]
+            coeffs = [RationalFunction(oracles.random_poly(rng, ring),
+                                       oracles.random_poly(rng, ring, nonzero=True))
+                      for _ in group]
+            target = [zero] * C.dims[j]
+            for a, vec in zip(coeffs, vectors):
+                target = [x + a * e for x, e in zip(target, vec)]
+            bnd = C.boundary_into(j)
+            if bnd:
+                y = [oracles.random_poly(rng, ring) for _ in bnd[0]]
+                target = [x + sum((b * e for b, e in zip(row, y)), zero) for x, row in zip(target, bnd)]
+            got = _class_coords(ring, vectors, bnd, target)
+            assert len(got) == len(coeffs)
+            assert all(frac_equal(g, a) for g, a in zip(got, coeffs))
+
+    def test_class_coords_reject_a_target_outside_the_span(self):
+        from torsionlab.complexes import _class_coords
+
+        # 1 - t kills no cycle in degree 1, and e_0 is no cycle there
+        C = circle_complex(R0)
+        with pytest.raises(ArithmeticError):
+            _class_coords(R0, [], C.boundary_into(1), [RationalFunction.one(R0)])

@@ -15,7 +15,6 @@ from torsionlab.cut import (
     verify_main_theorem,
 )
 from torsionlab.errors import PreconditionError
-from torsionlab.linalg import rf_det
 from torsionlab.novikov import EulerLift, NovikovComplex
 from torsionlab.rings import (
     NovikovTruncation,
@@ -472,7 +471,7 @@ class TestOmegaFactorization:
     """det of the coupled block equals det(1 - t*phi) times det(K)."""
 
     def check(self, cs, i):
-        omega = rf_det(R0, omega_block(cs, i))
+        omega = oracles.rf_det(R0, omega_block(cs, i))
         twist = [
             [
                 (ONE if r == c else ZERO) - T * cs.phi[i - 1][r][c]
@@ -480,9 +479,9 @@ class TestOmegaFactorization:
             ]
             for r in range(cs.sigma.dims[i - 1])
         ]
-        lhs = rf_det(R0, [[RationalFunction(e) for e in row] for row in twist])
+        lhs = oracles.rf_det(R0, [[RationalFunction(e) for e in row] for row in twist])
         K = compute_K(cs)[i - 1]
-        assert frac_equal(omega, lhs * rf_det(R0, K))
+        assert frac_equal(omega, lhs * oracles.rf_det(R0, K))
 
     def test_circle_onecrit(self):
         self.check(circle_onecrit(), 1)
@@ -858,10 +857,11 @@ class TestVerifyMainTheorem:
         ],
     )
     def test_transfer_and_counting_computed_once(self, build, monkeypatch):
-        # the series check and the product route share one K and one zeta
+        # the series check and the product route share one K and one zeta,
+        # and both come from one characteristic polynomial per return map
         import torsionlab.cut as cut
 
-        calls = {"compute_K": 0, "zeta_lefschetz": 0}
+        calls = {"_compute_K": 0, "_lefschetz_product": 0, "charpoly": 0}
         for name in calls:
             original = getattr(cut, name)
 
@@ -872,6 +872,6 @@ class TestVerifyMainTheorem:
             monkeypatch.setattr(cut, name, counted)
         cs, cn = build()
         report = verify_main_theorem(cs, cn)
-        assert calls == {"compute_K": 1, "zeta_lefschetz": 1}
+        assert calls == {"_compute_K": 1, "_lefschetz_product": 1, "charpoly": len(cs.phi)}
         assert report.product_identity
         assert frac_equal(report.product_route.raw, tau_via_products(cs).raw)

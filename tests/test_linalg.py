@@ -7,23 +7,21 @@ from hypothesis import strategies as st
 import torsionlab.linalg as linalg
 from torsionlab.errors import PreconditionError
 from torsionlab.linalg import (
+    _back_substitute,
     _eliminate,
     _int_div,
     bareiss_det,
     charpoly,
     int_det,
+    mat_apply,
     mat_mul,
     mat_transpose,
     poly_rank_pivots,
-    rf_det,
-    rf_kernel,
-    rf_matrix,
-    rf_solve,
 )
 from torsionlab.rings import RationalFunction, TPolynomial, exact_div
 
 from conftest import R0, R1, R2, RINGS, mono, tpoly, tpolynomials
-from oracles import SympyView, random_return_map, scaled_solve, seeded
+from oracles import SympyView, random_return_map, rf_det, scaled_solve, seeded
 
 
 def ints_to_poly(ring, M):
@@ -192,55 +190,76 @@ class TestScaledSolve:
         assert mat_mul(A, Y, zero, cols=k) == [[d * b for b in row] for row in B]
 
 
-class TestFractionField:
-    def test_rf_det_clears_denominators(self):
+def kernel(ring, M, cols):
+    """(pivots, one back-substituted kernel vector per free column) of M,
+    from one elimination."""
+    W = [list(row) for row in M]
+    pivots, _ = _eliminate(W, exact_div, TPolynomial.one(ring))
+    free = [f for f in range(cols) if f not in pivots]
+    return pivots, [_back_substitute(ring, W, pivots, cols, f) for f in free]
+
+
+def solve(ring, A, b):
+    """(x, s) with A x = s b and s nonzero, from one elimination of
+    [A | b] and a back-substitution from the b column; None when the b
+    column is a pivot, which makes the system inconsistent."""
+    n = len(A[0])
+    W = [list(row) + [e] for row, e in zip(A, b)]
+    pivots, _ = _eliminate(W, exact_div, TPolynomial.one(ring))
+    if n in pivots:
+        return None
+    v = _back_substitute(ring, W, pivots, n + 1, n)
+    return v[:n], -v[n]
+
+
+class TestBackSubstitution:
+    def test_solve_square(self):
+        t = TPolynomial.t(R0)
+        one = TPolynomial.one(R0)
+        A = [[1 - t, t], [t, one]]
+        b = [1 - t + t**2, t]
+        x, s = solve(R0, A, b)
+        assert s
+        assert mat_apply(A, x, TPolynomial.zero(R0)) == [s * e for e in b]
+
+    def test_solve_inconsistent(self):
+        one = TPolynomial.one(R0)
+        assert solve(R0, [[one], [one]], [one, one + one]) is None
+
+    def test_solve_underdetermined(self):
+        one = TPolynomial.one(R0)
+        (x0, x1), s = solve(R0, [[one, one]], [one])
+        # the free column stays zero
+        assert x0 == s and not x1
+
+    def test_kernel(self):
+        t = TPolynomial.t(R0)
+        A = [[1 - t, 1 - t]]
+        pivots, basis = kernel(R0, A, 2)
+        assert pivots == [0] and len(basis) == 1
+        v = basis[0]
+        assert v[1] and not any(mat_apply(A, v, TPolynomial.zero(R0)))
+
+    def test_kernel_trivial(self):
+        t = TPolynomial.t(R0)
+        assert kernel(R0, [[1 - t]], 1) == ([0], [])
+
+    def test_zero_column_is_a_unit_vector(self):
+        t = TPolynomial.t(R0)
+        zero, one = TPolynomial.zero(R0), TPolynomial.one(R0)
+        _, basis = kernel(R0, [[1 - t, zero, 2 + t], [t, zero, one]], 3)
+        assert basis == [[zero, one, zero]]
+
+    def test_content_divided_out(self):
+        t = TPolynomial.t(R0)
+        _, (v,) = kernel(R0, [[2 + 2 * t, 4 * t]], 2)
+        assert v == [-2 * t, 1 + t]
+
+    def test_rf_det_oracle_clears_denominators(self):
         t = TPolynomial.t(R0)
         half = RationalFunction(TPolynomial.one(R0), 1 - t)
         one = RationalFunction.one(R0)
-        M = [[half, one], [one, half]]
-        d = rf_det(R0, M)
-        lhs = half * half - one
-        assert d == lhs
-
-    def test_rf_solve_square(self):
-        t = TPolynomial.t(R0)
-        A = rf_matrix([[1 - t, t], [t, TPolynomial.one(R0)]])
-        b = [RationalFunction(1 - t + t**2), RationalFunction(t)]
-        x = rf_solve(R0, A, b)
-        assert x is not None
-        for i in range(2):
-            acc = RationalFunction.zero(R0)
-            for j in range(2):
-                acc = acc + A[i][j] * x[j]
-            assert acc == b[i]
-
-    def test_rf_solve_inconsistent(self):
-        one = RationalFunction.one(R0)
-        A = [[one], [one]]
-        b = [one, one + one]
-        assert rf_solve(R0, A, b) is None
-
-    def test_rf_solve_underdetermined(self):
-        one = RationalFunction.one(R0)
-        zero = RationalFunction.zero(R0)
-        A = [[one, one]]
-        x = rf_solve(R0, A, [one])
-        assert x is not None
-        assert x[0] + x[1] == one
-
-    def test_rf_kernel(self):
-        t = TPolynomial.t(R0)
-        A = rf_matrix([[1 - t, 1 - t]])
-        basis = rf_kernel(R0, A)
-        assert len(basis) == 1
-        v = basis[0]
-        acc = A[0][0] * v[0] + A[0][1] * v[1]
-        assert acc.is_zero
-
-    def test_rf_kernel_trivial(self):
-        t = TPolynomial.t(R0)
-        A = rf_matrix([[1 - t]])
-        assert rf_kernel(R0, A) == []
+        assert rf_det(R0, [[half, one], [one, half]]) == half * half - one
 
 
 class TestShapes:
@@ -353,6 +372,91 @@ def test_sympy_scaled_solve(sympy, ring):
             continue
         expected = sA.adjugate(method="berkowitz") * view.matrix(B)
         assert view.matrix(Y).applyfunc(sympy.expand) == expected.applyfunc(sympy.expand)
+
+
+def shifted_field_matrix(view, M, ring):
+    """M over sympy's fraction field, each row times one monomial so that
+    no exponent is negative; row scaling keeps the kernel and the rank."""
+    from sympy.polys.matrices import DomainMatrix
+
+    shift = TPolynomial.monomial(ring, t_exp=1, v=(1,) * ring.num_group_vars)
+    return DomainMatrix.from_Matrix(view.matrix([[e * shift for e in row] for row in M])).to_field()
+
+
+def seeded_system(rng, ring, rows, cols):
+    """A product through a smaller inner dimension, so rank often drops,
+    sometimes with a zero column."""
+    zero = TPolynomial.zero(ring)
+    inner = rng.randint(0, min(rows, cols))
+    M = mat_mul(random_matrix(rng, ring, rows, inner), random_matrix(rng, ring, inner, cols), zero, cols=cols)
+    if rng.random() < 0.3:
+        j = rng.randrange(cols)
+        for row in M:
+            row[j] = zero
+    return M
+
+
+@BOTH_RINGS
+def test_sympy_kernel(sympy, ring):
+    view = SympyView(sympy, ring)
+    rng = random.Random(15)
+    zero, one = TPolynomial.zero(ring), TPolynomial.one(ring)
+    for _ in range(14):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 5)
+        M = seeded_system(rng, ring, rows, cols)
+        pivots, basis = kernel(ring, M, cols)
+        exact = shifted_field_matrix(view, M, ring)
+        assert len(basis) == cols - exact.rank()
+        # sympy's nullspace rows come in free-column order, each zero at
+        # the other free columns, so each vector is a multiple of one row
+        expected = exact.nullspace().to_list()
+        free = [f for f in range(cols) if f not in pivots]
+        assert len(expected) == len(basis)
+        field = exact.domain
+        for f, v, n in zip(free, basis, expected):
+            assert not any(mat_apply(M, v, zero))
+            assert v[f]
+            w = [field.from_sympy(view.expr(vi)) for vi in v]
+            assert all(wi * n[f] == w[f] * ni for wi, ni in zip(w, n))
+            if all(not row[f] for row in M):
+                assert v == [one if k == f else zero for k in range(cols)]
+
+
+@BOTH_RINGS
+def test_sympy_solve(sympy, ring):
+    view = SympyView(sympy, ring)
+    rng = random.Random(16)
+    zero = TPolynomial.zero(ring)
+    consistent = 0
+    for trial in range(14):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        A = seeded_system(rng, ring, rows, cols)
+        if trial % 2:
+            y = [random_poly(rng, ring, 0) for _ in range(cols)]
+            b = mat_apply(A, y, zero)
+        else:
+            b = [random_poly(rng, ring, 0) for _ in range(rows)]
+        got = solve(ring, A, b)
+        augmented = [list(row) + [e] for row, e in zip(A, b)]
+        exact = shifted_field_matrix(view, augmented, ring)
+        R, exact_pivots = exact.rref()
+        if cols in exact_pivots:
+            assert got is None
+            continue
+        consistent += 1
+        x, s = got
+        assert s
+        assert mat_apply(A, x, zero) == [s * e for e in b]
+        # the solution with every free column zero, as sympy's rref reads it
+        field = exact.domain
+        R = R.to_list()
+        particular = [field.zero] * cols
+        for i, c in enumerate(exact_pivots):
+            particular[c] = R[i][cols]
+        s = field.from_sympy(view.expr(s))
+        for xi, pi in zip(x, particular):
+            assert field.from_sympy(view.expr(xi)) == s * pi
+    assert consistent >= 7
 
 
 # ---- lazy row scaling: the kernel against plain Bareiss ----
