@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from .errors import PreconditionError
 from .linalg import (
     _back_substitute,
-    _clear_row_denominators,
     _eliminate,
     bareiss_det,
     mat_apply,
@@ -22,6 +21,7 @@ from .linalg import (
 from .rings import (
     RationalFunction,
     TPolynomial,
+    _unit_inverse,
     canonical_mod_units,
     exact_div,
     unit_equivalent,
@@ -133,50 +133,87 @@ class TorsionValue:
     canonical: RationalFunction
 
 
-def _torsion_engine(ring, min_degree, dims, matrices, row_factors):
-    """Torsion of an acyclic based complex from its boundary matrices.
+def _product(one, factors):
+    """The product of polynomials; a factor equal to 1 costs no ring product."""
+    out = None
+    for f in factors:
+        if f != 1:
+            out = f if out is None else out * f
+    return one if out is None else out
 
-    matrices[j] has polynomial entries and shape dims[j] x dims[j+1].
-    row_factors is None, or per matrix the polynomial each row was
-    multiplied by to clear its denominators; each minor is divided by
-    the factors of the rows it keeps.  Returns None when the complex
-    fails to be acyclic.
 
-    Each boundary runs one fraction-free elimination on its rows outside
-    the previous chain, and its pivot columns are the next chain.
-    Restricted to those columns the elimination is Bareiss on that
-    square: an update of a pivot column reads only pivot columns, and
-    every row swap is decided in a pivot column.  The kernel's pivot rows
-    are Bareiss's even where it scales rows lazily, so the last pivot,
-    times the row-swap sign, is the square's determinant, which is the
-    minor the tau-chain formula takes.
+def _clear_row_denominators(ring, M):
+    """Rows of polynomials and fractions as polynomial rows; returns the
+    cleared rows and the polynomial each row was multiplied by.
+
+    A polynomial entry has denominator 1.  A row's factor is the product
+    of its entries' denominators, and a row without fractions is kept as
+    it is, with the factor 1, at no ring product.
     """
     one = TPolynomial.one(ring)
-    num = den = one
+    cleared, factors = [], []
+    for row in M:
+        dens = [e.den for e in row if isinstance(e, RationalFunction)]
+        factor = _product(one, dens)
+        if factor == 1:
+            row = [e.num if isinstance(e, RationalFunction) else e for e in row]
+        else:
+            row = [
+                e.num * exact_div(factor, e.den) if isinstance(e, RationalFunction) else e * factor
+                for e in row
+            ]
+        cleared.append(row)
+        factors.append(factor)
+    return cleared, factors
+
+
+def _torsion_value(ring, first_degree, pairs):
+    """The torsion from one polynomial pair (a, b) per degree, the first
+    in first_degree: a / b enters in odd degrees and b / a in even ones,
+    and the two products form one fraction."""
+    num = den = TPolynomial.one(ring)
+    for degree, (a, b) in enumerate(pairs, first_degree):
+        if degree % 2:
+            num, den = num * a, den * b
+        else:
+            num, den = num * b, den * a
+    result = RationalFunction(num, den)
+    return TorsionValue(result, canonical_mod_units(result))
+
+
+def _torsion_engine(ring, min_degree, dims, matrices):
+    """Torsion of an acyclic based complex from its boundary matrices.
+
+    matrices[j] has polynomial or fraction entries and shape dims[j] x
+    dims[j+1].  Returns None when the complex fails to be acyclic.
+
+    Each boundary runs one fraction-free elimination on its rows outside
+    the previous chain, cleared of denominators, and its pivot columns
+    are the next chain.  Restricted to those columns the elimination is
+    Bareiss on that square: an update of a pivot column reads only pivot
+    columns, and every row swap is decided in a pivot column.  The
+    kernel's pivot rows are Bareiss's even where it scales rows lazily,
+    so the last pivot, times the row-swap sign, is the square's
+    determinant.  Divided by the factors that cleared the kept rows, it
+    is the minor the tau-chain formula takes.
+    """
+    one = TPolynomial.one(ring)
+    pairs = []
     chain = []
     for j in range(1, len(dims)):
         in_chain = set(chain)
-        kept = [r for r in range(dims[j - 1]) if r not in in_chain]
-        need = len(kept)
-        W = [list(matrices[j - 1][r]) for r in kept]
+        kept = [row for r, row in enumerate(matrices[j - 1]) if r not in in_chain]
+        W, factors = _clear_row_denominators(ring, kept)
         chain, sign = _eliminate(W, exact_div, one)
-        if len(chain) < need:
+        if len(chain) < len(W):
             return None
-        minor = W[-1][chain[-1]] if need else one
+        minor = W[-1][chain[-1]] if W else one
         if sign < 0:
             minor = -minor
-        cleared = one
-        if row_factors is not None:
-            for r in kept:
-                cleared = cleared * row_factors[j - 1][r]
-        if (min_degree + j) % 2:
-            num, den = num * cleared, den * minor
-        else:
-            num, den = num * minor, den * cleared
+        pairs.append((_product(one, factors), minor))
     if dims and dims[-1] != len(chain):
         return None
-    result = RationalFunction(num, den)
-    return TorsionValue(result, canonical_mod_units(result))
+    return _torsion_value(ring, min_degree + 1, pairs)
 
 
 def torsion_tau(C):
@@ -184,7 +221,7 @@ def torsion_tau(C):
     report = validate_complex(C)
     if report:
         raise PreconditionError("; ".join(report))
-    return _torsion_engine(C.ring, C.min_degree, C.dims, C.boundaries, None)
+    return _torsion_engine(C.ring, C.min_degree, C.dims, C.boundaries)
 
 
 class HomologyBasis:
@@ -193,21 +230,9 @@ class HomologyBasis:
     __slots__ = ("ring", "vectors")
 
     def __init__(self, ring, vectors):
-        wrapped = []
-        for group in vectors:
-            rows = []
-            for vec in group:
-                rows.append(
-                    [
-                        entry
-                        if isinstance(entry, RationalFunction)
-                        else RationalFunction(entry)
-                        for entry in vec
-                    ]
-                )
-            wrapped.append(rows)
+        # entries stay as given: polynomials, fractions, or a mix
         self.ring = ring
-        self.vectors = wrapped
+        self.vectors = [[list(vec) for vec in group] for group in vectors]
 
     def counts(self):
         return [len(group) for group in self.vectors]
@@ -260,7 +285,8 @@ def _tau_hat_pieces(C, h, pivots):
     """Per-degree transition determinants for the homology-weighted torsion.
 
     Each homology vector is cleared of denominators by one factor, so a
-    piece is the polynomial determinant over the product of the factors.
+    piece is a pair: the polynomial determinant and the product of the
+    factors it is to be divided by.
     """
     ring = C.ring
     ranks = _homology_ranks(C, pivots)
@@ -282,7 +308,7 @@ def _tau_hat_pieces(C, h, pivots):
         if mat_in is not None:
             for c in pivots[j]:
                 cols.append([mat_in[r][c] for r in range(d)])
-        den = one
+        factors = []
         for vec in h.vectors[j]:
             if len(vec) != d:
                 raise PreconditionError(
@@ -294,7 +320,7 @@ def _tau_hat_pieces(C, h, pivots):
                     "homology vector is not a cycle at degree %d" % (C.min_degree + j)
                 )
             cols.append(cleared)
-            den = den * factor
+            factors.append(factor)
         if mat_out is not None:
             for k in pivots[j - 1]:
                 vec = [zero] * d
@@ -305,7 +331,7 @@ def _tau_hat_pieces(C, h, pivots):
                 "transition matrix at degree %d is not square" % (C.min_degree + j)
             )
         T = [[cols[c][r] for c in range(d)] for r in range(d)]
-        pieces.append(RationalFunction(bareiss_det(ring, T), den))
+        pieces.append((bareiss_det(ring, T), _product(one, factors)))
     return pieces
 
 
@@ -318,17 +344,30 @@ def torsion_tau_hat(C, h=None):
     if h is None:
         h = _default_homology_basis(C, pivots, echelons)
     pieces = _tau_hat_pieces(C, h, pivots)
-    result = RationalFunction.one(C.ring)
-    for j, det in enumerate(pieces):
-        if det.is_zero:
+    for j, (det, _) in enumerate(pieces):
+        if not det:
             raise PreconditionError(
                 "homology basis does not span at degree %d" % (C.min_degree + j)
             )
-        if (C.min_degree + j) % 2:
-            result = result * det
-        else:
-            result = result * det.inverse()
-    return TorsionValue(result, canonical_mod_units(result))
+    return _torsion_value(C.ring, C.min_degree, pieces)
+
+
+def _rescaled(C, units):
+    """C with generators rescaled by monomial units.
+
+    units maps (degree index, generator) to a +-1 monomial u: the
+    generator's column in the boundary into its degree is multiplied by
+    u, and its row in the boundary out of it by u^-1.
+    """
+    boundaries = [[list(row) for row in mat] for mat in C.boundaries]
+    for (j, index), u in units.items():
+        if j >= 1:
+            for row in boundaries[j - 1]:
+                row[index] = row[index] * u
+        if j < len(boundaries):
+            u_inv = _unit_inverse(u)
+            boundaries[j][index] = [entry * u_inv for entry in boundaries[j][index]]
+    return BasedChainComplex(C.ring, C.min_degree, C.dims, boundaries, C.labels)
 
 
 def rebase_basis(C, degree, index, u):
@@ -336,23 +375,9 @@ def rebase_basis(C, degree, index, u):
     j = C.degree_index(degree)
     if not 0 <= index < C.dims[j]:
         raise PreconditionError("basis index out of range")
-    parts = u.unit_parts() if isinstance(u, TPolynomial) else None
-    if parts is None or parts[0] not in (1, -1):
+    if not (isinstance(u, TPolynomial) and u.unit_parts()):
         raise PreconditionError("rebasing factor must be a monomial unit")
-    coeff, t_exp, v_exps = parts
-    u_inv = TPolynomial.monomial(
-        C.ring, t_exp=-t_exp, v=tuple(-e for e in v_exps), coeff=coeff
-    )
-    boundaries = [[list(row) for row in mat] for mat in C.boundaries]
-    if j >= 1:
-        mat = boundaries[j - 1]
-        for r in range(C.dims[j - 1]):
-            mat[r][index] = mat[r][index] * u
-    if j < len(C.dims) - 1:
-        mat = boundaries[j]
-        for c in range(C.dims[j + 1]):
-            mat[index][c] = mat[index][c] * u_inv
-    return BasedChainComplex(C.ring, C.min_degree, C.dims, boundaries, C.labels)
+    return _rescaled(C, {(j, index): u})
 
 
 class ShortExactSequence:
@@ -495,10 +520,7 @@ def product_formula_check(ses, h_sub=None, h_total=None, h_quot=None):
     tau_quot = torsion_tau_hat(ses.quotient, h_quot)
     ring = ses.total.ring
     dims, matrices = _connecting_sequence(ses, h_sub, h_total, h_quot)
-    cleared = [_clear_row_denominators(ring, mat) for mat in matrices]
-    tau_les = _torsion_engine(
-        ring, 0, dims, [mat for mat, _ in cleared], [f for _, f in cleared]
-    )
+    tau_les = _torsion_engine(ring, 0, dims, matrices)
     if tau_les is None:
         return False
     product = tau_sub.raw * tau_quot.raw * tau_les.raw

@@ -21,7 +21,7 @@ from .complexes import (
     validate_complex,
 )
 from .errors import PreconditionError
-from .linalg import _clear_row_denominators, charpoly, mat_mul
+from .linalg import charpoly, mat_mul
 from .novikov import apply_lift, invariant_I, tau_novikov
 from .rings import (
     NovikovTruncation,
@@ -251,8 +251,8 @@ def tau_via_products(cs):
     """Torsion of the glued complex through the degreewise factorization.
 
     The critical complex with boundaries K goes through the same torsion
-    engine as direct torsion, each K's rows cleared of denominators
-    first, and is then weighted by the alternating product of
+    engine as direct torsion, which clears the fraction rows it keeps,
+    and is then weighted by the alternating product of
     det(1 - t phi_i), which is the counting function zeta_lefschetz
     returns.  A split that exists dimensionally but meets only singular
     blocks yields the zero value.
@@ -275,10 +275,7 @@ def _tau_via_products(cs, K, zeta):
             raise PreconditionError("critical ranks admit no square splitting")
     if carried != crit[-1]:
         raise PreconditionError("critical ranks admit no square splitting")
-    cleared = [_clear_row_denominators(ring, block) for block in K]
-    engine = _torsion_engine(
-        ring, 0, crit, [block for block, _ in cleared], [f for _, f in cleared]
-    )
+    engine = _torsion_engine(ring, 0, crit, K)
     if engine is None:
         z = RationalFunction.zero(ring)
         return TorsionValue(z, z)

@@ -247,20 +247,3 @@ def charpoly(A):
             for k in range(r + 2)
         ]
     return p
-
-
-def _clear_row_denominators(ring, M):
-    """Scale each row to polynomial entries; return (poly matrix, row factors)."""
-    cleared = []
-    factors = []
-    for row in M:
-        factor = TPolynomial.one(ring)
-        for entry in row:
-            factor = factor * entry.den
-        new_row = []
-        for entry in row:
-            scale = exact_div(factor, entry.den)
-            new_row.append(entry.num * scale)
-        cleared.append(new_row)
-        factors.append(factor)
-    return cleared, factors

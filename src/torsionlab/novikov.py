@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from .complexes import (
     BasedChainComplex,
     TorsionValue,
+    _rescaled,
     homology_ranks,
     torsion_tau,
 )
@@ -80,7 +81,7 @@ def apply_lift(C, xi, min_degree):
     """
     if xi is None:
         return C
-    scales = [[None] * d for d in C.dims]
+    units = {}
     for j, group in enumerate(xi.offsets):
         for index, u in enumerate(group):
             if u == 1:
@@ -88,26 +89,8 @@ def apply_lift(C, xi, min_degree):
             k = C.degree_index(min_degree + j)
             if index >= C.dims[k]:
                 raise PreconditionError("basis index out of range")
-            coeff, t_exp, v_exps = u.unit_parts()
-            u_inv = TPolynomial.monomial(
-                C.ring, t_exp=-t_exp, v=tuple(-e for e in v_exps), coeff=coeff
-            )
-            scales[k][index] = (u, u_inv)
-    boundaries = []
-    for j, mat in enumerate(C.boundaries):
-        rows, cols = scales[j], scales[j + 1]
-        moved = []
-        for r, row in enumerate(mat):
-            out = []
-            for c, entry in enumerate(row):
-                if cols[c] is not None:
-                    entry = entry * cols[c][0]
-                if rows[r] is not None:
-                    entry = entry * rows[r][1]
-                out.append(entry)
-            moved.append(out)
-        boundaries.append(moved)
-    return BasedChainComplex(C.ring, C.min_degree, C.dims, boundaries, C.labels)
+            units[k, index] = u
+    return _rescaled(C, units)
 
 
 def _lifted(cn, xi):

@@ -31,7 +31,7 @@ keys is the monomial order everywhere, lexicographic with the t-exponent
 most significant and then the V-exponents in declaration order, and the
 key of a product of monomials is the sum of their keys.  Keys are unpacked
 to (t_exp, v_exps) only at the public surface: the terms view, coefficient
-and lex_*_key queries, and formatting.
+queries, unit_parts and formatting.
 
 All values are treated as immutable after construction; every operation
 returns a fresh object.
@@ -312,16 +312,6 @@ class TPolynomial:
             return 0
         return self.ring._split(min(self._terms))[0]
 
-    def lex_min_key(self):
-        if not self._terms:
-            raise PreconditionError("zero polynomial has no lexicographically least term")
-        return self.ring.unpack(min(self._terms))
-
-    def lex_max_key(self):
-        if not self._terms:
-            raise PreconditionError("zero polynomial has no lexicographically greatest term")
-        return self.ring.unpack(max(self._terms))
-
     def is_t_free(self) -> bool:
         top = self.ring._top_key(0)
         return all(-top <= k <= top for k in self._terms)
@@ -439,6 +429,13 @@ def _from_t_coefficients(ring, coeffs):
         c = c._terms if isinstance(c, TPolynomial) else {0: c} if c else {}
         terms.update((key + ring.pack(k), a) for key, a in c.items())
     return TPolynomial._trusted(ring, terms)
+
+
+def _unit_inverse(u):
+    """u^-1 for a +-1 monomial u: the same sign on the negated key.  Packing
+    is linear with balanced digits, so the negated key stays in range."""
+    (key, sign), = u._terms.items()
+    return TPolynomial._trusted(u.ring, {-key: sign})
 
 
 def _times_key(p, key, coeff=1):

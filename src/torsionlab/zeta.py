@@ -212,15 +212,15 @@ def zeta_trace(ring, maps, order):
     zeta = exp(sum_m L(phi^m) t^m / m) with the Lefschetz numbers
     L(phi^m) = sum_i (-1)^i tr(phi_i^m) (Milnor, Infinite cyclic
     coverings, 1968; Fried, Homological identities for closed orbits,
-    1983).  The integers L(phi^m) are the power sums of the exponential's
+    1983).  The L(phi^m) are the power sums of the exponential's
     recurrence n*z_n = sum_{m=1..n} L(phi^m) z_{n-m}, whose divisions by
-    n are exact whenever the result is integral.
+    n are exact whenever the result is integral.  Over Z[V] the maps
+    are twisted, L(phi^m) is a t-free ring element, and its terms are
+    the V-slice of the power sum at t-degree m.
     """
     if order < 0:
         raise PreconditionError("truncation order must be nonnegative")
     maps = _plain_maps(ring, maps)
-    if any(isinstance(e, TPolynomial) for A in maps for row in A for e in row):
-        raise PreconditionError("return maps must be integer matrices")
     origin = ring.pack(0)
     sums = {}
     powers = maps
@@ -231,7 +231,7 @@ def zeta_trace(ring, maps, order):
         for i, P in enumerate(powers):
             trace = sum(P[k][k] for k in range(len(P)))
             lefschetz += trace if i % 2 == 0 else -trace
-        sums[m] = {origin: lefschetz}
+        sums[m] = lefschetz._terms if isinstance(lefschetz, TPolynomial) else {origin: lefschetz}
     result = _exp_power_sums(ring, order, sums)
     if not result.is_integral():
         raise ArithmeticError("trace exponential left the integral lattice")

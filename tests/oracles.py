@@ -9,9 +9,9 @@ without trusting it twice.
 
 import random
 
-from torsionlab.complexes import BasedChainComplex, ShortExactSequence
+from torsionlab.complexes import BasedChainComplex, ShortExactSequence, _clear_row_denominators
 from torsionlab.errors import PreconditionError
-from torsionlab.linalg import _clear_row_denominators, _eliminate, bareiss_det
+from torsionlab.linalg import _eliminate, bareiss_det
 from torsionlab.rings import RationalFunction, TPolynomial, exact_div
 
 

@@ -145,7 +145,6 @@ class TestTorsionEngine:
 
     def test_fraction_rows_divide_only_kept_factors(self):
         from torsionlab.complexes import _torsion_engine
-        from torsionlab.linalg import _clear_row_denominators
 
         # d1 = [p, q] puts column 0 in the chain, so d2 = [-q/r, p/r]^T
         # keeps only its row 1 and the torsion is (p/r) / p = 1/r
@@ -153,11 +152,50 @@ class TestTorsionEngine:
         p, q, r = 1 + t, 2 + t**2, 1 - t
         d1 = [[RationalFunction(p), RationalFunction(q)]]
         d2 = [[RationalFunction(-q, r)], [RationalFunction(p, r)]]
-        cleared = [_clear_row_denominators(R0, m) for m in (d1, d2)]
-        value = _torsion_engine(
-            R0, 0, [1, 2, 1], [m for m, _ in cleared], [f for _, f in cleared]
-        )
+        value = _torsion_engine(R0, 0, [1, 2, 1], [d1, d2])
         assert frac_equal(value.raw, RationalFunction(TPolynomial.one(R0), r))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fraction_matrices_go_in_directly(self, seed, monkeypatch):
+        import torsionlab.rings as rings
+        from torsionlab.complexes import _torsion_engine
+
+        rng = oracles.seeded(6100 + seed)
+        ring = R1 if seed % 2 else R0
+        _, C = oracles.random_acyclic_complex(rng, ring)
+        expected = torsion_tau(C)
+        mats = [[[RationalFunction(e) for e in row] for row in mat] for mat in C.boundaries]
+        products = []
+        real = rings._mul_terms
+
+        def counted(x, y, cap=None):
+            products.append(1)
+            return real(x, y, cap)
+
+        # fractions with denominator 1 cost no clearing product, and give
+        # the polynomial engine's value pair for pair
+        monkeypatch.setattr(rings, "_mul_terms", counted)
+        _torsion_engine(ring, C.min_degree, C.dims, C.boundaries)
+        polynomial_products = len(products)
+        value = _torsion_engine(ring, C.min_degree, C.dims, mats)
+        assert len(products) == 2 * polynomial_products
+        monkeypatch.undo()
+        assert (value.raw.num, value.raw.den) == (expected.raw.num, expected.raw.den)
+        # a generator divided by a fraction f scales its column by f and
+        # its row by 1/f, and the torsion by f^(+-1) as a unit would
+        j = rng.choice([k for k, d in enumerate(C.dims) if d])
+        index = rng.randrange(C.dims[j])
+        f = RationalFunction(
+            oracles.random_poly(rng, ring, nonzero=True), oracles.random_poly(rng, ring, nonzero=True)
+        )
+        if j >= 1:
+            for row in mats[j - 1]:
+                row[index] = row[index] * f
+        if j < len(mats):
+            mats[j][index] = [e / f for e in mats[j][index]]
+        value = _torsion_engine(ring, C.min_degree, C.dims, mats)
+        scale = f if (C.min_degree + j) % 2 == 0 else f.inverse()
+        assert frac_equal(value.raw, expected.raw * scale)
 
     def test_one_elimination_per_boundary(self, monkeypatch):
         import torsionlab.complexes as complexes
@@ -259,20 +297,21 @@ class TestTauHat:
         rng = oracles.seeded(170 + seed)
         C = oracles.random_valid_complex(rng, R1 if seed % 2 else R0, max_len=4)
         assert any(homology_ranks(C))
-        expected = torsion_tau_hat(C)
+        # the pieces multiplied in the fraction field, odd degrees up
+        pieces = _tau_hat_pieces(C, default_homology_basis(C), _boundary_pivots(C)[0])
+        expected = RationalFunction.one(C.ring)
+        for j, (det, factor) in enumerate(pieces):
+            piece = RationalFunction(det, factor)
+            expected = expected * (piece if (C.min_degree + j) % 2 else piece.inverse())
 
         def refused(*args):
             raise AssertionError("fraction-field arithmetic on the homology path")
 
-        monkeypatch.setattr(RationalFunction, "__add__", refused)
-        monkeypatch.setattr(RationalFunction, "inverse", refused)
-        h = default_homology_basis(C)
-        pieces = _tau_hat_pieces(C, h, _boundary_pivots(C)[0])
+        for name in ("__add__", "__radd__", "__mul__", "__rmul__", "inverse"):
+            monkeypatch.setattr(RationalFunction, name, refused)
+        value = torsion_tau_hat(C)
         monkeypatch.undo()
-        value = RationalFunction.one(C.ring)
-        for j, det in enumerate(pieces):
-            value = value * (det if (C.min_degree + j) % 2 else det.inverse())
-        assert frac_equal(value, expected.raw)
+        assert frac_equal(value.raw, expected)
 
     def test_huge_exponent_finishes(self):
         from time import perf_counter

@@ -305,6 +305,34 @@ class TestCommandContract:
         )
         assert trace_out.splitlines() == lef_out.splitlines()[1:]
 
+    def test_zeta_trace_over_the_group_ring(self, capsys, tmp_path):
+        # the cat map lifted to one group variable, phi_0 = [[v]] and
+        # phi_1 = [[2v, 1], [1, v^-1]]: the trace form takes Z[V] maps
+        # (it refused them with exit 4 before) and meets the determinant form
+        def entry(c, e):
+            return [{"c": c, "t": 0, "v": [e]}]
+
+        data = load_data("catmap_returnmaps.json")
+        data["ring"]["group_vars"] = ["v"]
+        data["phi"] = [
+            [[entry(1, 1)]],
+            [[entry(2, 1), entry(1, 0)], [entry(1, 0), entry(1, -1)]],
+            [[entry(1, 0)]],
+        ]
+        path = tmp_path / "catmap_lifted_returnmaps.json"
+        path.write_text(json.dumps(data), encoding="ascii")
+        code, trace_out, err = invoke(
+            capsys, "zeta", "--method", "trace", "--fixture", str(path), "--order", "4"
+        )
+        assert (code, err) == (0, "")
+        _, lef_out, _ = invoke(
+            capsys, "zeta", "--method", "lefschetz", "--fixture", str(path), "--order", "4"
+        )
+        assert lef_out.splitlines()[0] == (
+            "zeta: (1 - t*v^-1 - 2*t*v + t^2) / (1 - t - t*v + t^2*v)"
+        )
+        assert trace_out.splitlines() == lef_out.splitlines()[1:]
+
     def test_zeta_product_orbits(self, capsys):
         code, out, _ = invoke(
             capsys,
@@ -338,6 +366,16 @@ class TestCommandContract:
         )
         assert code == 0
         assert out == "K == CN boundary through t^4: OK\n"
+
+    def test_check_k_names_the_capped_order(self, capsys):
+        # the counting boundary is known through t^8 only, so an order of
+        # 12 compares, and reports, through t^8
+        code, out, _ = invoke(
+            capsys,
+            "check-k", "--fixture", fix("stabilized_pair.json"), "--order", "12",
+        )
+        assert code == 0
+        assert out == "K == CN boundary through t^8: OK\n"
 
     def test_order_below_transfer_degree(self, capsys, tmp_path):
         # N = 0 and CN boundary -t: the transfer entry K = -t starts at t^1,

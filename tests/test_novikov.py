@@ -153,6 +153,23 @@ class TestApplyLift:
         assert lifted.boundaries == expected.boundaries
         assert lifted.dims == C.dims and lifted.min_degree == C.min_degree
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_one_offset_is_one_rebase(self, seed):
+        rng = oracles.seeded(950 + seed)
+        ring = R1 if seed % 2 else R0
+        C = oracles.random_valid_complex(rng, ring, min_degree=rng.randint(-1, 1), length=3)
+        j = rng.choice([k for k, d in enumerate(C.dims) if d])
+        index = rng.randrange(C.dims[j])
+        u = oracles.random_unit(rng, ring, t_span=2, v_span=2)
+        u = u * u.unit_parts()[0]  # lift offsets carry the sign +1
+        offsets = [[TPolynomial.one(ring)] * d for d in C.dims]
+        offsets[j][index] = u
+        lifted = apply_lift(C, EulerLift(ring, offsets), C.min_degree)
+        expected = rebase_basis(C, C.min_degree + j, index, u)
+        assert [[[e.terms for e in row] for row in mat] for mat in lifted.boundaries] == [
+            [[e.terms for e in row] for row in mat] for mat in expected.boundaries
+        ]
+
     def test_no_lift_keeps_the_complex(self):
         C = circle_cn()
         assert apply_lift(C, None, 0) is C

@@ -1,6 +1,6 @@
 import pytest
 from fractions import Fraction
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import torsionlab.rings as rings
@@ -206,7 +206,7 @@ class TestPackedKeys:
         assert len(set(keys)) == len(keys)
         p = TPolynomial(ring, {m: 1 for m in monomials})
         assert p.terms == {m: 1 for m in monomials}
-        assert p.lex_min_key() == monomials[0] and p.lex_max_key() == monomials[-1]
+        assert min(p.terms) == monomials[0] and max(p.terms) == monomials[-1]
 
     def test_t_exponent_is_unbounded(self):
         p = TPolynomial.monomial(R1, t_exp=-(2**70), v=(self.EDGE,))
@@ -290,6 +290,21 @@ class TestPackedKeys:
         kx, ky = ring.pack(*x), ring.pack(*y)
         assert ring.unpack(kx) == x and ring.unpack(ky) == y
         assert (kx < ky) == (x < y) and (kx == ky) == (x == y)
+
+    @example(ring=R1, t_exp=-3, v=[HALF - 1, 0], sign=-1)
+    @example(ring=R2, t_exp=2**40, v=[1 - HALF, HALF - 1], sign=1)
+    @given(
+        ring=st.sampled_from(RINGS),
+        t_exp=st.integers(-(2**40), 2**40),
+        v=st.lists(st.integers(1 - HALF, HALF - 1), min_size=2, max_size=2),
+        sign=st.sampled_from([1, -1]),
+    )
+    def test_unit_inverse_cancels(self, ring, t_exp, v, sign):
+        v = tuple(v[: ring.num_group_vars])
+        u = TPolynomial.monomial(ring, t_exp=t_exp, v=v, coeff=sign)
+        inverse = rings._unit_inverse(u)
+        assert inverse.terms == {(-t_exp, tuple(-e for e in v)): sign}
+        assert u * inverse == 1
 
 
 # ---- one-term operands against a tuple-keyed reference ----

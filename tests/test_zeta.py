@@ -23,7 +23,7 @@ from torsionlab.zeta import (
 )
 
 import oracles
-from conftest import R0, R1, RINGS
+from conftest import R0, R1, R2, RINGS
 
 
 CAT_MAP = [[2, 1], [1, 1]]
@@ -213,6 +213,29 @@ class TestMapForms:
             maps.append([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
         order = 12
         assert zeta_trace(R0, maps, order) == expand_series(zeta_lefschetz(R0, maps), order)
+
+
+def test_trace_over_the_group_ring_on_the_lifted_cat_map():
+    # the cat map scenario lifted to one group variable; at v = 1 it is
+    # the untwisted cat map
+    t, v, vinv = TPolynomial.t(R1), TPolynomial.var(R1, "v1"), TPolynomial.var(R1, "v1", -1)
+    maps = [[[v]], [[2 * v, 1], [1, vinv]], [[1]]]
+    z = zeta_lefschetz(R1, maps)
+    expected = RationalFunction(1 - t * vinv - 2 * t * v + t**2, 1 - t - t * v + t**2 * v)
+    assert frac_equal(z, expected)
+    assert zeta_trace(R1, maps, 10) == expand_series(z, 10)
+
+
+def test_trace_matches_lefschetz_over_two_group_variables():
+    # seeded graded maps mixing ints, constants and Z[V] entries
+    for seed in range(60):
+        rng = oracles.seeded(1400 + seed)
+        maps = [
+            oracles.random_return_map(rng, R2, rng.randint(0, 3))
+            for _ in range(rng.randint(1, 3))
+        ]
+        expected = expand_series(zeta_lefschetz(R2, maps), 8)
+        assert zeta_trace(R2, maps, 8) == expected, seed
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=["b0", "b1", "b2"])
