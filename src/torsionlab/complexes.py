@@ -31,7 +31,9 @@ from .rings import (
 class BasedChainComplex:
     """Finitely generated free complex with a distinguished basis per degree."""
 
-    __slots__ = ("ring", "min_degree", "dims", "boundaries", "labels")
+    # _pivots is kept by _boundary_pivots.  Nothing writes the boundaries after
+    # construction: __init__ copies the rows, and _rescaled builds a new complex.
+    __slots__ = ("ring", "min_degree", "dims", "boundaries", "labels", "_pivots")
 
     def __init__(self, ring, min_degree, dims, boundaries, labels=None):
         dims = list(dims)
@@ -68,6 +70,7 @@ class BasedChainComplex:
         self.dims = dims
         self.boundaries = checked
         self.labels = labels
+        self._pivots = None
 
     def degree_index(self, degree):
         j = degree - self.min_degree
@@ -103,25 +106,24 @@ def validate_complex(C):
 
 
 def _boundary_pivots(C):
-    """Each boundary matrix eliminated once: its pivot columns over the
-    fraction field, and the echelon rows _eliminate left."""
+    """Each boundary matrix eliminated once, on first use: its pivot columns
+    over the fraction field, and the echelon rows _eliminate left."""
+    if C._pivots is not None:
+        return C._pivots
     one = TPolynomial.one(C.ring)
     pivots, echelons = [], []
     for mat in C.boundaries:
         W = [list(row) for row in mat]
         pivots.append(_eliminate(W, exact_div, one)[0])
         echelons.append(W)
-    return pivots, echelons
+    C._pivots = (pivots, echelons)
+    return C._pivots
 
 
 def homology_ranks(C):
     """Betti numbers over the fraction field, bottom degree first."""
-    return _homology_ranks(C, _boundary_pivots(C)[0])
-
-
-def _homology_ranks(C, pivots):
     # rank of the boundary out of degree index j, then of the one into it
-    ranks = [0] + [len(p) for p in pivots] + [0]
+    ranks = [0] + [len(p) for p in _boundary_pivots(C)[0]] + [0]
     return [d - ranks[j] - ranks[j + 1] for j, d in enumerate(C.dims)]
 
 
@@ -147,13 +149,16 @@ def _clear_row_denominators(ring, M):
     cleared rows and the polynomial each row was multiplied by.
 
     A polynomial entry has denominator 1.  A row's factor is the product
-    of its entries' denominators, and a row without fractions is kept as
-    it is, with the factor 1, at no ring product.
+    of its entries' distinct denominators (a row of K has one), and a row
+    without fractions is kept as it is, with the factor 1, at no ring product.
     """
     one = TPolynomial.one(ring)
     cleared, factors = [], []
     for row in M:
-        dens = [e.den for e in row if isinstance(e, RationalFunction)]
+        dens = []
+        for e in row:
+            if isinstance(e, RationalFunction) and e.den not in dens:
+                dens.append(e.den)
         factor = _product(one, dens)
         if factor == 1:
             row = [e.num if isinstance(e, RationalFunction) else e for e in row]
@@ -239,16 +244,13 @@ class HomologyBasis:
 
 
 def default_homology_basis(C):
-    """Deterministic homology representatives with polynomial entries."""
-    return _default_homology_basis(C, *_boundary_pivots(C))
-
-
-def _default_homology_basis(C, pivots, echelons):
-    """Kernel vectors, one per free column of the boundary out of each
+    """Deterministic homology representatives with polynomial entries:
+    kernel vectors, one per free column of the boundary out of each
     degree, back-substituted on its echelon rows; the ones that extend
     the image of the boundary into the degree are chosen."""
     ring = C.ring
-    ranks = _homology_ranks(C, pivots)
+    ranks = homology_ranks(C)
+    pivots, echelons = _boundary_pivots(C)
     vectors = []
     for j, d in enumerate(C.dims):
         if not ranks[j]:
@@ -281,7 +283,7 @@ def _complete_image_to_kernel(ring, dim, image_cols, kernel_cols):
     return [kernel_cols[p - cut] for p in pivots if p >= cut]
 
 
-def _tau_hat_pieces(C, h, pivots):
+def _tau_hat_pieces(C, h):
     """Per-degree transition determinants for the homology-weighted torsion.
 
     Each homology vector is cleared of denominators by one factor, so a
@@ -289,7 +291,8 @@ def _tau_hat_pieces(C, h, pivots):
     factors it is to be divided by.
     """
     ring = C.ring
-    ranks = _homology_ranks(C, pivots)
+    ranks = homology_ranks(C)
+    pivots = _boundary_pivots(C)[0]
     counts = h.counts()
     if len(counts) != len(C.dims):
         raise PreconditionError("homology basis has the wrong number of degrees")
@@ -340,10 +343,9 @@ def torsion_tau_hat(C, h=None):
     report = validate_complex(C)
     if report:
         raise PreconditionError("; ".join(report))
-    pivots, echelons = _boundary_pivots(C)
     if h is None:
-        h = _default_homology_basis(C, pivots, echelons)
-    pieces = _tau_hat_pieces(C, h, pivots)
+        h = default_homology_basis(C)
+    pieces = _tau_hat_pieces(C, h)
     for j, (det, _) in enumerate(pieces):
         if not det:
             raise PreconditionError(

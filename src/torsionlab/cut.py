@@ -41,17 +41,30 @@ def _check_block(mat, rows, cols, name):
         raise PreconditionError("block %s has the wrong shape" % name)
 
 
-def _check_t_free(mat, name):
+def _t_free_block(ring, mat, name):
+    """A block's entries as t-free ring elements: an int is coerced, and a
+    non-ring or t-dependent entry is refused."""
+    out = []
     for row in mat:
+        coerced = []
         for entry in row:
-            if isinstance(entry, TPolynomial) and not entry.is_t_free():
+            if isinstance(entry, int):
+                entry = TPolynomial.monomial(ring, coeff=entry)
+            elif not isinstance(entry, TPolynomial):
+                raise PreconditionError("cut data entries must be ring elements")
+            elif not entry.is_t_free():
                 raise PreconditionError("block %s must not involve t" % name)
+            coerced.append(entry)
+        out.append(coerced)
+    return out
 
 
 class CutSystem:
     """Cut-surface complex, return maps, and critical-handle coupling data."""
 
-    __slots__ = ("sigma", "phi", "crit_dims", "N", "M", "W")
+    # _flow is the return flow (K, zeta), kept by _return_flow on first use;
+    # __init__ copies the blocks and nothing writes them afterwards
+    __slots__ = ("sigma", "phi", "crit_dims", "N", "M", "W", "_flow")
 
     def __init__(self, sigma, phi, crit_dims, N, M, W):
         if sigma.min_degree != 0:
@@ -59,8 +72,6 @@ class CutSystem:
         n = len(sigma.dims)
         if n == 0:
             raise PreconditionError("cut surface must be nonempty")
-        for j, mat in enumerate(sigma.boundaries):
-            _check_t_free(mat, "sigma boundary %d" % (j + 1))
         crit_dims = list(crit_dims)
         if len(crit_dims) != n + 1:
             raise PreconditionError("critical dims must cover degrees 0..%d" % n)
@@ -70,7 +81,6 @@ class CutSystem:
             raise PreconditionError("expected %d return maps" % n)
         for i, mat in enumerate(phi):
             _check_block(mat, sigma.dims[i], sigma.dims[i], "phi_%d" % i)
-            _check_t_free(mat, "phi_%d" % i)
         for seq, label in ((N, "N"), (M, "M"), (W, "W")):
             if len(seq) != n:
                 raise PreconditionError("expected %d %s-blocks" % (n, label))
@@ -78,29 +88,16 @@ class CutSystem:
             _check_block(N[i - 1], crit_dims[i - 1], crit_dims[i], "N_%d" % i)
             _check_block(M[i - 1], sigma.dims[i - 1], crit_dims[i], "M_%d" % i)
             _check_block(W[i - 1], crit_dims[i - 1], sigma.dims[i - 1], "W_%d" % i)
-            _check_t_free(N[i - 1], "N_%d" % i)
-            _check_t_free(M[i - 1], "M_%d" % i)
-            _check_t_free(W[i - 1], "W_%d" % i)
+        ring = sigma.ring
+        for j, mat in enumerate(sigma.boundaries):
+            _t_free_block(ring, mat, "sigma boundary %d" % (j + 1))
         self.sigma = sigma
-        self.phi = [self._coerce(mat) for mat in phi]
+        self.phi = [_t_free_block(ring, mat, "phi_%d" % i) for i, mat in enumerate(phi)]
         self.crit_dims = crit_dims
-        self.N = [self._coerce(mat) for mat in N]
-        self.M = [self._coerce(mat) for mat in M]
-        self.W = [self._coerce(mat) for mat in W]
-
-    def _coerce(self, mat):
-        out = []
-        for row in mat:
-            coerced = []
-            for entry in row:
-                if isinstance(entry, TPolynomial):
-                    coerced.append(entry)
-                elif isinstance(entry, int):
-                    coerced.append(TPolynomial.monomial(self.ring, coeff=entry))
-                else:
-                    raise PreconditionError("cut data entries must be ring elements")
-            out.append(coerced)
-        return out
+        self.N = [_t_free_block(ring, mat, "N_%d" % i) for i, mat in enumerate(N, 1)]
+        self.M = [_t_free_block(ring, mat, "M_%d" % i) for i, mat in enumerate(M, 1)]
+        self.W = [_t_free_block(ring, mat, "W_%d" % i) for i, mat in enumerate(W, 1)]
+        self._flow = None
 
     @property
     def ring(self):
@@ -207,30 +204,31 @@ def _glue(cs):
 def compute_K(cs):
     """Handle-to-handle transfer matrices with the return-flow correction.
 
-    K_i = N_i + t W_i (1 - t phi)^{-1} M_i for phi = phi_{i-1}.  With
-    det(x - phi) = sum_k c_k x^(n-k) from linalg.charpoly, d = det(1 - t phi)
-    = sum_k c_k t^k and adj(1 - t phi) M_i = sum_{k<n} t^k Y_k, where Y_0 =
-    M_i and Y_k = phi Y_{k-1} + c_k M_i.  So K_i = (d N_i + sum_k t^(k+1)
-    W_i Y_k) / d entry by entry, from products of t-free matrices alone.
-    The denominator d has constant term 1, hence never vanishes.
+    K_i = N_i + t W_i (1 - t phi)^{-1} M_i for phi = phi_{i-1}; see
+    _return_flow.  The matrices are kept on the cut system, so every
+    call returns the same list.
     """
-    return _compute_K(cs, _charpolys(cs))
+    return _return_flow(cs)[0]
 
 
-def _charpolys(cs):
-    """linalg.charpoly of each return map, for compute_K and the
-    counting function to share."""
-    return [charpoly(_plain_matrix(cs.ring, phi)) for phi in cs.phi]
+def _return_flow(cs):
+    """The transfer matrices K and the counting function zeta, from one
+    linalg.charpoly per return map, computed on first use and kept on cs.
 
-
-def _compute_K(cs, charpolys):
-    """compute_K with the return maps' characteristic polynomials already
-    computed."""
+    With det(x - phi) = sum_k c_k x^(n-k), d = det(1 - t phi) = sum_k c_k
+    t^k and adj(1 - t phi) M_i = sum_{k<n} t^k Y_k, where Y_0 = M_i and
+    Y_k = phi Y_{k-1} + c_k M_i.  So K_i = (d N_i + sum_k t^(k+1) W_i
+    Y_k) / d entry by entry, from products of t-free matrices alone.  The
+    denominator d has constant term 1, hence never vanishes.  zeta is the
+    alternating product of the d, as zeta_lefschetz forms it.
+    """
+    if cs._flow is not None:
+        return cs._flow
     ring = cs.ring
-    out = []
-    for i, c in enumerate(charpolys, 1):
-        phi, N, M, W = (_plain_matrix(ring, X[i - 1]) for X in (cs.phi, cs.N, cs.M, cs.W))
-        cols = cs.crit_dims[i]
+    K, charpolys = [], []
+    for phi, N, M, W, cols in zip(cs.phi, cs.N, cs.M, cs.W, cs.crit_dims[1:]):
+        phi, N, M, W = (_plain_matrix(ring, X) for X in (phi, N, M, W))
+        c = charpoly(phi)
         num = [[[x] for x in row] for row in N]  # the numerators' t-coefficients
         Y = M
         for k in range(1, len(c)):
@@ -241,10 +239,12 @@ def _compute_K(cs, charpolys):
                 for coeffs, x, wy in zip(num_row, n_row, wy_row):
                     coeffs.append(c[k] * x + wy)
         d = _from_t_coefficients(ring, c)
-        out.append(
+        K.append(
             [[RationalFunction(_from_t_coefficients(ring, e), d) for e in row] for row in num]
         )
-    return out
+        charpolys.append(c)
+    cs._flow = (K, _lefschetz_product(ring, charpolys))
+    return cs._flow
 
 
 def tau_via_products(cs):
@@ -257,15 +257,6 @@ def tau_via_products(cs):
     returns.  A split that exists dimensionally but meets only singular
     blocks yields the zero value.
     """
-    charpolys = _charpolys(cs)
-    return _tau_via_products(
-        cs, _compute_K(cs, charpolys), _lefschetz_product(cs.ring, charpolys)
-    )
-
-
-def _tau_via_products(cs, K, zeta):
-    """tau_via_products with the transfer matrices K and the counting
-    function zeta already computed."""
     ring = cs.ring
     crit = cs.crit_dims
     carried = 0
@@ -275,6 +266,7 @@ def _tau_via_products(cs, K, zeta):
             raise PreconditionError("critical ranks admit no square splitting")
     if carried != crit[-1]:
         raise PreconditionError("critical ranks admit no square splitting")
+    K, zeta = _return_flow(cs)
     engine = _torsion_engine(ring, 0, crit, K)
     if engine is None:
         z = RationalFunction.zero(ring)
@@ -329,11 +321,7 @@ def check_K_vs_novikov(cs, cn, k):
     and every entry must agree through t-degree k, capped by cn's
     declared order when it has one.
     """
-    return _check_K_vs_novikov(cs, cn, k, compute_K(cs))
-
-
-def _check_K_vs_novikov(cs, cn, k, K):
-    """check_K_vs_novikov with the transfer matrices K already computed."""
+    K = compute_K(cs)
     by_degree = {}
     for j, d in enumerate(cn.dims):
         by_degree[cn.min_degree + j] = d
@@ -379,19 +367,17 @@ def verify_main_theorem(cs, cn, xi=None, order=16):
     lift picks; the topological side takes the torsion of the assembled
     complex with the same basing applied to its D generators.  The
     transfer matrices and the counting function are computed once, from
-    one characteristic polynomial per return map, and shared by the
-    series check and the product route.
+    one characteristic polynomial per return map, and kept on the cut
+    system for the series check and the product route to share.
     """
     k = cn.order if cn.order is not None else order
-    charpolys = _charpolys(cs)
-    K = _compute_K(cs, charpolys)
-    series_ok = _check_K_vs_novikov(cs, cn, k, K)
-    zeta = _lefschetz_product(cs.ring, charpolys)
+    series_ok = check_K_vs_novikov(cs, cn, k)
+    zeta = _return_flow(cs)[1]
     tau_cn = tau_novikov(cn, xi)
     inv = invariant_I(zeta, tau_cn)
     assembled = apply_lift(assemble_boundary(cs), xi, cn.min_degree)
     direct = torsion_tau(assembled)
-    product_route = _tau_via_products(cs, K, zeta)
+    product_route = tau_via_products(cs)
     if inv.is_zero or inv.value is None or direct is None:
         main = inv.is_zero and direct is None
     else:

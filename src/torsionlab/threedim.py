@@ -57,7 +57,9 @@ class PathMatrix:
     ones; every entry lives in nonnegative t-degrees.
     """
 
-    __slots__ = ("ring", "matrix", "offset", "row_labels", "col_labels")
+    # _det is kept by path_matrix_det; __init__ copies the entries, nothing
+    # writes them afterwards, and a rebasing builds a new path matrix
+    __slots__ = ("ring", "matrix", "offset", "row_labels", "col_labels", "_det")
 
     def __init__(self, ring, matrix, offset=None, row_labels=None, col_labels=None):
         n = len(matrix)
@@ -85,6 +87,7 @@ class PathMatrix:
         self.offset = _normalize_exponent(ring, offset)
         self.row_labels = list(row_labels) if row_labels is not None else None
         self.col_labels = list(col_labels) if col_labels is not None else None
+        self._det = None
 
     @property
     def size(self):
@@ -128,7 +131,10 @@ class OffsetPolynomial:
 
 
 def path_matrix_det(P):
-    return OffsetPolynomial(bareiss_det(P.ring, P.matrix), P.offset)
+    """det(P) with P's offset, computed on first use and kept on P."""
+    if P._det is None:
+        P._det = OffsetPolynomial(bareiss_det(P.ring, P.matrix), P.offset)
+    return P._det
 
 
 class CoefficientFunction(NovikovTruncation):
@@ -198,7 +204,7 @@ def sw_consistency_check(P, cn, xi=None, k=16):
         d2 = []
     if P.matrix != mat_transpose(d2, cols=m2):
         return False
-    det = bareiss_det(P.ring, P.matrix)
+    det = path_matrix_det(P).poly
     tau = torsion_tau(moved)
     if tau is None:
         return det.is_zero

@@ -24,6 +24,22 @@ import oracles
 from conftest import R0, R1, tpoly
 
 
+def count_eliminations(monkeypatch):
+    """Patch complexes._eliminate to record each matrix it is handed, as
+    it was before the elimination; returns the list of records."""
+    import torsionlab.complexes as complexes
+
+    calls = []
+    original = complexes._eliminate
+
+    def counted(W, *args):
+        calls.append([list(row) for row in W])
+        return original(W, *args)
+
+    monkeypatch.setattr(complexes, "_eliminate", counted)
+    return calls
+
+
 def circle_complex(ring):
     t = TPolynomial.t(ring)
     return BasedChainComplex(ring, 0, [1, 1], [[[1 - t]]])
@@ -292,13 +308,13 @@ class TestTauHat:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_homology_path_adds_and_inverts_no_fractions(self, seed, monkeypatch):
-        from torsionlab.complexes import _boundary_pivots, _tau_hat_pieces
+        from torsionlab.complexes import _tau_hat_pieces
 
         rng = oracles.seeded(170 + seed)
         C = oracles.random_valid_complex(rng, R1 if seed % 2 else R0, max_len=4)
         assert any(homology_ranks(C))
         # the pieces multiplied in the fraction field, odd degrees up
-        pieces = _tau_hat_pieces(C, default_homology_basis(C), _boundary_pivots(C)[0])
+        pieces = _tau_hat_pieces(C, default_homology_basis(C))
         expected = RationalFunction.one(C.ring)
         for j, (det, factor) in enumerate(pieces):
             piece = RationalFunction(det, factor)
@@ -312,6 +328,15 @@ class TestTauHat:
         value = torsion_tau_hat(C)
         monkeypatch.undo()
         assert frac_equal(value.raw, expected)
+
+    @pytest.mark.parametrize("with_basis", [False, True], ids=["default", "given"])
+    def test_each_boundary_eliminated_once(self, with_basis, monkeypatch):
+        rng = oracles.seeded(190)
+        C = oracles.random_valid_complex(rng, R1, max_len=4)
+        h = default_homology_basis(C) if with_basis else None
+        calls = count_eliminations(monkeypatch)
+        torsion_tau_hat(C, h)
+        assert len(calls) == len(C.boundaries)
 
     def test_huge_exponent_finishes(self):
         from time import perf_counter
@@ -455,6 +480,24 @@ class TestExtensions:
         ring = R0 if seed % 2 else R1
         ses = oracles.random_extension(rng, ring)
         assert product_formula_check(ses)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_each_boundary_eliminated_once(self, seed, monkeypatch):
+        # the default bases and the three torsions share one elimination
+        # of each boundary; the class coordinates eliminate wider matrices
+        rng = oracles.seeded(420 + seed)
+        ses = oracles.random_extension(rng, R0 if seed % 2 else R1)
+        calls = count_eliminations(monkeypatch)
+        assert product_formula_check(ses)
+        boundaries = [
+            mat
+            for C in (ses.sub, ses.total, ses.quotient)
+            for mat in C.boundaries
+            if mat and mat[0]
+        ]
+        assert boundaries
+        for mat in boundaries:
+            assert calls.count(mat) == boundaries.count(mat)
 
     @pytest.mark.parametrize("by_fraction", [False, True], ids=["t", "1/(1+t)"])
     def test_multiplies_with_scaled_bases(self, by_fraction):

@@ -381,11 +381,17 @@ class TestComputeK:
         K = compute_K(catmap_cut())
         assert K == [[], [], []]
 
+    def test_kept_on_the_cut_system(self):
+        cs = stabilized_cut()
+        assert compute_K(cs) is compute_K(cs)
 
-def random_one_level_system(rng, ring, m):
+
+def random_one_level_system(rng, ring, m, handles=None):
     """A one-degree surface of m points with mixed int and Z[V] blocks;
-    with a single surface degree every block choice is consistent."""
-    a, b = rng.randint(0, 2), rng.randint(0, 2)
+    with a single surface degree every block choice is consistent.
+    handles fixes both critical ranks, which the product route's square
+    splitting needs."""
+    a, b = (rng.randint(0, 2), rng.randint(0, 2)) if handles is None else (handles, handles)
 
     def block(rows, cols):
         square = oracles.random_return_map(rng, ring, max(rows, cols))
@@ -581,6 +587,32 @@ class TestTauViaProducts:
             direct = torsion_tau(assemble_boundary(cs))
             assert direct is not None
             assert unit_equivalent(tau_via_products(cs).raw, direct.raw)
+
+    @pytest.mark.parametrize("ring", RINGS[:2], ids=["b0", "b1"])
+    def test_k_rows_cleared_by_one_determinant(self, ring):
+        # every entry of K shares d = det(1 - t*phi), so a row with several
+        # fractions is cleared by d, not by a power of it, and the product
+        # route still meets direct torsion
+        from torsionlab.complexes import _clear_row_denominators
+
+        rng = oracles.seeded(5200 + ring.num_group_vars)
+        shared = 0
+        for _ in range(4):
+            cs = random_one_level_system(rng, ring, 4, handles=3)
+            (K,) = compute_K(cs)
+            _, factors = _clear_row_denominators(ring, K)
+            for row, factor in zip(K, factors):
+                dens = [e.den for e in row if not e.is_zero]
+                if len(dens) >= 2 and dens[0] != 1:
+                    shared += 1
+                    assert factor == dens[0]
+            direct = torsion_tau(assemble_boundary(cs))
+            value = tau_via_products(cs)
+            if direct is None:
+                assert value.raw.is_zero
+            else:
+                assert unit_equivalent(value.raw, direct.raw)
+        assert shared
 
     def test_commuting_identity_torus(self):
         for c in (0, 1, 2, -3):
@@ -857,11 +889,17 @@ class TestVerifyMainTheorem:
         ],
     )
     def test_transfer_and_counting_computed_once(self, build, monkeypatch):
-        # the series check and the product route share one K and one zeta,
-        # and both come from one characteristic polynomial per return map
+        # the series check and the product route are the public functions,
+        # and they share one K and one zeta kept on the cut system, both
+        # from one characteristic polynomial per return map
         import torsionlab.cut as cut
 
-        calls = {"_compute_K": 0, "_lefschetz_product": 0, "charpoly": 0}
+        calls = {
+            "check_K_vs_novikov": 0,
+            "tau_via_products": 0,
+            "_lefschetz_product": 0,
+            "charpoly": 0,
+        }
         for name in calls:
             original = getattr(cut, name)
 
@@ -872,6 +910,11 @@ class TestVerifyMainTheorem:
             monkeypatch.setattr(cut, name, counted)
         cs, cn = build()
         report = verify_main_theorem(cs, cn)
-        assert calls == {"_compute_K": 1, "_lefschetz_product": 1, "charpoly": len(cs.phi)}
+        assert calls == {
+            "check_K_vs_novikov": 1,
+            "tau_via_products": 1,
+            "_lefschetz_product": 1,
+            "charpoly": len(cs.phi),
+        }
         assert report.product_identity
         assert frac_equal(report.product_route.raw, tau_via_products(cs).raw)

@@ -409,6 +409,24 @@ class TestCommandContract:
             "det(P) consistent with tau(CN): OK",
         ]
 
+    def test_i3_takes_one_determinant(self, capsys, monkeypatch):
+        # the coefficient function and the consistency check share det(P),
+        # which the path matrix keeps
+        import torsionlab.threedim as threedim
+
+        calls = []
+        original = threedim.bareiss_det
+
+        def counted(ring, matrix):
+            calls.append(matrix)
+            return original(ring, matrix)
+
+        monkeypatch.setattr(threedim, "bareiss_det", counted)
+        code, out, _ = invoke(capsys, "i3", "--fixture", fix("catmap_scenario.json"))
+        assert code == 0
+        assert "det(P) consistent with tau(CN): OK" in out
+        assert len(calls) == 1
+
     def test_assemble_circle(self, capsys):
         code, out, _ = invoke(
             capsys, "assemble", "--fixture", fix("circle_scenario.json")
