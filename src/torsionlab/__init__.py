@@ -52,7 +52,6 @@ from .novikov import (
     tau_novikov,
 )
 from .rings import (
-    NovikovTruncation,
     RationalFunction,
     RingSpec,
     TPolynomial,
@@ -98,7 +97,6 @@ __all__ = [
     "MorseInvariant",
     "NovikovComplex",
     "NovikovData",
-    "NovikovTruncation",
     "OffsetPolynomial",
     "PathMatrix",
     "PreconditionError",

@@ -21,6 +21,7 @@ from .linalg import (
 from .rings import (
     RationalFunction,
     TPolynomial,
+    _exact,
     _unit_inverse,
     canonical_mod_units,
     exact_div,
@@ -54,7 +55,7 @@ class BasedChainComplex:
                 )
             for row in mat:
                 for entry in row:
-                    if not isinstance(entry, TPolynomial):
+                    if not _exact(entry):
                         raise PreconditionError("boundary entries must be polynomial")
                     if entry.ring != ring:
                         raise PreconditionError("mismatched ring specs")
@@ -377,7 +378,7 @@ def rebase_basis(C, degree, index, u):
     j = C.degree_index(degree)
     if not 0 <= index < C.dims[j]:
         raise PreconditionError("basis index out of range")
-    if not (isinstance(u, TPolynomial) and u.unit_parts()):
+    if not (_exact(u) and u.unit_parts()):
         raise PreconditionError("rebasing factor must be a monomial unit")
     return _rescaled(C, {(j, index): u})
 

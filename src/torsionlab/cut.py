@@ -24,10 +24,10 @@ from .errors import PreconditionError
 from .linalg import charpoly, mat_mul
 from .novikov import apply_lift, invariant_I, tau_novikov
 from .rings import (
-    NovikovTruncation,
     RationalFunction,
     RingSpec,
     TPolynomial,
+    _exact,
     _from_t_coefficients,
     canonical_mod_units,
     expand_series,
@@ -50,7 +50,7 @@ def _t_free_block(ring, mat, name):
         for entry in row:
             if isinstance(entry, int):
                 entry = TPolynomial.monomial(ring, coeff=entry)
-            elif not isinstance(entry, TPolynomial):
+            elif not _exact(entry):
                 raise PreconditionError("cut data entries must be ring elements")
             elif not entry.is_t_free():
                 raise PreconditionError("block %s must not involve t" % name)
@@ -284,10 +284,8 @@ def _least_degree(value):
 
 def _known_through(value, top):
     """value as a truncation known through t-degree top (or its own order)."""
-    if isinstance(value, NovikovTruncation):
-        return value.truncate(top)
     if isinstance(value, TPolynomial):
-        return NovikovTruncation.from_tpolynomial(value, top)
+        return value.truncate(top)
     return expand_series(value, top)
 
 
@@ -304,7 +302,7 @@ def approx_equal(x, y, k):
         TPolynomial.monomial(ring, coeff=v) if isinstance(v, int) else v for v in (x, y)
     )
     for v in (x, y):
-        if not isinstance(v, (NovikovTruncation, TPolynomial, RationalFunction)):
+        if not isinstance(v, (TPolynomial, RationalFunction)):
             raise PreconditionError("cannot window a %s" % type(v).__name__)
     lows = [_least_degree(v) for v in (x, y) if v]
     if not lows:
@@ -340,7 +338,7 @@ def check_K_vs_novikov(cs, cn, k):
         for r in range(rows):
             for c in range(cols):
                 expanded = expand_series(K[i - 1][r][c], cap)
-                if expanded != NovikovTruncation.from_tpolynomial(cn_mat[r][c], cap):
+                if expanded != cn_mat[r][c].truncate(cap):
                     return False
     return True
 

@@ -13,12 +13,10 @@ from .complexes import (
     BasedChainComplex,
     TorsionValue,
     _rescaled,
-    homology_ranks,
     torsion_tau,
 )
 from .errors import PreconditionError
 from .rings import (
-    NovikovTruncation,
     RationalFunction,
     TPolynomial,
     canonical_mod_units,
@@ -134,19 +132,8 @@ def invariant_I(zeta, tau_cn):
         if raw.is_zero:
             return MorseInvariant()
         return MorseInvariant(value=TorsionValue(raw, canonical_mod_units(raw)))
-    if isinstance(zeta, NovikovTruncation):
+    if isinstance(zeta, TPolynomial) and zeta.order is not None:
         tau_series = expand_series(tau_cn.raw, zeta.order)
         return MorseInvariant(series=zeta * tau_series)
     raise PreconditionError("counting function must be exact or a truncation")
 
-
-def novikov_rank_check(cn, cw):
-    """Whether both complexes have the same Betti numbers, degree by degree."""
-    if cn.ring != cw.ring:
-        raise PreconditionError("mismatched ring specs")
-    ranks = {}
-    for j, r in enumerate(homology_ranks(cn)):
-        ranks[cn.min_degree + j] = ranks.get(cn.min_degree + j, 0) + r
-    for j, r in enumerate(homology_ranks(cw)):
-        ranks[cw.min_degree + j] = ranks.get(cw.min_degree + j, 0) - r
-    return all(v == 0 for v in ranks.values())

@@ -1,4 +1,4 @@
-"""Exact arithmetic in Z[V][t, t^-1], truncated Laurent series, and their
+"""Exact arithmetic in Z[V][t, t^-1], its Novikov completion, and its
 fraction field.
 
 The base coefficient ring is the group ring Z[V] of a free abelian group with
@@ -6,23 +6,24 @@ b named generators, realised as multivariate integer Laurent polynomials.
 Every element of Z[V][t, t^-1] and of its Novikov completion is stored the
 same way: a term dict {key: coeff} from packed monomial keys to nonzero
 coefficients.  One addition kernel and one multiplication kernel do all the
-arithmetic on term dicts.  On top of them sit:
+arithmetic on term dicts.  On top of them sit two types:
 
-* TPolynomial, a Laurent polynomial in the distinguished variable t with
-  Z[V] coefficients; its coefficients are integers.  All determinant and
-  torsion work happens here or in the fraction field.
-* NovikovTruncation, a formal Laurent series in t known exactly up to a
-  declared t-degree: a term dict plus its window [min_t, order].  This is
-  the computational face of the completed ring Z[V]((t)); coefficients may
-  pass through Q while the exponential of a formal sum is taken.
-* RationalFunction, an exact quotient of two TPolynomials compared by
+* TPolynomial, a Laurent series in the distinguished variable t with Z[V]
+  coefficients, known through t-degree order.  order None means exact: a
+  Laurent polynomial known at every degree, with integer coefficients, where
+  all determinant and torsion work happens.  An integer order makes it a
+  truncation, the computational face of the completed ring Z[V]((t)): its
+  window [min_t, order] declares that no term lies below min_t and that
+  degrees above order are unknown, and its coefficients may pass through Q
+  while the exponential of a formal sum is taken.
+* RationalFunction, an exact quotient of two exact TPolynomials compared by
   cross-multiplication, never by representative.
 
 Public constructors check what they are given (exponent arity and range,
 coefficient type, the truncation window).  Arithmetic results skip those
 checks: the kernels only ever produce well-formed keys, and a private
-constructor keeps the remaining invariants (no zero coefficient, integral
-Fractions stored as int).
+constructor keeps the remaining invariants (no zero coefficient, a
+truncation's integral Fractions stored as int).
 
 Monomial keys and order: a monomial t^a V^v is stored as one int, its
 packed key (RingSpec.pack), with the t-exponent as the most significant
@@ -34,7 +35,7 @@ to (t_exp, v_exps) only at the public surface: the terms view, coefficient
 queries, unit_parts and formatting.
 
 All values are treated as immutable after construction; every operation
-returns a fresh object.
+returns a fresh object or one of its operands.
 """
 
 from __future__ import annotations
@@ -236,41 +237,68 @@ def _mul_terms(x, y, cap=None):
 
 
 class TPolynomial:
-    """Laurent polynomial in t over Z[V], the dense working ring.
+    """Laurent series in t over Z[V], known through t-degree order.
 
-    The stored term dict maps packed monomial keys to nonzero integers;
-    terms is its {(t_exp, v_exps): coeff} view.  Rational coefficients are
-    deliberately rejected here: every determinant and torsion computation
+    The stored term dict maps packed monomial keys to nonzero coefficients;
+    terms is its {(t_exp, v_exps): coeff} view.  order None makes the value
+    exact, a Laurent polynomial with integer coefficients: rational ones are
+    deliberately rejected, so every determinant and torsion computation
     stays in the integral ring, with quotients handled by RationalFunction.
+    An integer order makes it a truncation: min_t declares that no term
+    below it exists at all, degrees above order are unknown rather than
+    zero, and coefficients may be Fractions.  Two values compare equal when
+    they agree on every degree up to the smaller order; coefficient queries
+    above the order raise.
     """
 
-    # _ranges caches the exponent ranges the multiplication kernel checks
-    __slots__ = ("ring", "_terms", "_ranges")
+    # _ranges caches the exponent ranges the multiplication kernel checks;
+    # min_t is read only when order is not None
+    __slots__ = ("ring", "_terms", "_ranges", "order", "min_t")
 
-    def __init__(self, ring: RingSpec, terms=None):
+    def __init__(self, ring: RingSpec, terms=None, order=None, min_t=0):
         clean = _checked_terms(ring, terms)
-        if any(isinstance(c, Fraction) for c in clean.values()):
-            raise TypeError("TPolynomial coefficients must be integers")
+        if order is None:
+            if any(isinstance(c, Fraction) for c in clean.values()):
+                raise TypeError("TPolynomial coefficients must be integers")
+        else:
+            for k in clean:
+                t_exp = ring._split(k)[0]
+                if t_exp > order or t_exp < min_t:
+                    raise PreconditionError(
+                        f"term at t-degree {t_exp} outside declared window [{min_t}, {order}]"
+                    )
         self.ring = ring
         self._terms = clean
         self._ranges = None
+        self.order = order
+        self.min_t = min_t
 
     @classmethod
-    def _trusted(cls, ring, terms):
-        """Wrap a kernel result: integer, zero-free, keys already packed."""
+    def _trusted(cls, ring, terms, order=None, min_t=0):
+        """Wrap a fresh kernel result: zero-free, keys already packed, every
+        term inside the window.  An exact value's coefficients are ints
+        already; a truncation's integral Fractions, left by rational
+        scaling, are stored as int here, in place."""
+        if order is not None:
+            for k, c in terms.items():
+                if type(c) is Fraction and c.denominator == 1:
+                    terms[k] = c.numerator
         p = object.__new__(cls)
         p.ring = ring
         p._terms = terms
         p._ranges = None
+        p.order = order
+        p.min_t = min_t
         return p
 
     @classmethod
-    def zero(cls, ring):
-        return cls._trusted(ring, {})
+    def zero(cls, ring, order=None, min_t=0):
+        return cls._trusted(ring, {}, order, min_t)
 
     @classmethod
-    def one(cls, ring):
-        return cls._trusted(ring, {0: 1})
+    def one(cls, ring, order=None):
+        # a negative order knows no degree at all, the constant included
+        return cls._trusted(ring, {0: 1} if order is None or order >= 0 else {}, order)
 
     @classmethod
     def monomial(cls, ring, t_exp=0, v=None, coeff=1):
@@ -312,9 +340,20 @@ class TPolynomial:
             return 0
         return self.ring._split(min(self._terms))[0]
 
+    def _window(self):
+        """(least t-degree, order) of what is known: a truncation's declared
+        window, or an exact value's lowest t-degree (0 for zero) and order
+        None, which stands for infinity."""
+        if self.order is None:
+            return self.min_t_degree(), None
+        return self.min_t, self.order
+
     def is_t_free(self) -> bool:
         top = self.ring._top_key(0)
         return all(-top <= k <= top for k in self._terms)
+
+    def is_integral(self) -> bool:
+        return all(isinstance(c, int) for c in self._terms.values())
 
     def unit_parts(self):
         """Return (coeff, t_exp, v_exps) when self is a single +-1 monomial, else None."""
@@ -332,23 +371,40 @@ class TPolynomial:
         return g
 
     def coefficient(self, t_exp, v=None):
+        if self.order is not None and t_exp > self.order:
+            raise PreconditionError(
+                f"coefficient at t^{t_exp} is beyond the truncation order {self.order}"
+            )
         return self._terms.get(self.ring.pack(t_exp, v), 0)
 
     # ---- arithmetic ----
 
+    def _scalar(self, c):
+        """Whether c multiplies self termwise: an int, or beside a truncation
+        also a Fraction (an exact value keeps integer coefficients)."""
+        return isinstance(c, int) or self.order is not None and isinstance(c, Fraction)
+
     def _coerce(self, other):
-        if isinstance(other, int):
-            return TPolynomial._trusted(self.ring, {0: other} if other else {})
+        """other as a value of self's ring, a scalar as a constant known
+        through self's order, as one(ring, order) * other is; None when it is
+        neither."""
         if isinstance(other, TPolynomial):
             _check_same_ring(self, other)
             return other
+        if self._scalar(other):
+            order = self.order
+            known = other and (order is None or order >= 0)
+            return TPolynomial._trusted(self.ring, {0: other} if known else {}, order)
         return None
 
     def __eq__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self._terms == other._terms
+        if self.order is None and other.order is None:
+            return self._terms == other._terms
+        order = min(o for o in (self.order, other.order) if o is not None)
+        return self.truncate(order)._terms == other.truncate(order)._terms
 
     __hash__ = None
 
@@ -356,10 +412,20 @@ class TPolynomial:
         return self * -1
 
     def _plus(self, other, scale):
+        # x + 0 is x, its window included
+        if self._scalar(other) and not other:
+            return self
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return TPolynomial._trusted(self.ring, _add_terms(self._terms, other._terms, scale))
+        if self.order is None and other.order is None:
+            return TPolynomial._trusted(self.ring, _add_terms(self._terms, other._terms, scale))
+        order = min(o for o in (self.order, other.order) if o is not None)
+        # an exact operand is read through the order; a truncation keeps its
+        # declared least degree
+        a, b = (x.truncate(order) if x.order is None else x for x in (self, other))
+        terms = _add_terms(a.truncate(order)._terms, b.truncate(order)._terms, scale)
+        return TPolynomial._trusted(self.ring, terms, order, min(a.min_t, b.min_t))
 
     def __add__(self, other):
         return self._plus(other, 1)
@@ -373,19 +439,21 @@ class TPolynomial:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if self._scalar(other):
             terms = _add_terms({}, self._terms, other) if other else {}
-        elif isinstance(other, TPolynomial):
-            _check_same_ring(self, other)
-            terms = _mul_terms(self, other)
-        else:
+            return TPolynomial._trusted(self.ring, terms, self.order, self.min_t)
+        if not isinstance(other, TPolynomial):
             return NotImplemented
-        return TPolynomial._trusted(self.ring, terms)
+        _check_same_ring(self, other)
+        if self.order is None and other.order is None:
+            return TPolynomial._trusted(self.ring, _mul_terms(self, other))
+        # each factor's error term starts at its order, times the other's
+        # least degree
+        (la, oa), (lb, ob) = self._window(), other._window()
+        order = min(o + low for o, low in ((oa, lb), (ob, la)) if o is not None)
+        return TPolynomial._trusted(self.ring, _mul_terms(self, other, order), order, la + lb)
 
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
+    __rmul__ = __mul__
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -399,10 +467,14 @@ class TPolynomial:
             n >>= 1
         return out
 
-    def times_monomial(self, t_exp, v=None, coeff=1):
-        """Fast multiply by coeff * t^t_exp * V^v."""
-        key = self.ring.pack(t_exp, v)
-        return _times_key(self, key, coeff) if coeff else TPolynomial.zero(self.ring)
+    def truncate(self, order):
+        """self known through t-degree order (no further than it already is)."""
+        low, known = self._window()
+        if known is not None and order >= known:
+            return self
+        top = self.ring._top_key(order)
+        terms = {k: c for k, c in self._terms.items() if k <= top}
+        return TPolynomial._trusted(self.ring, terms, order, min(low, order))
 
     def divide_content(self, g: int):
         if g in (0, 1):
@@ -415,10 +487,18 @@ class TPolynomial:
         return TPolynomial._trusted(self.ring, out)
 
     def __repr__(self):
-        return f"TPolynomial({format_tpolynomial(self)})"
+        if self.order is None:
+            return f"TPolynomial({format_tpolynomial(self)})"
+        body = "; ".join(format_truncation(self))
+        return f"TPolynomial[{self.min_t}..{self.order}]({body})"
 
     def __str__(self):
-        return format_tpolynomial(self)
+        return format_tpolynomial(self) if self.order is None else repr(self)
+
+
+def _exact(x):
+    """Whether x is an exact polynomial: a TPolynomial with no order."""
+    return isinstance(x, TPolynomial) and x.order is None
 
 
 def _from_t_coefficients(ring, coeffs):
@@ -536,180 +616,6 @@ def exact_div(a: TPolynomial, b: TPolynomial) -> TPolynomial:
     return q
 
 
-class NovikovTruncation:
-    """A t-series over Z[V] (or Q[V]) known exactly for t-degrees <= order.
-
-    The terms form one dict keyed like a TPolynomial's.  min_t declares that
-    no term below it exists at all; degrees in (order, infinity) are unknown
-    rather than zero.  Two truncations compare equal when they agree on every
-    degree up to the smaller order.  Coefficient queries above the order
-    raise, queries below min_t return zero.
-    """
-
-    __slots__ = ("ring", "order", "_terms", "min_t", "_ranges")
-
-    def __init__(self, ring: RingSpec, order: int, terms=None, min_t: int = 0):
-        clean = _checked_terms(ring, terms)
-        for k in clean:
-            t_exp = ring._split(k)[0]
-            if t_exp > order or t_exp < min_t:
-                raise PreconditionError(
-                    f"term at t-degree {t_exp} outside declared window [{min_t}, {order}]"
-                )
-        self.ring = ring
-        self.order = order
-        self._terms = clean
-        self.min_t = min_t
-        self._ranges = None
-
-    @classmethod
-    def _trusted(cls, ring, order, terms, min_t):
-        """Wrap a fresh kernel result whose terms all lie in the window.
-
-        Zero coefficients are already gone; integral Fractions left by
-        rational scaling are stored as int here, in place.
-        """
-        for k, c in terms.items():
-            if type(c) is Fraction and c.denominator == 1:
-                terms[k] = c.numerator
-        x = object.__new__(cls)
-        x.ring = ring
-        x.order = order
-        x._terms = terms
-        x.min_t = min_t
-        x._ranges = None
-        return x
-
-    @classmethod
-    def from_tpolynomial(cls, p: TPolynomial, order: int):
-        top = p.ring._top_key(order)
-        terms = {k: c for k, c in p._terms.items() if k <= top}
-        min_t = p.min_t_degree() if p else 0
-        return cls._trusted(p.ring, order, terms, min(min_t, order))
-
-    @classmethod
-    def one(cls, ring, order):
-        # a negative order knows no degree at all, the constant included
-        return cls._trusted(ring, order, {0: 1} if order >= 0 else {}, 0)
-
-    @classmethod
-    def zero(cls, ring, order, min_t=0):
-        return cls._trusted(ring, order, {}, min_t)
-
-    terms = TPolynomial.terms
-    min_t_degree = TPolynomial.min_t_degree
-
-    def coefficient(self, t_exp, v=None):
-        if t_exp > self.order:
-            raise PreconditionError(
-                f"coefficient at t^{t_exp} is beyond the truncation order {self.order}"
-            )
-        return self._terms.get(self.ring.pack(t_exp, v), 0)
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, NovikovTruncation):
-            return NotImplemented
-        _check_same_ring(self, other)
-        k = min(self.order, other.order)
-        return self.truncate(k)._terms == other.truncate(k)._terms
-
-    __hash__ = None
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def _coerce(self, other):
-        if isinstance(other, NovikovTruncation):
-            _check_same_ring(self, other)
-            return other
-        if isinstance(other, TPolynomial):
-            # exact polynomial: known at every degree, so only our order limits
-            _check_same_ring(self, other)
-            return NovikovTruncation.from_tpolynomial(other, self.order)
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return NovikovTruncation.zero(self.ring, self.order, self.min_t)
-            # an exact scalar is known to every order; clamp to ours
-            terms = {0: other} if self.order >= 0 else {}
-            return NovikovTruncation._trusted(
-                self.ring, self.order, terms, min(0, self.min_t)
-            )
-        return None
-
-    def _plus(self, other, scale):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        order = min(self.order, other.order)
-        terms = _add_terms(self.truncate(order)._terms, other.truncate(order)._terms, scale)
-        return NovikovTruncation._trusted(
-            self.ring, order, terms, min(self.min_t, other.min_t)
-        )
-
-    def __add__(self, other):
-        return self._plus(other, 1)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._plus(other, -1)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if isinstance(other, TPolynomial):
-            # exact factor: reliability limited only through our own error term
-            _check_same_ring(self, other)
-            p_min = other.min_t_degree()
-            order = self.order + p_min
-            min_t = self.min_t + p_min
-        elif isinstance(other, NovikovTruncation):
-            _check_same_ring(self, other)
-            order = min(self.order + other.min_t, other.order + self.min_t)
-            min_t = self.min_t + other.min_t
-        else:
-            return NotImplemented
-        terms = _mul_terms(self, other, order)
-        return NovikovTruncation._trusted(self.ring, order, terms, min_t)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, TPolynomial)):
-            return self * other
-        return NotImplemented
-
-    def scale(self, c):
-        c = _coeff_normal(c)
-        if not c:
-            return NovikovTruncation.zero(self.ring, self.order, self.min_t)
-        return NovikovTruncation._trusted(
-            self.ring, self.order, _add_terms({}, self._terms, c), self.min_t
-        )
-
-    def truncate(self, order):
-        if order >= self.order:
-            return self
-        top = self.ring._top_key(order)
-        return NovikovTruncation._trusted(
-            self.ring,
-            order,
-            {k: c for k, c in self._terms.items() if k <= top},
-            min(self.min_t, order),
-        )
-
-    def is_integral(self) -> bool:
-        return all(isinstance(c, int) for c in self._terms.values())
-
-    def __repr__(self):
-        body = "; ".join(format_truncation(self))
-        return f"NovikovTruncation[{self.min_t}..{self.order}]({body})"
-
-
 def _slice_recurrence(ring, order, a, step):
     """Z[V] (or Q[V]) slices z_0 .. z_order of a series, one per t-degree.
 
@@ -768,27 +674,10 @@ def _exp_power_sums(ring, order, sums):
     not.
     """
     z = _slice_recurrence(ring, order, sums, _over)
-    return NovikovTruncation._trusted(ring, order, _join_slices(ring, z), 0)
+    return TPolynomial._trusted(ring, _join_slices(ring, z), order, 0)
 
 
-def series_exp(x: NovikovTruncation) -> NovikovTruncation:
-    """exp of a truncation supported in strictly positive t-degrees.
-
-    With x = sum_n x_n t^n the power sums are p_n = n * x_n, and the
-    result z obeys n*z_n = sum_{k=1..n} p_k z_{n-k}, one pass per
-    t-degree through x.order.
-    """
-    ring = x.ring
-    if x.min_t < 0 or (x and min(x._terms) <= ring._top_key(0)):
-        raise PreconditionError("series exponential needs strictly positive t-degrees")
-    sums = {}
-    for k, c in x._terms.items():
-        n, v = ring._split(k)
-        sums.setdefault(n, {})[v] = _coeff_normal(n * c)
-    return _exp_power_sums(ring, x.order, sums)
-
-
-def series_invert(p: TPolynomial, k: int) -> NovikovTruncation:
+def series_invert(p: TPolynomial, k: int) -> TPolynomial:
     """Invert p in Z[V]((t)) to absolute t-order k - min_t(p).
 
     The lowest t-slice of p must be a single monomial with coefficient +-1;
@@ -818,7 +707,7 @@ def series_invert(p: TPolynomial, k: int) -> NovikovTruncation:
         if n:
             r.setdefault(n, {})[v] = c
     s = _slice_recurrence(ring, k, r, lambda n, c: -c)
-    return NovikovTruncation._trusted(ring, k, _join_slices(ring, s), 0) * u_inv
+    return TPolynomial._trusted(ring, _join_slices(ring, s), k, 0) * u_inv
 
 
 class RationalFunction:
@@ -835,6 +724,8 @@ class RationalFunction:
     __slots__ = ("num", "den")
 
     def __init__(self, num: TPolynomial, den=None):
+        if not _exact(num) or den is not None and not _exact(den):
+            raise PreconditionError("a rational function is a quotient of exact polynomials")
         if den is None:
             den = TPolynomial.one(num.ring)
         _check_same_ring(num, den)
@@ -884,7 +775,7 @@ class RationalFunction:
     def _coerce(self, other):
         if isinstance(other, int):
             return RationalFunction.from_int(self.ring, other)
-        if isinstance(other, TPolynomial):
+        if _exact(other):
             _check_same_ring(self, other)
             return RationalFunction(other)
         if isinstance(other, RationalFunction):
@@ -1003,10 +894,10 @@ def unit_equivalent(r1: RationalFunction, r2: RationalFunction) -> bool:
     return _strip_unit(p) == _strip_unit(q)
 
 
-def expand_series(r: RationalFunction, k: int) -> NovikovTruncation:
+def expand_series(r: RationalFunction, k: int) -> TPolynomial:
     """Truncated Laurent expansion of r, exact through t-degree k."""
     if not r.num:
-        return NovikovTruncation.zero(r.ring, k)
+        return TPolynomial.zero(r.ring, k)
     m_num = r.num.min_t_degree()
     m_den = r.den.min_t_degree()
     inv = series_invert(r.den, k + m_den - m_num)
@@ -1067,7 +958,7 @@ def format_rational(r: RationalFunction) -> str:
     return f"({format_tpolynomial(num)}) / ({format_tpolynomial(den)})"
 
 
-def format_truncation(x: NovikovTruncation) -> list:
+def format_truncation(x: TPolynomial) -> list:
     """One line 't^d: <Z[V] coefficient>' per nonzero known t-degree, in
     increasing order; ["0"] when there are no terms."""
     ring = x.ring

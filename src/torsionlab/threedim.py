@@ -15,7 +15,7 @@ from .cut import approx_equal
 from .errors import PreconditionError
 from .linalg import bareiss_det, mat_transpose
 from .novikov import _lifted
-from .rings import NovikovTruncation, RationalFunction, TPolynomial, expand_series
+from .rings import RationalFunction, TPolynomial, _exact, expand_series
 
 
 def _zero_exponent(ring):
@@ -27,7 +27,7 @@ def _normalize_exponent(ring, e):
         return _zero_exponent(ring)
     if isinstance(e, int):
         return (e, ring.zero_v())
-    if isinstance(e, TPolynomial):
+    if _exact(e):
         parts = e.unit_parts()
         if parts is None or parts[0] != 1:
             raise PreconditionError("exponent must come from a +1 monomial")
@@ -44,7 +44,7 @@ def _exp_sub(a, b):
 
 
 def _unit_exponent(u):
-    parts = u.unit_parts() if isinstance(u, TPolynomial) else None
+    parts = u.unit_parts() if _exact(u) else None
     if parts is None:
         raise PreconditionError("rebasing factor must be a monomial unit")
     return parts[0], (parts[1], parts[2])
@@ -71,7 +71,7 @@ class PathMatrix:
             for entry in row:
                 if isinstance(entry, int):
                     entry = TPolynomial.monomial(ring, coeff=entry)
-                if not isinstance(entry, TPolynomial) or entry.ring != ring:
+                if not _exact(entry) or entry.ring != ring:
                     raise PreconditionError("path matrix entries must be ring elements")
                 if entry and entry.min_t_degree() < 0:
                     raise PreconditionError(
@@ -137,7 +137,7 @@ def path_matrix_det(P):
     return P._det
 
 
-class CoefficientFunction(NovikovTruncation):
+class CoefficientFunction(TPolynomial):
     """Integer coefficients on homology classes: a truncation plus the
     torsor offset of the determinant it came from.
 
@@ -148,13 +148,13 @@ class CoefficientFunction(NovikovTruncation):
     __slots__ = ("offset",)
 
     def __init__(self, ring, terms, order, offset=None, min_t=0):
-        self._adopt(NovikovTruncation(ring, order, terms, min_t), offset)
+        self._adopt(TPolynomial(ring, terms, order, min_t), offset)
 
     def _adopt(self, series, offset):
         """Take over a truncation's state as is and attach the offset."""
         if not series.is_integral():
             raise ArithmeticError("coefficient function needs integer coefficients")
-        for name in NovikovTruncation.__slots__:
+        for name in TPolynomial.__slots__:
             setattr(self, name, getattr(series, name))
         self.offset = _normalize_exponent(series.ring, offset)
         return self
@@ -165,7 +165,7 @@ def i3_coefficients(zeta, detP, k):
     ring = detP.poly.ring
     if isinstance(zeta, RationalFunction):
         zeta = expand_series(zeta, k)
-    if not isinstance(zeta, NovikovTruncation):
+    if not isinstance(zeta, TPolynomial) or zeta.order is None:
         raise PreconditionError("counting factor must be a truncation or a fraction")
     if zeta.ring != ring:
         raise PreconditionError("mismatched ring specs")

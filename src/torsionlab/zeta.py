@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .errors import PreconditionError
 from .linalg import charpoly, int_det, mat_mul
-from .rings import RationalFunction, TPolynomial, _exp_power_sums, _from_t_coefficients
+from .rings import RationalFunction, TPolynomial, _exact, _exp_power_sums, _from_t_coefficients
 
 
 @dataclass(frozen=True)
@@ -65,25 +65,9 @@ def _diagonal_eigenvalues(A):
     return [A[i][i] for i in range(n)]
 
 
-def orbit_sign(orbit, power=1):
-    """Sign of det(1 - A^power) for the linearized return map A.
-
-    Without the map itself, eps covers the first power, and for a
-    hyperbolic orbit eps together with i_minus fixes every power: the
-    sign repeats on odd powers and flips by the parity of i_minus on
-    even ones (real eigenvalues below -1 each cross sign there and
-    complex pairs never contribute).
-    """
-    A = orbit.map_rows()
-    P = A
-    for _ in range(power - 1):
-        P = mat_mul(P, A, 0)
-    return _power_sign(orbit, P, power)
-
-
 def _orbit_signs(orbit):
-    """orbit_sign(orbit, 1), orbit_sign(orbit, 2), ... in turn, each
-    matrix power taken from the one before."""
+    """The signs of det(1 - A^1), det(1 - A^2), ... in turn, each matrix
+    power taken from the one before."""
     A = orbit.map_rows()
     P, power = A, 1
     while True:
@@ -92,7 +76,15 @@ def _orbit_signs(orbit):
 
 
 def _power_sign(orbit, P, power):
-    """orbit_sign given P = A^power (empty when the orbit has no map)."""
+    """Sign of det(1 - A^power) for the linearized return map A, given
+    P = A^power (empty when the orbit has no map).
+
+    Without the map itself, eps covers the first power, and for a
+    hyperbolic orbit eps together with i_minus fixes every power: the
+    sign repeats on odd powers and flips by the parity of i_minus on
+    even ones (real eigenvalues below -1 each cross sign there and
+    complex pairs never contribute).
+    """
     if not P:
         if orbit.eps not in (-1, 1):
             raise PreconditionError("orbit sign is not pinned down")
@@ -181,7 +173,7 @@ def _as_plain_int(p):
 
 def _map_entry(ring, entry):
     """A return-map entry: an int when constant, else a t-free ring element."""
-    if isinstance(entry, TPolynomial):
+    if _exact(entry):
         if entry.ring != ring:
             raise PreconditionError("mismatched ring specs")
         if not entry.is_t_free():

@@ -9,10 +9,16 @@ without trusting it twice.
 
 import random
 
-from torsionlab.complexes import BasedChainComplex, ShortExactSequence, _clear_row_denominators
+from torsionlab.complexes import (
+    BasedChainComplex,
+    ShortExactSequence,
+    _clear_row_denominators,
+    homology_ranks,
+)
 from torsionlab.errors import PreconditionError
-from torsionlab.linalg import _eliminate, bareiss_det
-from torsionlab.rings import RationalFunction, TPolynomial, exact_div
+from torsionlab.linalg import _eliminate, bareiss_det, mat_mul
+from torsionlab.rings import RationalFunction, TPolynomial, _coeff_normal, _exp_power_sums, exact_div
+from torsionlab.zeta import _power_sign
 
 
 def random_poly(rng, ring, max_terms=2, t_lo=0, t_hi=2, coeff_span=2, v_span=1, nonzero=False):
@@ -257,3 +263,46 @@ def scaled_solve(ring, A, B):
                 acc = acc - wi[m] * Y[m][j]
             Y[i][j] = exact_div(acc, wi[i])
     return d, Y
+
+
+# ---- thin wrappers over the code the package runs ----
+
+
+def series_exp(x):
+    """exp of a truncation supported in strictly positive t-degrees.
+
+    With x = sum_n x_n t^n the power sums are p_n = n * x_n, which
+    rings._exp_power_sums, the recurrence of the zeta routes, takes through
+    x.order.
+    """
+    ring = x.ring
+    if x.min_t < 0 or (x and min(x._terms) <= ring._top_key(0)):
+        raise PreconditionError("series exponential needs strictly positive t-degrees")
+    sums = {}
+    for k, c in x._terms.items():
+        n, v = ring._split(k)
+        sums.setdefault(n, {})[v] = _coeff_normal(n * c)
+    return _exp_power_sums(ring, x.order, sums)
+
+
+def novikov_rank_check(cn, cw):
+    """Whether both complexes have the same Betti numbers, degree by degree."""
+    if cn.ring != cw.ring:
+        raise PreconditionError("mismatched ring specs")
+    ranks = {}
+    for j, r in enumerate(homology_ranks(cn)):
+        ranks[cn.min_degree + j] = ranks.get(cn.min_degree + j, 0) + r
+    for j, r in enumerate(homology_ranks(cw)):
+        ranks[cw.min_degree + j] = ranks.get(cw.min_degree + j, 0) - r
+    return all(v == 0 for v in ranks.values())
+
+
+def orbit_sign(orbit, power=1):
+    """Sign of det(1 - A^power) for the linearized return map A, with the
+    power taken afresh: a reference for zeta._orbit_signs, which takes
+    each power from the one before."""
+    A = orbit.map_rows()
+    P = A
+    for _ in range(power - 1):
+        P = mat_mul(P, A, 0)
+    return _power_sign(orbit, P, power)

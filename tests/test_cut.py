@@ -17,7 +17,6 @@ from torsionlab.cut import (
 from torsionlab.errors import PreconditionError
 from torsionlab.novikov import EulerLift, NovikovComplex
 from torsionlab.rings import (
-    NovikovTruncation,
     RationalFunction,
     TPolynomial,
     frac_equal,
@@ -639,18 +638,18 @@ class TestApproxEqual:
         values = [
             RationalFunction(rp((0, 1), (1, -3), (2, 1)), (1 - T) * (1 - T)),
             rp((2, 5), (7, -1)),
-            NovikovTruncation.from_tpolynomial(rp((0, 1), (3, 2)), 5),
+            rp((0, 1), (3, 2)).truncate(5),
         ]
         for x in values:
             for k in (1, 2, 8):
                 assert approx_equal(x, x, k)
 
     def test_truncation_order_limits_the_window(self):
-        short = NovikovTruncation.from_tpolynomial(rp((0, 1), (1, 1)), 2)
+        short = rp((0, 1), (1, 1)).truncate(2)
         geo = RationalFunction(ONE, 1 - T)
         assert approx_equal(short, geo, 2)
         assert not approx_equal(short, geo, 3)
-        padded = NovikovTruncation.from_tpolynomial(rp((0, 1), (1, 1), (2, 1)), 2)
+        padded = rp((0, 1), (1, 1), (2, 1)).truncate(2)
         assert approx_equal(padded, geo, 10)
 
     def test_window_starts_at_common_minimum(self):
@@ -749,7 +748,7 @@ def _spec_value(sympy, t, spec):
     known = {
         (d, ()): c for d, c in zip(range(LOW, order + 1), coeffs) if c
     }
-    return NovikovTruncation(R0, order, known, LOW), coeffs[: order - LOW + 1], order
+    return TPolynomial(R0, known, order, LOW), coeffs[: order - LOW + 1], order
 
 
 def _window_oracle(ops, k):

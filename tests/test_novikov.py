@@ -10,11 +10,9 @@ from torsionlab.novikov import (
     NovikovComplex,
     apply_lift,
     invariant_I,
-    novikov_rank_check,
     tau_novikov,
 )
 from torsionlab.rings import (
-    NovikovTruncation,
     RationalFunction,
     TPolynomial,
     canonical_mod_units,
@@ -204,7 +202,7 @@ def _shift_nonneg(p):
     m = p.min_t_degree()
     if m >= 0:
         return p
-    return p.times_monomial(t_exp=-m)
+    return p * TPolynomial.t(p.ring, -m)
 
 
 class TestInvariantI:
@@ -236,7 +234,7 @@ class TestInvariantI:
 
     def test_series_route(self):
         t = TPolynomial.t(R0)
-        zeta = NovikovTruncation.from_tpolynomial(TPolynomial.one(R0), 5)
+        zeta = TPolynomial.one(R0).truncate(5)
         tau = tau_novikov(circle_cn())
         inv = invariant_I(zeta, tau)
         assert inv.value is None
@@ -247,13 +245,13 @@ class TestRankCheck:
     def test_circle_pair(self):
         t = TPolynomial.t(R0)
         cw = BasedChainComplex(R0, 0, [1, 1], [[[t - 1]]])
-        assert novikov_rank_check(circle_cn(), cw)
+        assert oracles.novikov_rank_check(circle_cn(), cw)
 
     def test_empty_vs_torus_like(self):
         z = TPolynomial.zero(R0)
         cw = BasedChainComplex(R0, 0, [1, 2, 1], [[[z, z]], [[z], [z]]])
         cn = NovikovComplex(R0, 0, [], [])
-        assert not novikov_rank_check(cn, cw)
+        assert not oracles.novikov_rank_check(cn, cw)
 
     def test_trefoil_pair(self):
         t = TPolynomial.t(R0)
@@ -265,11 +263,11 @@ class TestRankCheck:
         ]
         b3 = [[t - t**2], [1 - t**2], [t - 1]]
         cw = BasedChainComplex(R0, 0, [1, 3, 3, 1], [b1, b2, b3])
-        assert novikov_rank_check(trefoil_cn(), cw)
+        assert oracles.novikov_rank_check(trefoil_cn(), cw)
 
     def test_offset_degree_ranges(self):
         # same ranks in overlapping degrees, zero elsewhere
         t = TPolynomial.t(R0)
         cn = trefoil_cn()
         cw = BasedChainComplex(R0, 0, [1, 1], [[[1 - t]]])
-        assert novikov_rank_check(cn, cw)
+        assert oracles.novikov_rank_check(cn, cw)

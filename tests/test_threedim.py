@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from torsionlab.errors import PreconditionError
 from torsionlab.novikov import EulerLift, NovikovComplex
 from torsionlab.rings import (
-    NovikovTruncation,
     RationalFunction,
     TPolynomial,
     expand_series,
@@ -38,7 +37,7 @@ def rp(*pairs):
 
 
 def trunc_one(order):
-    return NovikovTruncation.from_tpolynomial(ONE, order)
+    return ONE.truncate(order)
 
 
 def two_degree(matrix, min_degree=1):
@@ -195,14 +194,12 @@ class TestI3Coefficients:
             CoefficientFunction(R0, {(0, (1,)): 1}, 3)
 
     def test_fractional_coefficients_rejected(self):
-        halves = NovikovTruncation(
-            R0, 2, {(1, ()): Fraction(1, 2), (2, ()): Fraction(3, 2)}
-        )
+        halves = TPolynomial(R0, {(1, ()): Fraction(1, 2), (2, ()): Fraction(3, 2)}, 2)
         with pytest.raises(ArithmeticError):
             i3_coefficients(halves, OffsetPolynomial(ONE, (0, ())), 2)
         with pytest.raises(ArithmeticError):
             CoefficientFunction(R0, {(1, ()): Fraction(1, 2)}, 2)
-        whole = NovikovTruncation(R0, 2, {(1, ()): Fraction(4, 2)})
+        whole = TPolynomial(R0, {(1, ()): Fraction(4, 2)}, 2)
         cf = i3_coefficients(whole, OffsetPolynomial(ONE, (0, ())), 2)
         assert cf.terms == {(1, ()): 2} and type(cf.terms[(1, ())]) is int
 
@@ -224,7 +221,7 @@ class TestTInvariant:
         u = TPolynomial.monomial(R1, t_exp=0, v=(1,))
         P = PathMatrix(R1, [[TPolynomial.one(R1) - u * TPolynomial.t(R1)]])
         cf = i3_coefficients(
-            NovikovTruncation.from_tpolynomial(TPolynomial.one(R1), 3),
+            TPolynomial.one(R1).truncate(3),
             path_matrix_det(P),
             3,
         )
