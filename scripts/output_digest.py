@@ -29,7 +29,7 @@ import gen  # noqa: E402
 import run  # noqa: E402
 
 
-def digest(workloads, seeds, size="full"):
+def digest(workloads, seeds):
     """(jobs, check failures, sha256 hex) over every job of the workloads
     and seeds, in that order."""
     cli = run.load_cli()
@@ -41,7 +41,7 @@ def digest(workloads, seeds, size="full"):
         for workload in workloads:
             for seed in seeds:
                 work = os.path.join(tmp, "%s-%d" % (workload, seed))
-                for job in gen.build(workload, seed, work, size):
+                for job in gen.build(workload, seed, work):
                     _, code, out = run.run_job(cli, job)
                     jobs += 1
                     if check.check(job, code, out):
@@ -57,9 +57,8 @@ def main(argv=None):
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     parser.add_argument("--workloads", nargs="+", choices=sorted(gen.WORKLOADS),
                         default=["corpus", "series", "glue", "torsion"])
-    parser.add_argument("--size", choices=("full", "tiny"), default="full")
     args = parser.parse_args(argv)
-    jobs, failures, hexdigest = digest(args.workloads, args.seeds, args.size)
+    jobs, failures, hexdigest = digest(args.workloads, args.seeds)
     print("jobs: %d" % jobs)
     print("check failures: %d" % failures)
     print("sha256: %s" % hexdigest)

@@ -260,6 +260,8 @@ class TPolynomial:
         if order is None:
             if any(isinstance(c, Fraction) for c in clean.values()):
                 raise TypeError("TPolynomial coefficients must be integers")
+            if min_t:
+                raise PreconditionError("an exact polynomial declares no least degree")
         else:
             for k in clean:
                 t_exp = ring._split(k)[0]
@@ -678,7 +680,8 @@ def _exp_power_sums(ring, order, sums):
 
 
 def series_invert(p: TPolynomial, k: int) -> TPolynomial:
-    """Invert p in Z[V]((t)) to absolute t-order k - min_t(p).
+    """Invert the exact polynomial p in Z[V]((t)) to absolute t-order
+    k - min_t(p).
 
     The lowest t-slice of p must be a single monomial with coefficient +-1;
     that is exactly invertibility in the series ring, since the units of
@@ -687,6 +690,8 @@ def series_invert(p: TPolynomial, k: int) -> TPolynomial:
     slices s_0 = 1 and s_n = -sum_{j=1..n} r_j s_{n-j}, and the result is
     u^-1 times that.  It satisfies p * s = 1 + O(t^(k+1)).
     """
+    if not _exact(p):
+        raise PreconditionError("series_invert needs an exact polynomial")
     if not p:
         raise PreconditionError("zero is not invertible")
     ring = p.ring

@@ -152,6 +152,8 @@ class CoefficientFunction(TPolynomial):
 
     def _adopt(self, series, offset):
         """Take over a truncation's state as is and attach the offset."""
+        if series.order is None:
+            raise PreconditionError("a coefficient function is a truncation")
         if not series.is_integral():
             raise ArithmeticError("coefficient function needs integer coefficients")
         for name in TPolynomial.__slots__:

@@ -18,7 +18,8 @@ must match it:
 * two values are equal when they agree through the smaller order.
 
 Entry points that need an exact polynomial refuse a truncation with the
-message they give any other non-polynomial.
+message they give any other non-polynomial; series_invert and
+CoefficientFunction, which took one silently, refuse it with their own.
 """
 
 from fractions import Fraction
@@ -32,7 +33,7 @@ from torsionlab.cut import CutSystem
 from torsionlab.errors import PreconditionError
 from torsionlab.novikov import NovikovComplex
 from torsionlab.rings import RationalFunction, TPolynomial, series_invert
-from torsionlab.threedim import PathMatrix, rebase_col, rebase_row
+from torsionlab.threedim import CoefficientFunction, PathMatrix, rebase_col, rebase_row
 from torsionlab.zeta import zeta_lefschetz, zeta_trace
 
 from conftest import R0, R1, RINGS, tpolynomials
@@ -312,6 +313,14 @@ EXACT_ONLY = {
         lambda: PathMatrix(R0, [[ONE]], offset=UNIT),
         TypeError, "cannot unpack",
     ),
+    "series_invert": (
+        lambda: series_invert(TRUNC, 5),
+        PreconditionError, "series_invert needs an exact polynomial",
+    ),
+    "coefficient function": (
+        lambda: CoefficientFunction(R0, {(0, ()): 1}, None),
+        PreconditionError, "a coefficient function is a truncation",
+    ),
     "rational numerator": (
         lambda: RationalFunction(TRUNC),
         PreconditionError, "quotient of exact polynomials",
@@ -340,6 +349,11 @@ def test_entry_points_refuse_a_truncation(entry):
     build, exc, message = EXACT_ONLY[entry]
     with pytest.raises(exc, match=message):
         build()
+
+
+def test_an_exact_polynomial_declares_no_least_degree():
+    with pytest.raises(PreconditionError, match="declares no least degree"):
+        TPolynomial(R0, {(5, ()): 1}, None, min_t=5)
 
 
 def test_rational_never_equals_a_truncation():
