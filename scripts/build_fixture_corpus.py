@@ -14,12 +14,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from torsionlab.complexes import BasedChainComplex
 from torsionlab.cut import CutSystem
-from torsionlab.fixtures import (
-    Fixture,
-    NovikovData,
-    Scenario,
-    save_fixture,
-)
+from torsionlab.fixtures import Fixture, Scenario, save_fixture
 from torsionlab.novikov import EulerLift, NovikovComplex
 from torsionlab.rings import RationalFunction, RingSpec, TPolynomial
 from torsionlab.threedim import PathMatrix
@@ -111,7 +106,7 @@ def main():
     fixtures["circle_scenario.json"] = Fixture(
         "scenario",
         R0,
-        Scenario(cutsystem=circle_nocrit(), novikov=NovikovData(empty_cn())),
+        Scenario(cutsystem=circle_nocrit(), novikov=empty_cn()),
     )
 
     fixtures["circle_crit_scenario.json"] = Fixture(
@@ -119,7 +114,7 @@ def main():
         R0,
         Scenario(
             cutsystem=circle_onecrit(),
-            novikov=NovikovData(NovikovComplex(R0, 0, [1, 1], [[[ONE - T]]])),
+            novikov=NovikovComplex(R0, 0, [1, 1], [[[ONE - T]]]),
         ),
     )
 
@@ -132,7 +127,7 @@ def main():
         R0,
         Scenario(
             cutsystem=catmap_cut(),
-            novikov=NovikovData(empty_cn()),
+            novikov=empty_cn(),
             returnmaps=catmap_cut().phi,
             pathmatrix=PathMatrix(R0, []),
             order=2,
@@ -155,9 +150,7 @@ def main():
         R0,
         Scenario(
             cutsystem=stabilized_cut(),
-            novikov=NovikovData(
-                NovikovComplex(R0, 1, [1, 1], [[[STABILIZED_SERIES]]], order=8)
-            ),
+            novikov=NovikovComplex(R0, 1, [1, 1], [[[STABILIZED_SERIES]]], order=8),
             order=8,
         ),
     )
@@ -165,11 +158,13 @@ def main():
     fixtures["trefoil_novikov.json"] = Fixture(
         "novikov",
         R0,
-        NovikovData(
-            NovikovComplex(
-                R0, 1, [1, 1], [[[TREFOIL]]], labels=[["a1"], ["b1"]]
-            ),
-            EulerLift.trivial(R0, [1, 1]),
+        NovikovComplex(
+            R0,
+            1,
+            [1, 1],
+            [[[TREFOIL]]],
+            labels=[["a1"], ["b1"]],
+            lift=EulerLift.trivial(R0, [1, 1]),
         ),
     )
 

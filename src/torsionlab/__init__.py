@@ -35,7 +35,6 @@ from .cut import (
 from .errors import FixtureError, PreconditionError
 from .fixtures import (
     Fixture,
-    NovikovData,
     Scenario,
     parse_fixture,
     parse_fixture_data,
@@ -96,7 +95,6 @@ __all__ = [
     "HomologyBasis",
     "MorseInvariant",
     "NovikovComplex",
-    "NovikovData",
     "OffsetPolynomial",
     "PathMatrix",
     "PreconditionError",

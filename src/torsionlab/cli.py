@@ -19,7 +19,6 @@ from .fixtures import parse_fixture
 from .novikov import apply_lift
 from .rings import (
     MAX_ORDER,
-    TPolynomial,
     canonical_mod_units,
     expand_series,
     format_rational,
@@ -90,12 +89,12 @@ def _lifted_complex(fixture):
     if fixture.kind == "complex":
         return fixture.payload
     if fixture.kind == "novikov":
-        data = fixture.payload
+        cn = fixture.payload
     elif fixture.kind == "scenario" and fixture.payload.novikov is not None:
-        data = fixture.payload.novikov
+        cn = fixture.payload.novikov
     else:
         raise PreconditionError("fixture carries no complex to take torsion of")
-    return apply_lift(data.cn, data.xi, data.cn.min_degree)
+    return apply_lift(cn, cn.lift, cn.min_degree)
 
 
 def _order_for(args, fixture):
@@ -211,9 +210,7 @@ def _cmd_verify_main(args):
     sc = fixture.payload
     if sc.cutsystem is None or sc.novikov is None:
         raise PreconditionError("verify-main needs cutsystem and novikov sections")
-    report = verify_main_theorem(
-        sc.cutsystem, sc.novikov.cn, xi=sc.novikov.xi, order=_order_for(args, fixture)
-    )
+    report = verify_main_theorem(sc.cutsystem, sc.novikov, order=_order_for(args, fixture))
     print("zeta: %s" % format_rational(report.zeta))
     print("tau(CN): %s" % _tau_text(report.tau_cn))
     print("tau(X'): %s" % _tau_text(report.direct))
@@ -230,7 +227,7 @@ def _cmd_check_k(args):
     sc = fixture.payload
     if sc.cutsystem is None or sc.novikov is None:
         raise PreconditionError("check-k needs cutsystem and novikov sections")
-    cn = sc.novikov.cn
+    cn = sc.novikov
     # the comparison stops at the counting boundary's own order, so that
     # is the degree the verdict names
     order = _order_for(args, fixture)
@@ -257,11 +254,8 @@ def _cmd_i3(args):
     cf = i3_coefficients(zeta, path_matrix_det(sc.pathmatrix), order)
     consistent = None
     if sc.novikov is not None:
-        consistent = sw_consistency_check(
-            sc.pathmatrix, sc.novikov.cn, xi=sc.novikov.xi, k=order
-        )
-    offset_body = TPolynomial.monomial(cf.ring, t_exp=cf.offset[0], v=cf.offset[1])
-    print("offset: %s" % format_tpolynomial(offset_body))
+        consistent = sw_consistency_check(sc.pathmatrix, sc.novikov, k=order)
+    print("offset: %s" % format_tpolynomial(cf.offset))
     for line in format_truncation(cf):
         print(line)
     if consistent is None:
@@ -283,10 +277,8 @@ def _cmd_canon(args):
 def _cmd_validate(args):
     fixture = parse_fixture(args.fixture)
     report = []
-    if fixture.kind == "complex":
+    if fixture.kind in ("complex", "novikov"):
         report = validate_complex(fixture.payload)
-    elif fixture.kind == "novikov":
-        report = validate_complex(fixture.payload.cn)
     elif fixture.kind == "cutsystem":
         report = validate_cut_system(fixture.payload)
     elif fixture.kind == "scenario":
@@ -294,9 +286,7 @@ def _cmd_validate(args):
         if sc.cutsystem is not None:
             report.extend(validate_cut_system(sc.cutsystem))
         if sc.novikov is not None:
-            report.extend(
-                "novikov: " + line for line in validate_complex(sc.novikov.cn)
-            )
+            report.extend("novikov: " + line for line in validate_complex(sc.novikov))
     if report:
         for line in report:
             print(line)

@@ -22,6 +22,7 @@ from .rings import (
     RationalFunction,
     TPolynomial,
     _exact,
+    _monomial_unit,
     _unit_inverse,
     canonical_mod_units,
     exact_div,
@@ -373,13 +374,17 @@ def _rescaled(C, units):
     return BasedChainComplex(C.ring, C.min_degree, C.dims, boundaries, C.labels)
 
 
+def _rebasing_sign(u, ring):
+    """The sign of a rebasing factor, which must be a +-1 monomial of ring."""
+    return _monomial_unit(u, "rebasing factor must be a monomial unit", ring, (1, -1))[0]
+
+
 def rebase_basis(C, degree, index, u):
     """Replace one basis element by a monomial unit multiple of itself."""
     j = C.degree_index(degree)
     if not 0 <= index < C.dims[j]:
         raise PreconditionError("basis index out of range")
-    if not (_exact(u) and u.unit_parts()):
-        raise PreconditionError("rebasing factor must be a monomial unit")
+    _rebasing_sign(u, C.ring)
     return _rescaled(C, {(j, index): u})
 
 

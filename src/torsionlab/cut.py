@@ -42,8 +42,8 @@ def _check_block(mat, rows, cols, name):
 
 
 def _t_free_block(ring, mat, name):
-    """A block's entries as t-free ring elements: an int is coerced, and a
-    non-ring or t-dependent entry is refused."""
+    """A block's entries as t-free elements of ring: an int is coerced, and
+    a non-ring, foreign-ring or t-dependent entry is refused."""
     out = []
     for row in mat:
         coerced = []
@@ -52,6 +52,8 @@ def _t_free_block(ring, mat, name):
                 entry = TPolynomial.monomial(ring, coeff=entry)
             elif not _exact(entry):
                 raise PreconditionError("cut data entries must be ring elements")
+            elif entry.ring != ring:
+                raise PreconditionError("mismatched ring specs")
             elif not entry.is_t_free():
                 raise PreconditionError("block %s must not involve t" % name)
             coerced.append(entry)
@@ -357,13 +359,13 @@ class VerificationReport:
     product_identity: bool
 
 
-def verify_main_theorem(cs, cn, xi=None, order=16):
+def verify_main_theorem(cs, cn, order=16):
     """Compare the counting invariant against the glued-complex torsion.
 
     The invariant side multiplies the counting function of the return
-    maps by the torsion of the critical-point complex in the basis the
+    maps by the torsion of the critical-point complex in the basis its
     lift picks; the topological side takes the torsion of the assembled
-    complex with the same basing applied to its D generators.  The
+    complex with the same lift applied to its D generators.  The
     transfer matrices and the counting function are computed once, from
     one characteristic polynomial per return map, and kept on the cut
     system for the series check and the product route to share.
@@ -371,9 +373,9 @@ def verify_main_theorem(cs, cn, xi=None, order=16):
     k = cn.order if cn.order is not None else order
     series_ok = check_K_vs_novikov(cs, cn, k)
     zeta = _return_flow(cs)[1]
-    tau_cn = tau_novikov(cn, xi)
+    tau_cn = tau_novikov(cn)
     inv = invariant_I(zeta, tau_cn)
-    assembled = apply_lift(assemble_boundary(cs), xi, cn.min_degree)
+    assembled = apply_lift(assemble_boundary(cs), cn.lift, cn.min_degree)
     direct = torsion_tau(assembled)
     product_route = tau_via_products(cs)
     if inv.is_zero or inv.value is None or direct is None:

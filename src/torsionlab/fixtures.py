@@ -9,6 +9,7 @@ Parsing reports a JSON-path location with every failure.
 
 import json
 import os
+from itertools import accumulate
 
 from .complexes import BasedChainComplex
 from .cut import CutSystem
@@ -149,7 +150,16 @@ def _unit_term(ring, obj, where):
     return TPolynomial._trusted(ring, {key: 1})
 
 
-def _complex(ring, obj, where, cls=BasedChainComplex, **extra):
+def _build(cls, where, *args, **kwargs):
+    """cls(*args, **kwargs), a refused precondition reported at where."""
+    try:
+        return cls(*args, **kwargs)
+    except PreconditionError as exc:
+        _fail(str(exc), where)
+
+
+def _complex_parts(ring, obj, where):
+    """(min_degree, dims, boundaries, labels) of a complex object."""
     sub = _get(obj, "ring", where, required=False)
     if sub is not None and parse_ring(sub, where + ".ring") != ring:
         _fail("ring spec disagrees with the file", where + ".ring")
@@ -164,20 +174,11 @@ def _complex(ring, obj, where, cls=BasedChainComplex, **extra):
             for group in _list(labels, where + ".labels")
         ]
     boundaries = _matrices(ring, _get(obj, "boundaries", where), where + ".boundaries")
-    try:
-        return cls(ring, min_degree, dims, boundaries, labels=labels, **extra)
-    except PreconditionError as exc:
-        _fail(str(exc), where)
+    return min_degree, dims, boundaries, labels
 
 
-class NovikovData:
-    """Critical-point complex bundled with its optional generator lift."""
-
-    __slots__ = ("cn", "xi")
-
-    def __init__(self, cn, xi=None):
-        self.cn = cn
-        self.xi = xi
+def _complex(ring, obj, where):
+    return _build(BasedChainComplex, where, ring, *_complex_parts(ring, obj, where))
 
 
 def _grading(cn):
@@ -199,30 +200,35 @@ def _order(obj, where):
     return order
 
 
+def _lift(ring, obj, where, dims):
+    """The EulerLift of the optional offsets, one per generator, or None."""
+    offsets = _get(obj, "offsets", where, required=False)
+    if offsets is None:
+        return None
+    flat = [
+        _unit_term(ring, item, "%s.offsets[%d]" % (where, i))
+        for i, item in enumerate(_list(offsets, where + ".offsets"))
+    ]
+    if len(flat) != sum(dims):
+        _fail("need one offset per generator", where + ".offsets")
+    ends = accumulate(dims)
+    return EulerLift(ring, [flat[end - d : end] for d, end in zip(dims, ends)])
+
+
 def _novikov(ring, obj, where):
     order = _order(obj, where)
-    cn = _complex(ring, obj, where, cls=NovikovComplex, order=order)
+    min_degree, dims, boundaries, labels = _complex_parts(ring, obj, where)
+    lift = _lift(ring, obj, where, dims)
+    cn = _build(
+        NovikovComplex, where, ring, min_degree, dims, boundaries, labels, order, lift
+    )
     indices = [
         _int(i, where + ".indices")
         for i in _list(_get(obj, "indices", where), where + ".indices")
     ]
     if indices != _grading(cn):
         _fail("indices disagree with the degrees of the generators", where + ".indices")
-    xi = None
-    offsets = _get(obj, "offsets", where, required=False)
-    if offsets is not None:
-        flat = [
-            _unit_term(ring, item, "%s.offsets[%d]" % (where, i))
-            for i, item in enumerate(_list(offsets, where + ".offsets"))
-        ]
-        if len(flat) != sum(cn.dims):
-            _fail("need one offset per generator", where + ".offsets")
-        grouped, at = [], 0
-        for d in cn.dims:
-            grouped.append(flat[at : at + d])
-            at += d
-        xi = EulerLift(ring, grouped)
-    return NovikovData(cn, xi)
+    return cn
 
 
 def _orbit(ring, obj, where):
@@ -234,11 +240,15 @@ def _orbit(ring, obj, where):
             "exponent vector needs %d entries" % ring.num_group_vars, where + ".class.v"
         )
     v = tuple(_int(e, where + ".class.v") for e in v)
-    period = _int(_get(obj, "period", where, required=False, default=1), where)
+
+    def field(key, default):
+        return _int(_get(obj, key, where, required=False, default=default), where + "." + key)
+
+    period = field("period", 1)
     # sign 0 defers to the return map; the schema's +-1 is the known case
-    sign = _int(_get(obj, "sign", where, required=False, default=0), where + ".sign")
-    i_minus = _int(_get(obj, "i_minus", where, required=False, default=-1), where)
-    i_zero = _int(_get(obj, "i_zero", where, required=False, default=-1), where)
+    sign = field("sign", 0)
+    i_minus = field("i_minus", -1)
+    i_zero = field("i_zero", -1)
     rmap = _get(obj, "return_map", where, required=False, default=[])
     rmap = [
         [_int(e, where + ".return_map") for e in _list(row, where + ".return_map")]
@@ -277,10 +287,7 @@ def _cutsystem(ring, obj, where):
         name: _matrices(ring, _get(obj, name, where), where + "." + name)
         for name in ("N", "M", "W")
     }
-    try:
-        return CutSystem(sigma, phi, crit, blocks["N"], blocks["M"], blocks["W"])
-    except PreconditionError as exc:
-        _fail(str(exc), where)
+    return _build(CutSystem, where, sigma, phi, crit, blocks["N"], blocks["M"], blocks["W"])
 
 
 def _pathmatrix(ring, obj, where):
@@ -294,10 +301,7 @@ def _pathmatrix(ring, obj, where):
         if raw is not None:
             raw = [_str(s, where + "." + key) for s in _list(raw, where + "." + key)]
         labels[key] = raw
-    try:
-        return PathMatrix(ring, P, offset=offset, **labels)
-    except PreconditionError as exc:
-        _fail(str(exc), where)
+    return _build(PathMatrix, where, ring, P, offset=offset, **labels)
 
 
 def _rational(ring, obj, where):
@@ -305,10 +309,7 @@ def _rational(ring, obj, where):
     den = _get(obj, "den", where, required=False)
     if den is not None:
         den = _poly(ring, den, where + ".den")
-    try:
-        return RationalFunction(num, den)
-    except PreconditionError as exc:
-        _fail(str(exc), where)
+    return _build(RationalFunction, where, num, den)
 
 
 class Scenario:
@@ -457,15 +458,13 @@ def _serialize_complex(C):
     return out
 
 
-def _serialize_novikov(data):
-    out = _serialize_complex(data.cn)
-    out["indices"] = _grading(data.cn)
-    if data.cn.order is not None:
-        out["order"] = data.cn.order
-    if data.xi is not None:
-        out["offsets"] = [
-            _serialize_unit(u) for group in data.xi.offsets for u in group
-        ]
+def _serialize_novikov(cn):
+    out = _serialize_complex(cn)
+    out["indices"] = _grading(cn)
+    if cn.order is not None:
+        out["order"] = cn.order
+    if cn.lift is not None:
+        out["offsets"] = [_serialize_unit(u) for group in cn.lift.offsets for u in group]
     return out
 
 
@@ -504,10 +503,7 @@ def _serialize_cutsystem(cs):
 
 
 def _serialize_pathmatrix(P):
-    out = {
-        "P": serialize_matrix(P.matrix),
-        "offset": {"c": 1, "t": P.offset[0], "v": list(P.offset[1])},
-    }
+    out = {"P": serialize_matrix(P.matrix), "offset": _serialize_unit(P.offset)}
     if P.row_labels is not None:
         out["row_labels"] = list(P.row_labels)
     if P.col_labels is not None:

@@ -3,8 +3,8 @@
 Generators sit one per critical point, graded by Morse index.  Boundary
 entries count flow lines and therefore never carry negative t-degree;
 the degree-0 part is nilpotent for free since the differential lowers
-the index.  Lifts are recorded relative to the fixture baseline as
-one monomial offset per generator.
+the index.  A complex may carry a lift: one +1 monomial offset per
+generator, relative to the fixture baseline, which its torsion applies.
 """
 
 from dataclasses import dataclass
@@ -19,6 +19,7 @@ from .errors import PreconditionError
 from .rings import (
     RationalFunction,
     TPolynomial,
+    _monomial_unit,
     canonical_mod_units,
     expand_series,
 )
@@ -28,12 +29,16 @@ class NovikovComplex(BasedChainComplex):
     """Based complex of critical points; order declares series truncation.
 
     order None means the entries are exact polynomials; an integer k
-    means every entry is trusted only through t-degree k.
+    means every entry is trusted only through t-degree k.  lift, when
+    given, is an EulerLift with one offset per generator; the torsion
+    of the complex is taken in the basis it picks.
     """
 
-    __slots__ = ("order",)
+    __slots__ = ("order", "lift")
 
-    def __init__(self, ring, min_degree, dims, boundaries, labels=None, order=None):
+    def __init__(
+        self, ring, min_degree, dims, boundaries, labels=None, order=None, lift=None
+    ):
         super().__init__(ring, min_degree, dims, boundaries, labels)
         for mat in self.boundaries:
             for row in mat:
@@ -44,26 +49,27 @@ class NovikovComplex(BasedChainComplex):
                         )
         if order is not None and order < 0:
             raise PreconditionError("truncation order must be nonnegative")
+        if lift is not None:
+            if lift.ring != ring:
+                raise PreconditionError("mismatched ring specs")
+            if [len(group) for group in lift.offsets] != self.dims:
+                raise PreconditionError("lift offsets do not match the generators")
         self.order = order
+        self.lift = lift
 
 
 class EulerLift:
-    """One monomial offset per generator, grouped by degree index."""
+    """One +1 monomial offset per generator, grouped by degree index."""
 
     __slots__ = ("ring", "offsets")
 
     def __init__(self, ring, offsets):
-        checked = []
+        offsets = [list(group) for group in offsets]
         for group in offsets:
-            row = []
             for u in group:
-                parts = u.unit_parts()
-                if parts is None or parts[0] != 1:
-                    raise PreconditionError("lift offsets must be +1 monomials")
-                row.append(u)
-            checked.append(row)
+                _monomial_unit(u, "lift offsets must be +1 monomials of the ring", ring)
         self.ring = ring
-        self.offsets = checked
+        self.offsets = offsets
 
     @classmethod
     def trivial(cls, ring, dims):
@@ -91,19 +97,9 @@ def apply_lift(C, xi, min_degree):
     return _rescaled(C, units)
 
 
-def _lifted(cn, xi):
-    """cn rebased by xi, which must carry one offset per generator."""
-    if xi is not None and (
-        len(xi.offsets) != len(cn.dims)
-        or any(len(group) != d for group, d in zip(xi.offsets, cn.dims))
-    ):
-        raise PreconditionError("lift offsets do not match the generators")
-    return apply_lift(cn, xi, cn.min_degree)
-
-
-def tau_novikov(cn, xi=None):
-    """Torsion of the critical-point complex in the basis picked by the lift."""
-    return torsion_tau(_lifted(cn, xi))
+def tau_novikov(cn):
+    """Torsion of the critical-point complex in the basis its lift picks."""
+    return torsion_tau(apply_lift(cn, cn.lift, cn.min_degree))
 
 
 @dataclass(frozen=True)

@@ -503,6 +503,18 @@ def _exact(x):
     return isinstance(x, TPolynomial) and x.order is None
 
 
+def _monomial_unit(u, message, ring=None, signs=(1,)):
+    """(coeff, t_exp, v_exps) of u when it is an exact monomial of ring (by
+    default u's own) with a coefficient in signs, else PreconditionError: a
+    +1 monomial by default, as lift and torsor offsets and classes are."""
+    parts = None
+    if _exact(u) and (ring is None or u.ring is ring or u.ring == ring):
+        parts = u.unit_parts()
+    if parts is None or parts[0] not in signs:
+        raise PreconditionError(message)
+    return parts
+
+
 def _from_t_coefficients(ring, coeffs):
     """sum_k coeffs[k] t^k for int or t-free polynomial coefficients: the
     key of t^k shifts each one onto its own t-degree, so none collide."""

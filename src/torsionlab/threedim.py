@@ -3,51 +3,34 @@
 An index-2 to index-1 flow line carries a relative homology class; a
 matrix of such counts determines an integer-valued function on classes
 once a reference class is fixed.  The offset bookkeeping here stands in
-for that reference: a stored polynomial together with an exponent
-vector, where scaling by a monomial unit and shifting the offset in the
-opposite direction presents the same underlying function.
+for that reference: a stored polynomial together with a +1 monomial
+offset, where scaling by a monomial unit and moving the offset by its
+inverse presents the same underlying function.
 """
 
 from dataclasses import dataclass
 
-from .complexes import torsion_tau
+from .complexes import _rebasing_sign, torsion_tau
 from .cut import approx_equal
 from .errors import PreconditionError
 from .linalg import bareiss_det, mat_transpose
-from .novikov import _lifted
-from .rings import RationalFunction, TPolynomial, _exact, expand_series
+from .novikov import apply_lift
+from .rings import (
+    RationalFunction,
+    TPolynomial,
+    _exact,
+    _monomial_unit,
+    _unit_inverse,
+    expand_series,
+)
 
 
-def _zero_exponent(ring):
-    return (0, ring.zero_v())
-
-
-def _normalize_exponent(ring, e):
-    if e is None:
-        return _zero_exponent(ring)
-    if isinstance(e, int):
-        return (e, ring.zero_v())
-    if _exact(e):
-        parts = e.unit_parts()
-        if parts is None or parts[0] != 1:
-            raise PreconditionError("exponent must come from a +1 monomial")
-        return (parts[1], parts[2])
-    t_exp, v = e
-    v = tuple(v)
-    if len(v) != ring.num_group_vars:
-        raise PreconditionError("exponent vector has the wrong arity")
-    return (int(t_exp), v)
-
-
-def _exp_sub(a, b):
-    return (a[0] - b[0], tuple(x - y for x, y in zip(a[1], b[1])))
-
-
-def _unit_exponent(u):
-    parts = u.unit_parts() if _exact(u) else None
-    if parts is None:
-        raise PreconditionError("rebasing factor must be a monomial unit")
-    return parts[0], (parts[1], parts[2])
+def _offset(ring, offset):
+    """A torsor offset: 1 when None, else a +1 monomial of ring."""
+    if offset is None:
+        return TPolynomial.one(ring)
+    _monomial_unit(offset, "offset must be a +1 monomial of the ring", ring)
+    return offset
 
 
 class PathMatrix:
@@ -84,7 +67,7 @@ class PathMatrix:
                 raise PreconditionError("label count does not match the matrix size")
         self.ring = ring
         self.matrix = coerced
-        self.offset = _normalize_exponent(ring, offset)
+        self.offset = _offset(ring, offset)
         self.row_labels = list(row_labels) if row_labels is not None else None
         self.col_labels = list(col_labels) if col_labels is not None else None
         self._det = None
@@ -98,15 +81,16 @@ def _rebase_line(P, index, u, axis):
     """Scale row (axis 0) or column (axis 1) index by a monomial unit."""
     if not 0 <= index < P.size:
         raise PreconditionError("%s index out of range" % ("row", "column")[axis])
-    _, exp = _unit_exponent(u)
+    sign = _rebasing_sign(u, P.ring)
     matrix = [
         [entry * u if (r, c)[axis] == index else entry for c, entry in enumerate(row)]
         for r, row in enumerate(P.matrix)
     ]
+    # the offset moves by u^-1; it carries no sign, so u's is dropped
     return PathMatrix(
         P.ring,
         matrix,
-        offset=_exp_sub(P.offset, exp),
+        offset=P.offset * _unit_inverse(u * sign),
         row_labels=P.row_labels,
         col_labels=P.col_labels,
     )
@@ -127,7 +111,7 @@ class OffsetPolynomial:
     """Exact polynomial value still referenced to a torsor offset."""
 
     poly: TPolynomial
-    offset: tuple
+    offset: TPolynomial
 
 
 def path_matrix_det(P):
@@ -141,7 +125,7 @@ class CoefficientFunction(TPolynomial):
     """Integer coefficients on homology classes: a truncation plus the
     torsor offset of the determinant it came from.
 
-    Evaluation subtracts the offset first: the stored keys are relative
+    Evaluation divides by the offset first: the stored keys are relative
     classes, the offset converts an absolute query into a stored key.
     """
 
@@ -158,7 +142,7 @@ class CoefficientFunction(TPolynomial):
             raise ArithmeticError("coefficient function needs integer coefficients")
         for name in TPolynomial.__slots__:
             setattr(self, name, getattr(series, name))
-        self.offset = _normalize_exponent(series.ring, offset)
+        self.offset = _offset(series.ring, offset)
         return self
 
 
@@ -175,19 +159,23 @@ def i3_coefficients(zeta, detP, k):
     return object.__new__(CoefficientFunction)._adopt(product, detP.offset)
 
 
-def t_invariant(cf, xi_exp):
-    """Evaluate the coefficient function on the class the lift points at."""
-    t_exp, v = _exp_sub(_normalize_exponent(cf.ring, xi_exp), cf.offset)
+def t_invariant(cf, cls):
+    """The coefficient of the class cls, a +1 monomial of cf's ring.
+
+    The stored key of an absolute class is the class over cf's offset.
+    """
+    _monomial_unit(cls, "class must be a +1 monomial of the ring", cf.ring)
+    _, t_exp, v = (cls * _unit_inverse(cf.offset)).unit_parts()
     return cf.coefficient(t_exp, v)
 
 
-def sw_consistency_check(P, cn, xi=None, k=16):
+def sw_consistency_check(P, cn, k=16):
     """Determinant count against the torsion of the two-degree complex.
 
     The complex must be concentrated in degrees 1 and 2; its boundary,
-    transposed and carried through the lift's rebasing, must reproduce
-    the path matrix entry by entry, and the two determinant routes must
-    agree through t-degree k up to one global sign.
+    transposed and carried through the rebasing of its own lift, must
+    reproduce the path matrix entry by entry, and the two determinant
+    routes must agree through t-degree k up to one global sign.
     """
     dims_by_degree = {}
     for j, d in enumerate(cn.dims):
@@ -199,11 +187,8 @@ def sw_consistency_check(P, cn, xi=None, k=16):
     m2 = dims_by_degree.get(2, 0)
     if m1 != m2 or m1 != P.size:
         raise PreconditionError("critical point counts do not match the path matrix")
-    moved = _lifted(cn, xi)
-    if P.size:
-        d2 = moved.boundaries[1 - moved.min_degree]
-    else:
-        d2 = []
+    moved = apply_lift(cn, cn.lift, cn.min_degree)
+    d2 = moved.boundaries[1 - moved.min_degree] if P.size else []
     if P.matrix != mat_transpose(d2, cols=m2):
         return False
     det = path_matrix_det(P).poly

@@ -11,7 +11,14 @@ from dataclasses import dataclass
 
 from .errors import PreconditionError
 from .linalg import charpoly, int_det, mat_mul
-from .rings import RationalFunction, TPolynomial, _exact, _exp_power_sums, _from_t_coefficients
+from .rings import (
+    RationalFunction,
+    TPolynomial,
+    _exact,
+    _exp_power_sums,
+    _from_t_coefficients,
+    _monomial_unit,
+)
 
 
 @dataclass(frozen=True)
@@ -31,9 +38,7 @@ class ClosedOrbit:
     i_zero: int = -1
 
     def __post_init__(self):
-        parts = self.homology_class.unit_parts()
-        if parts is None or parts[0] != 1:
-            raise PreconditionError("orbit class must be a +1 monomial")
+        parts = _monomial_unit(self.homology_class, "orbit class must be a +1 monomial")
         if parts[1] <= 0:
             raise PreconditionError("orbit class must have positive t-degree")
         if self.period < 1:

@@ -318,7 +318,7 @@ def test_criterion_8_product_route_matches_direct():
 def test_criterion_9_truncated_comparison_semantics():
     scenario = parse_fixture(fix("stabilized_pair.json")).payload
     cs = scenario.cutsystem
-    cn = scenario.novikov.cn
+    cn = scenario.novikov
     assert check_K_vs_novikov(cs, cn, 8)
     assert check_K_vs_novikov(circle_nocrit(), empty_cn(), 8)
     assert check_K_vs_novikov(
@@ -331,10 +331,10 @@ def test_criterion_9_truncated_comparison_semantics():
 
 
 def test_criterion_10_path_matrix_consistency():
-    cn = parse_fixture(fix("trefoil_novikov.json")).payload.cn
-    xi = parse_fixture(fix("trefoil_novikov.json")).payload.xi
+    cn = parse_fixture(fix("trefoil_novikov.json")).payload
+    assert cn.lift is not None
     P = parse_fixture(fix("trefoil_pathmatrix.json")).payload
-    assert sw_consistency_check(P, cn, xi)
+    assert sw_consistency_check(P, cn)
     for seed in range(20):
         rng = oracles.seeded(8300 + seed)
         m = rng.randint(1, 2)
@@ -353,9 +353,8 @@ def test_criterion_10_path_matrix_consistency():
         r = rng.randrange(m)
         u = TPolynomial.monomial(R0, t_exp=rng.randint(1, 2))
         offsets = [[ONE] * m, [u if i == r else ONE for i in range(m)]]
-        assert sw_consistency_check(
-            rebase_row(P, r, u), cn, EulerLift(R0, offsets)
-        )
+        lifted = NovikovComplex(R0, 1, [m, m], [b2], lift=EulerLift(R0, offsets))
+        assert sw_consistency_check(rebase_row(P, r, u), lifted)
 
 
 def test_criterion_11_rebasing_equivariance():

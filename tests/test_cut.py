@@ -25,7 +25,7 @@ from torsionlab.rings import (
 from torsionlab.zeta import zeta_lefschetz
 
 import oracles
-from conftest import R0, RINGS, tpoly
+from conftest import R0, R1, RINGS, tpoly
 
 
 ONE = TPolynomial.one(R0)
@@ -134,6 +134,11 @@ class TestCutSystemValidation:
                 [[[1]]],
                 [[[0]]],
             )
+        # a t-free block over another ring is refused at construction too,
+        # not first in compute_K
+        v = TPolynomial.var(R1, R1.var_names[0])
+        with pytest.raises(PreconditionError, match="mismatched ring specs"):
+            CutSystem(point_sigma(), [[[v]]], [0, 0], [[]], [[[]]], [[]])
 
     def test_sigma_degree_zero_start(self):
         shifted = BasedChainComplex(R0, 1, [1], [])
@@ -853,9 +858,9 @@ class TestVerifyMainTheorem:
 
     def test_lift_offset_cancels(self):
         cs = circle_onecrit()
-        cn = NovikovComplex(R0, 0, [1, 1], [[[1 - T]]])
         xi = EulerLift(R0, [[T**2], [ONE]])
-        report = verify_main_theorem(cs, cn, xi=xi)
+        cn = NovikovComplex(R0, 0, [1, 1], [[[1 - T]]], lift=xi)
+        report = verify_main_theorem(cs, cn)
         assert report.main_identity
         assert report.product_identity
 

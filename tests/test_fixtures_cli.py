@@ -579,6 +579,31 @@ class TestExitCodes:
             parse_fixture_data(data)
         assert info.value.location == "fixture.order"
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("period", "x"),
+            ("i_minus", "x"),
+            ("i_zero", 1.5),
+            ("sign", True),
+            ("class.t", None),
+        ],
+    )
+    def test_orbit_field_is_checked_at_its_key(self, capsys, tmp_path, field, value):
+        data = load_data("torus_orbits.json")
+        holder = data["orbits"][1]
+        *outer, key = field.split(".")
+        for part in outer:
+            holder = holder[part]
+        holder[key] = value
+        path = tmp_path / "torus_bad_orbit.json"
+        path.write_text(json.dumps(data), encoding="ascii")
+        code, out, err = invoke(capsys, "zeta", "--method", "product", "--fixture", str(path))
+        assert (code, out) == (3, "")
+        assert err == (
+            "fixture error: torus_bad_orbit.json.orbits[1].%s: expected an integer\n" % field
+        )
+
     def test_exponent_outside_its_slot_is_code_3(self, capsys, tmp_path):
         data = load_data("rational_sample.json")
         data["ring"]["group_vars"] = ["v"]

@@ -34,6 +34,13 @@ def trefoil_cn():
     return NovikovComplex(R0, 1, [1, 1], [[[1 - t + t**2]]])
 
 
+def lifted(cn, xi):
+    """cn carrying the lift xi."""
+    return NovikovComplex(
+        cn.ring, cn.min_degree, cn.dims, cn.boundaries, cn.labels, cn.order, xi
+    )
+
+
 class TestNovikovComplex:
     def test_rejects_negative_t_degree(self):
         tinv = TPolynomial.monomial(R0, t_exp=-1)
@@ -79,7 +86,7 @@ class TestTauNovikov:
         cn = circle_cn()
         base = tau_novikov(cn)
         xi = EulerLift(R0, [[TPolynomial.one(R0)], [t]])
-        shifted = tau_novikov(cn, xi)
+        shifted = tau_novikov(lifted(cn, xi))
         # degree-1 offset t scales the raw torsion by t^-1
         tinv = RationalFunction(TPolynomial.one(R0), t)
         assert frac_equal(shifted.raw, base.raw * tinv)
@@ -111,16 +118,20 @@ class TestTauNovikov:
         u = TPolynomial.t(R0) ** exp
         offsets = [[TPolynomial.one(R0)] * d for d in cn.dims]
         offsets[j][k] = u
-        moved = tau_novikov(cn, EulerLift(R0, offsets))
+        moved = tau_novikov(lifted(cn, EulerLift(R0, offsets)))
         degree = cn.min_degree + j
         u_rf = RationalFunction(u)
         scale = u_rf if degree % 2 == 0 else u_rf.inverse()
         assert frac_equal(moved.raw, base.raw * scale)
 
     def test_offset_shape_checked(self):
+        # the complex checks its lift once, at construction
         cn = circle_cn()
-        with pytest.raises(PreconditionError):
-            tau_novikov(cn, EulerLift(R0, [[TPolynomial.one(R0)]]))
+        with pytest.raises(PreconditionError, match="lift offsets do not match"):
+            lifted(cn, EulerLift(R0, [[TPolynomial.one(R0)]]))
+        with pytest.raises(PreconditionError, match="mismatched ring specs"):
+            lifted(cn, EulerLift.trivial(R1, [1, 1]))
+        assert lifted(cn, EulerLift.trivial(R0, [1, 1])).lift.offsets == [[1], [1]]
 
 
 class TestApplyLift:

@@ -40,6 +40,11 @@ def trunc_one(order):
     return ONE.truncate(order)
 
 
+def t_to(e, ring=R0, v=None):
+    """The +1 monomial t^e V^v: a class, or a torsor offset."""
+    return TPolynomial.monomial(ring, t_exp=e, v=v)
+
+
 def two_degree(matrix, min_degree=1):
     """Complex concentrated in two consecutive degrees with the given boundary."""
     m = len(matrix[0]) if matrix else 0
@@ -68,11 +73,18 @@ class TestPathMatrix:
         assert not P.matrix[0][1]
 
     def test_offset_forms(self):
-        assert PathMatrix(R0, [[ONE]]).offset == (0, ())
-        assert PathMatrix(R0, [[ONE]], offset=3).offset == (3, ())
-        assert PathMatrix(R0, [[ONE]], offset=T**2).offset == (2, ())
-        v1 = TPolynomial.monomial(R1, t_exp=1, v=(4,))
-        assert PathMatrix(R1, [[TPolynomial.one(R1)]], offset=v1).offset == (1, (4,))
+        # the one form of an offset is a +1 monomial; the default is 1
+        default = PathMatrix(R0, [[ONE]]).offset
+        assert default == ONE and default.order is None
+        assert PathMatrix(R0, [[ONE]], offset=t_to(-3)).offset == t_to(-3)
+        assert PathMatrix(R0, [[ONE]], offset=T**2).offset == T**2
+        v1 = t_to(1, R1, (4,))
+        assert PathMatrix(R1, [[TPolynomial.one(R1)]], offset=v1).offset == v1
+        # an exponent is not an offset
+        with pytest.raises(PreconditionError, match="offset must be a \\+1 monomial"):
+            PathMatrix(R0, [[ONE]], offset=3)
+        with pytest.raises(PreconditionError, match="offset must be a \\+1 monomial"):
+            PathMatrix(R0, [[ONE]], offset=(2, ()))
 
     def test_offset_rejects_nonunit(self):
         with pytest.raises(PreconditionError):
@@ -81,15 +93,19 @@ class TestPathMatrix:
             PathMatrix(R0, [[ONE]], offset=ONE + T)
 
     def test_offset_arity_checked(self):
-        with pytest.raises(PreconditionError):
-            PathMatrix(R1, [[TPolynomial.one(R1)]], offset=(0, (1, 2)))
+        # a unit of a ring with another number of group variables is refused
+        # at construction, not when i3 later reads its exponent vector
+        with pytest.raises(PreconditionError, match="of the ring"):
+            PathMatrix(R1, [[TPolynomial.one(R1)]], offset=T**2)
+        with pytest.raises(PreconditionError, match="of the ring"):
+            PathMatrix(R0, [[ONE]], offset=t_to(0, R1, (1,)))
 
 
 class TestDeterminant:
     def test_single_entry(self):
         d = path_matrix_det(PathMatrix(R0, [[ONE - T]]))
         assert d.poly == rp((0, 1), (1, -1))
-        assert d.offset == (0, ())
+        assert d.offset == ONE
 
     def test_identity(self):
         P = PathMatrix(R0, [[ONE, ZERO], [ZERO, ONE]])
@@ -103,8 +119,8 @@ class TestDeterminant:
         assert path_matrix_det(PathMatrix(R0, [])).poly == ONE
 
     def test_offset_carried(self):
-        P = PathMatrix(R0, [[T]], offset=(5, ()))
-        assert path_matrix_det(P).offset == (5, ())
+        P = PathMatrix(R0, [[T]], offset=T**5)
+        assert path_matrix_det(P).offset == T**5
 
     @given(
         st.lists(
@@ -126,22 +142,24 @@ class TestRebasing:
         Q = rebase_row(P, 0, T)
         assert Q.matrix[0][0] == T and Q.matrix[0][1] == T**2
         assert Q.matrix[1] == P.matrix[1]
-        assert Q.offset == (-1, ())
+        assert Q.offset == t_to(-1)
         assert Q.row_labels == ["a", "b"]
+        # the offset carries no sign: a -1 unit moves it as its +1 twin does
+        assert rebase_row(P, 0, -T).offset == t_to(-1)
 
     def test_col_scales_and_shifts(self):
-        P = PathMatrix(R1, [[TPolynomial.one(R1)]], offset=(2, (1,)))
-        u = TPolynomial.monomial(R1, t_exp=1, v=(-3,))
+        P = PathMatrix(R1, [[TPolynomial.one(R1)]], offset=t_to(2, R1, (1,)))
+        u = t_to(1, R1, (-3,))
         Q = rebase_col(P, 0, u)
         assert Q.matrix[0][0] == u
-        assert Q.offset == (1, (4,))
+        assert Q.offset == t_to(1, R1, (4,))
 
     def test_determinant_tracks_unit(self):
         P = PathMatrix(R0, [[ONE - T, T], [T, ONE - T]])
         Q = rebase_col(rebase_row(P, 1, T), 0, T**2)
         dP, dQ = path_matrix_det(P), path_matrix_det(Q)
         assert dQ.poly == dP.poly * T**3
-        assert dQ.offset == (-3, ())
+        assert dQ.offset == t_to(-3)
 
     def test_index_bounds(self):
         P = PathMatrix(R0, [[ONE]])
@@ -159,9 +177,9 @@ class TestI3Coefficients:
     def test_unit_counting_factor(self):
         cf = i3_coefficients(trunc_one(6), path_matrix_det(PathMatrix(R0, [[ONE - T]])), 6)
         assert cf.terms == {(0, ()): 1, (1, ()): -1}
-        assert t_invariant(cf, 0) == 1
-        assert t_invariant(cf, 1) == -1
-        assert t_invariant(cf, 4) == 0
+        assert t_invariant(cf, ONE) == 1
+        assert t_invariant(cf, T) == -1
+        assert t_invariant(cf, T**4) == 0
 
     def test_geometric_factor_cancels(self):
         zeta = RationalFunction(ONE, ONE - T)
@@ -196,11 +214,11 @@ class TestI3Coefficients:
     def test_fractional_coefficients_rejected(self):
         halves = TPolynomial(R0, {(1, ()): Fraction(1, 2), (2, ()): Fraction(3, 2)}, 2)
         with pytest.raises(ArithmeticError):
-            i3_coefficients(halves, OffsetPolynomial(ONE, (0, ())), 2)
+            i3_coefficients(halves, OffsetPolynomial(ONE, ONE), 2)
         with pytest.raises(ArithmeticError):
             CoefficientFunction(R0, {(1, ()): Fraction(1, 2)}, 2)
         whole = TPolynomial(R0, {(1, ()): Fraction(4, 2)}, 2)
-        cf = i3_coefficients(whole, OffsetPolynomial(ONE, (0, ())), 2)
+        cf = i3_coefficients(whole, OffsetPolynomial(ONE, ONE), 2)
         assert cf.terms == {(1, ()): 2} and type(cf.terms[(1, ())]) is int
 
 
@@ -208,14 +226,14 @@ class TestTInvariant:
     def test_window_error(self):
         cf = i3_coefficients(CATMAP_ZETA, path_matrix_det(PathMatrix(R0, [])), 2)
         with pytest.raises(PreconditionError):
-            t_invariant(cf, 3)
+            t_invariant(cf, T**3)
 
     def test_offset_shifts_queries(self):
-        detP = path_matrix_det(PathMatrix(R0, [[ONE - T]], offset=(1, ())))
+        detP = path_matrix_det(PathMatrix(R0, [[ONE - T]], offset=T))
         cf = i3_coefficients(trunc_one(4), detP, 4)
-        assert t_invariant(cf, 1) == 1
-        assert t_invariant(cf, 2) == -1
-        assert t_invariant(cf, 0) == 0
+        assert t_invariant(cf, T) == 1
+        assert t_invariant(cf, T**2) == -1
+        assert t_invariant(cf, ONE) == 0
 
     def test_group_direction_resolves(self):
         u = TPolynomial.monomial(R1, t_exp=0, v=(1,))
@@ -225,8 +243,8 @@ class TestTInvariant:
             path_matrix_det(P),
             3,
         )
-        assert t_invariant(cf, (1, (1,))) == -1
-        assert t_invariant(cf, (1, (0,))) == 0
+        assert t_invariant(cf, t_to(1, R1, (1,))) == -1
+        assert t_invariant(cf, t_to(1, R1, (0,))) == 0
 
     def test_rebasing_leaves_function_alone(self):
         P = PathMatrix(R0, [[TREFOIL, T], [ZERO, ONE]])
@@ -234,7 +252,7 @@ class TestTInvariant:
         moved = rebase_col(rebase_row(P, 0, T), 1, T)
         cf2 = i3_coefficients(CATMAP_ZETA, path_matrix_det(moved), 6)
         for e in range(5):
-            assert t_invariant(cf2, e) == t_invariant(cf, e)
+            assert t_invariant(cf2, T**e) == t_invariant(cf, T**e)
 
     @given(st.integers(0, 2), st.integers(0, 1), st.integers(1, 3))
     def test_rebasing_equivariance(self, row_power, which, index_seed):
@@ -244,7 +262,7 @@ class TestTInvariant:
         cf = i3_coefficients(CATMAP_ZETA, path_matrix_det(P), 8)
         cf2 = i3_coefficients(CATMAP_ZETA, path_matrix_det(moved), 8)
         for e in range(6):
-            assert t_invariant(cf2, e) == t_invariant(cf, e)
+            assert t_invariant(cf2, T**e) == t_invariant(cf, T**e)
 
 
 class TestConsistencyCheck:
@@ -289,17 +307,15 @@ class TestConsistencyCheck:
             sw_consistency_check(PathMatrix(R0, []), cn)
 
     def test_lift_moves_the_matrix(self):
-        cn = two_degree([[TREFOIL]])
-        xi = EulerLift(R0, [[ONE], [T]])
+        cn = NovikovComplex(R0, 1, [1, 1], [[[TREFOIL]]], lift=EulerLift(R0, [[ONE], [T]]))
         scaled = PathMatrix(R0, [[T * TREFOIL]])
-        assert sw_consistency_check(scaled, cn, xi=xi)
-        assert sw_consistency_check(PathMatrix(R0, [[TREFOIL]]), cn, xi=xi) is False
+        assert sw_consistency_check(scaled, cn)
+        assert sw_consistency_check(PathMatrix(R0, [[TREFOIL]]), cn) is False
 
     def test_lift_shape_checked(self):
-        cn = two_degree([[TREFOIL]])
-        xi = EulerLift(R0, [[ONE]])
-        with pytest.raises(PreconditionError):
-            sw_consistency_check(PathMatrix(R0, [[TREFOIL]]), cn, xi=xi)
+        # the lift is checked against the generators where it joins the complex
+        with pytest.raises(PreconditionError, match="lift offsets do not match"):
+            NovikovComplex(R0, 1, [1, 1], [[[TREFOIL]]], lift=EulerLift(R0, [[ONE]]))
 
     def test_two_by_two_agreement(self):
         b2 = [[TREFOIL, ONE], [ZERO, ONE - T]]

@@ -31,10 +31,16 @@ from hypothesis import strategies as st
 from torsionlab.complexes import BasedChainComplex, rebase_basis
 from torsionlab.cut import CutSystem
 from torsionlab.errors import PreconditionError
-from torsionlab.novikov import NovikovComplex
+from torsionlab.novikov import EulerLift, NovikovComplex
 from torsionlab.rings import RationalFunction, TPolynomial, series_invert
-from torsionlab.threedim import CoefficientFunction, PathMatrix, rebase_col, rebase_row
-from torsionlab.zeta import zeta_lefschetz, zeta_trace
+from torsionlab.threedim import (
+    CoefficientFunction,
+    PathMatrix,
+    rebase_col,
+    rebase_row,
+    t_invariant,
+)
+from torsionlab.zeta import ClosedOrbit, zeta_lefschetz, zeta_trace
 
 from conftest import R0, R1, RINGS, tpolynomials
 
@@ -262,7 +268,7 @@ def test_exact_compares_with_a_truncation_through_its_order():
     assert TPolynomial.one(R0, 0) == 1
 
 
-# ---- entry points that need an exact polynomial ----
+# ---- entry points that need an exact polynomial (or unit) of the right ring ----
 
 T = TPolynomial.t(R0)
 ONE = TPolynomial.one(R0)
@@ -271,6 +277,9 @@ TRUNC = series_invert(1 - T, 3)
 UNIT = series_invert(ONE, 3)
 POINT = BasedChainComplex(R0, 0, [1], [])
 CIRCLE = BasedChainComplex(R0, 0, [1, 1], [[[1 - T]]])
+# t known through t^3, and the unit t over a ring with one group variable
+TRUNC_T = T.truncate(3)
+FOREIGN_T = TPolynomial.t(R1)
 
 EXACT_ONLY = {
     "complex boundary": (
@@ -311,7 +320,35 @@ EXACT_ONLY = {
     ),
     "path matrix offset": (
         lambda: PathMatrix(R0, [[ONE]], offset=UNIT),
-        TypeError, "cannot unpack",
+        PreconditionError, "offset must be a \\+1 monomial of the ring",
+    ),
+    "path matrix offset, foreign ring": (
+        lambda: PathMatrix(R0, [[ONE]], offset=FOREIGN_T),
+        PreconditionError, "offset must be a \\+1 monomial of the ring",
+    ),
+    "coefficient function offset": (
+        lambda: CoefficientFunction(R0, {(0, ()): 1}, 3, offset=TRUNC_T),
+        PreconditionError, "offset must be a \\+1 monomial of the ring",
+    ),
+    "lift offset": (
+        lambda: EulerLift(R0, [[TRUNC_T]]),
+        PreconditionError, "lift offsets must be \\+1 monomials of the ring",
+    ),
+    "lift offset, foreign ring": (
+        lambda: EulerLift(R0, [[FOREIGN_T]]),
+        PreconditionError, "lift offsets must be \\+1 monomials of the ring",
+    ),
+    "novikov lift, wrong shape": (
+        lambda: NovikovComplex(R0, 0, [1, 1], [[[1 - T]]], lift=EulerLift(R0, [[T]])),
+        PreconditionError, "lift offsets do not match the generators",
+    ),
+    "t_invariant class": (
+        lambda: t_invariant(CoefficientFunction(R0, {(0, ()): 1}, 3), TRUNC_T),
+        PreconditionError, "class must be a \\+1 monomial of the ring",
+    ),
+    "orbit class": (
+        lambda: ClosedOrbit(TRUNC_T),
+        PreconditionError, "orbit class must be a \\+1 monomial",
     ),
     "series_invert": (
         lambda: series_invert(TRUNC, 5),
