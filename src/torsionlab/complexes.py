@@ -224,7 +224,8 @@ def _torsion_engine(ring, min_degree, dims, matrices):
 
 
 def torsion_tau(C):
-    """Torsion of an acyclic complex, or None when homology obstructs it."""
+    """Torsion of an acyclic complex, or None when homology obstructs it,
+    in the baseline basis: only tau_novikov and apply_lift apply a lift."""
     report = validate_complex(C)
     if report:
         raise PreconditionError("; ".join(report))
@@ -380,7 +381,10 @@ def _rebasing_sign(u, ring):
 
 
 def rebase_basis(C, degree, index, u):
-    """Replace one basis element by a monomial unit multiple of itself."""
+    """Replace one basis element by a monomial unit multiple of itself.
+
+    The result is a plain BasedChainComplex: a lift or order of C is
+    dropped (only tau_novikov and apply_lift apply a lift)."""
     j = C.degree_index(degree)
     if not 0 <= index < C.dims[j]:
         raise PreconditionError("basis index out of range")

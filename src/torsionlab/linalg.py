@@ -4,11 +4,11 @@ Matrices are plain lists of rows.  An r x 0 matrix is a list of r empty
 lists, a 0 x c matrix is the empty list; every function that needs to mint
 an element for a degenerate shape takes the ring spec explicitly.
 
-Determinants and ranks over the polynomial ring (and integer
-determinants) all run one fraction-free elimination, _eliminate,
-which the torsion engine in complexes also runs once per boundary.  It
-scales rows lazily: a row with a zero in the pivot column skips the
-step, so sparse boundary matrices do a fraction of Bareiss's divisions.
+Determinants and ranks over the polynomial ring all run one
+fraction-free elimination, _eliminate, which the torsion engine in
+complexes also runs once per boundary.  It scales rows lazily: a row
+with a zero in the pivot column skips the step, so sparse boundary
+matrices do a fraction of Bareiss's divisions.
 Kernel vectors and solutions over the fraction field come from
 _back_substitute on the rows _eliminate leaves, as polynomial vectors,
 so no rational function is formed.
@@ -179,13 +179,6 @@ def _back_substitute(ring, W, pivots, cols, free):
     return v
 
 
-def _int_div(a, b):
-    q, r = divmod(a, b)
-    if r:
-        raise ArithmeticError("inexact interior division")
-    return q
-
-
 def _square_size(M, what):
     n = len(M)
     if any(len(row) != n for row in M):
@@ -206,11 +199,6 @@ def _det(M, div, one, zero):
 def bareiss_det(ring, M):
     """Fraction-free determinant of a square matrix over the Laurent ring."""
     return _det(M, exact_div, TPolynomial.one(ring), TPolynomial.zero(ring))
-
-
-def int_det(M):
-    """Integer determinant by the same fraction-free scheme."""
-    return _det(M, _int_div, 1, 0)
 
 
 def poly_rank_pivots(ring, M):

@@ -638,10 +638,23 @@ def _slice_recurrence(ring, order, a, step):
     slices and zero coefficients are zero) and step maps each nonzero
     coefficient of the summed slice.
     Each slice is built once from the earlier ones, so nothing is raised
-    to a power and no degree above order is ever formed.
+    to a power and no degree above order is ever formed.  With b = 0 every
+    slice is the single key 0, and the same step runs on plain numbers.
     """
+    if not ring._shifts:
+        coeffs = sorted((k, s[0]) for k, s in a.items() if s.get(0))
+        z = [0] * (order + 1)
+        if order >= 0:
+            z[0] = 1
+        for n in range(1, order + 1):
+            acc = 0
+            for k, c in coeffs:
+                if k > n:
+                    break
+                acc += c * z[n - k]
+            z[n] = step(n, acc) if acc else 0
+        return [{0: c} if c else {} for c in z]
     support = sorted(k for k, s in a.items() if s)
-    checked = bool(ring._shifts)
     z = [None] * (order + 1)
     if order >= 0:
         z[0] = {0: 1}
@@ -651,7 +664,7 @@ def _slice_recurrence(ring, order, a, step):
             if k > n:
                 break
             ak, zk = a[k], z[n - k]
-            if checked and zk and not _fits(_v_ranges(ring, ak), _v_ranges(ring, zk)):
+            if zk and not _fits(_v_ranges(ring, ak), _v_ranges(ring, zk)):
                 raise _range_error()
             for va, ca in ak.items():
                 for vz, cz in zk.items():

@@ -10,7 +10,7 @@ suite leans on that agreement instead of trusting any single shape.
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .linalg import charpoly, int_det, mat_mul
+from .linalg import charpoly, mat_mul
 from .rings import (
     RationalFunction,
     TPolynomial,
@@ -48,7 +48,7 @@ class ClosedOrbit:
         rows = tuple(tuple(row) for row in self.return_map)
         n = len(rows)
         for row in rows:
-            if len(row) != n or any(not isinstance(e, int) for e in row):
+            if len(row) != n or any(isinstance(e, bool) or not isinstance(e, int) for e in row):
                 raise PreconditionError("return map must be a square integer matrix")
         object.__setattr__(self, "return_map", rows)
 
@@ -70,42 +70,78 @@ def _diagonal_eigenvalues(A):
     return [A[i][i] for i in range(n)]
 
 
-def _orbit_signs(orbit):
-    """The signs of det(1 - A^1), det(1 - A^2), ... in turn, each matrix
-    power taken from the one before."""
-    A = orbit.map_rows()
-    P, power = A, 1
-    while True:
-        yield _power_sign(orbit, P, power)
-        P, power = mat_mul(P, A, 0), power + 1
+def _power_traces(A, order):
+    """[tr(A^m) for m = 1..order] by baby-step giant-step (Paterson and
+    Stockmeyer, SIAM J. Comput. 2, 1973): with k about sqrt(order), the
+    baby steps A^1 .. A^k, the giant steps A^k, A^2k, ..., and for m = jk + i
+    one Frobenius product tr(A^jk A^i) = sum_rc (A^jk)_rc (A^i)_cr.  That is
+    about 2*sqrt(order) products instead of order; entries may be ints or
+    t-free ring elements."""
+    if not A or order < 1:
+        return [0] * order
+    n, k = len(A), 1 + int((order - 1) ** 0.5)
+    baby = [A]
+    for _ in range(k - 1):
+        baby.append(mat_mul(baby[-1], A, 0))
+    # baby steps flattened by columns, to pair with giant steps flattened by rows
+    cols = [[B[c][r] for r in range(n) for c in range(n)] for B in baby]
+    traces = [sum(B[r][r] for r in range(n)) for B in baby]
+    giant = baby[-1]
+    while len(traces) < order:
+        flat = [a for row in giant for a in row]
+        for C in cols[: order - len(traces)]:
+            traces.append(sum(a * b for a, b in zip(flat, C) if a and b))
+        if len(traces) < order:
+            giant = mat_mul(giant, baby[-1], 0)
+    return traces
 
 
-def _power_sign(orbit, P, power):
-    """Sign of det(1 - A^power) for the linearized return map A, given
-    P = A^power (empty when the orbit has no map).
+def _orbit_signs(orbit, count):
+    """The signs of det(1 - A^p) for p = 1..count.
 
-    Without the map itself, eps covers the first power, and for a
-    hyperbolic orbit eps together with i_minus fixes every power: the
-    sign repeats on odd powers and flips by the parity of i_minus on
-    even ones (real eigenvalues below -1 each cross sign there and
-    complex pairs never contribute).
+    det(1 - x A^p) = sum_k c_k x^k has c_0 = 1 and, by Newton's identities,
+    k c_k = -sum_{i=1..k} c_{k-i} tr(A^(p*i)); the traces come from one
+    _power_traces run, each division by k must be exact, and det(1 - A^p)
+    is the sum of the c_k.  The orbit counts are not read, so zeta_product
+    checks zeta_exp.
     """
-    if not P:
-        if orbit.eps not in (-1, 1):
-            raise PreconditionError("orbit sign is not pinned down")
-        if power == 1:
+    A = orbit.map_rows()
+    if not A:
+        return [_mapless_sign(orbit, p) for p in range(1, count + 1)]
+    n = len(A)
+    traces = _power_traces(A, n * count)
+    signs = []
+    for p in range(1, count + 1):
+        c = [1]
+        for k in range(1, n + 1):
+            q, r = divmod(-sum(c[k - i] * traces[p * i - 1] for i in range(1, k + 1)), k)
+            if r:
+                raise ArithmeticError("inexact division in Newton's identities")
+            c.append(q)
+        d = sum(c)
+        if d == 0:
+            raise PreconditionError("degenerate orbit: det(1 - A^%d) = 0" % p)
+        signs.append(1 if d > 0 else -1)
+    return signs
+
+
+def _mapless_sign(orbit, power):
+    """Sign of det(1 - A^power) for an orbit that carries no return map.
+
+    eps covers the first power, and for a hyperbolic orbit eps together
+    with i_minus fixes every power: the sign repeats on odd powers and
+    flips by the parity of i_minus on even ones (real eigenvalues below -1
+    each cross sign there and complex pairs never contribute).
+    """
+    if orbit.eps not in (-1, 1):
+        raise PreconditionError("orbit sign is not pinned down")
+    if power == 1:
+        return orbit.eps
+    if orbit.i_minus >= 0:
+        if power % 2:
             return orbit.eps
-        if orbit.i_minus >= 0:
-            if power % 2:
-                return orbit.eps
-            return -orbit.eps if orbit.i_minus % 2 else orbit.eps
-        raise PreconditionError("orbit powers need a return map or index counts")
-    n = len(P)
-    M = [[(1 if i == j else 0) - P[i][j] for j in range(n)] for i in range(n)]
-    d = int_det(M)
-    if d == 0:
-        raise PreconditionError("degenerate orbit: det(1 - A^%d) = 0" % power)
-    return 1 if d > 0 else -1
+        return -orbit.eps if orbit.i_minus % 2 else orbit.eps
+    raise PreconditionError("orbit powers need a return map or index counts")
 
 
 def orbit_counts(orbit):
@@ -129,7 +165,10 @@ def zeta_exp(ring, orbits, order):
     The j-th power of an orbit of t-degree d and class g adds
     sign_j * g^j / j to the logarithm, so it adds d * sign_j * g^j to
     the integer power sum at t-degree j*d; those sums feed the
-    exponential's recurrence directly.
+    exponential's recurrence directly.  sign_j is the sign of
+    det(1 - A^j), from Newton's identities on traces of powers of the
+    return map A (_orbit_signs); zeta_product reads the orbit index counts
+    instead, so the two share no step.
     """
     if order < 0:
         raise PreconditionError("truncation order must be nonnegative")
@@ -139,7 +178,7 @@ def zeta_exp(ring, orbits, order):
             raise PreconditionError("mismatched ring specs")
         d = orbit.t_degree
         v_class = orbit.homology_class.unit_parts()[2]
-        for power, sign in zip(range(1, order // d + 1), _orbit_signs(orbit)):
+        for power, sign in enumerate(_orbit_signs(orbit, order // d), 1):
             slice_ = sums.setdefault(power * d, {})
             key = ring.pack(0, [power * e for e in v_class])
             slice_[key] = slice_.get(key, 0) + d * sign
@@ -185,7 +224,7 @@ def _map_entry(ring, entry):
             raise PreconditionError("return map entries must not involve t")
         plain = _as_plain_int(entry)
         return entry if plain is None else plain
-    if isinstance(entry, int):
+    if isinstance(entry, int) and not isinstance(entry, bool):
         return entry
     raise PreconditionError("return map entries must be integers or t-free polynomials")
 
@@ -213,22 +252,19 @@ def zeta_trace(ring, maps, order):
     recurrence n*z_n = sum_{m=1..n} L(phi^m) z_{n-m}, whose divisions by
     n are exact whenever the result is integral.  Over Z[V] the maps
     are twisted, L(phi^m) is a t-free ring element, and its terms are
-    the V-slice of the power sum at t-degree m.
+    the V-slice of the power sum at t-degree m.  The traces are of true
+    matrix powers, taken by baby-step giant-step in _power_traces, never
+    power sums of a characteristic polynomial: zeta_lefschetz works from
+    charpoly, so the two routes share no step and each checks the other.
     """
     if order < 0:
         raise PreconditionError("truncation order must be nonnegative")
-    maps = _plain_maps(ring, maps)
+    lefschetz = [0] * order
+    for i, A in enumerate(_plain_maps(ring, maps)):
+        sign = -1 if i % 2 else 1
+        lefschetz = [s + sign * tr for s, tr in zip(lefschetz, _power_traces(A, order))]
     origin = ring.pack(0)
-    sums = {}
-    powers = maps
-    for m in range(1, order + 1):
-        if m > 1:
-            powers = [mat_mul(P, A, 0) for P, A in zip(powers, maps)]
-        lefschetz = 0
-        for i, P in enumerate(powers):
-            trace = sum(P[k][k] for k in range(len(P)))
-            lefschetz += trace if i % 2 == 0 else -trace
-        sums[m] = lefschetz._terms if isinstance(lefschetz, TPolynomial) else {origin: lefschetz}
+    sums = {m: s._terms if _exact(s) else {origin: s} for m, s in enumerate(lefschetz, 1)}
     result = _exp_power_sums(ring, order, sums)
     if not result.is_integral():
         raise ArithmeticError("trace exponential left the integral lattice")

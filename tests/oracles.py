@@ -16,9 +16,9 @@ from torsionlab.complexes import (
     homology_ranks,
 )
 from torsionlab.errors import PreconditionError
-from torsionlab.linalg import _eliminate, bareiss_det, mat_mul
+from torsionlab.linalg import _det, _eliminate, bareiss_det, mat_mul
 from torsionlab.rings import RationalFunction, TPolynomial, _coeff_normal, _exp_power_sums, exact_div
-from torsionlab.zeta import _power_sign
+from torsionlab.zeta import _mapless_sign
 
 
 def random_poly(rng, ring, max_terms=2, t_lo=0, t_hi=2, coeff_span=2, v_span=1, nonzero=False):
@@ -297,12 +297,34 @@ def novikov_rank_check(cn, cw):
     return all(v == 0 for v in ranks.values())
 
 
+# ---- integer determinants: the Bareiss reference for the orbit signs ----
+
+
+def _int_div(a, b):
+    q, r = divmod(a, b)
+    if r:
+        raise ArithmeticError("inexact interior division")
+    return q
+
+
+def int_det(M):
+    """Integer determinant by the package's fraction-free elimination."""
+    return _det(M, _int_div, 1, 0)
+
+
 def orbit_sign(orbit, power=1):
-    """Sign of det(1 - A^power) for the linearized return map A, with the
-    power taken afresh: a reference for zeta._orbit_signs, which takes
-    each power from the one before."""
+    """Sign of det(1 - A^power) for the linearized return map A, by a
+    Bareiss determinant of 1 - A^power with the power taken afresh: a
+    reference for zeta._orbit_signs, whose Newton route reads traces
+    instead.  An orbit without a map goes to zeta._mapless_sign."""
     A = orbit.map_rows()
+    if not A:
+        return _mapless_sign(orbit, power)
     P = A
     for _ in range(power - 1):
         P = mat_mul(P, A, 0)
-    return _power_sign(orbit, P, power)
+    n = len(P)
+    d = int_det([[(1 if i == j else 0) - P[i][j] for j in range(n)] for i in range(n)])
+    if d == 0:
+        raise PreconditionError("degenerate orbit: det(1 - A^%d) = 0" % power)
+    return 1 if d > 0 else -1

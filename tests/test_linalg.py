@@ -9,10 +9,8 @@ from torsionlab.errors import PreconditionError
 from torsionlab.linalg import (
     _back_substitute,
     _eliminate,
-    _int_div,
     bareiss_det,
     charpoly,
-    int_det,
     mat_apply,
     mat_mul,
     mat_transpose,
@@ -21,7 +19,7 @@ from torsionlab.linalg import (
 from torsionlab.rings import RationalFunction, TPolynomial, exact_div
 
 from conftest import R0, R1, R2, RINGS, mono, tpoly, tpolynomials
-from oracles import SympyView, random_return_map, rf_det, scaled_solve, seeded
+from oracles import SympyView, _int_div, int_det, random_return_map, rf_det, scaled_solve, seeded
 
 
 def ints_to_poly(ring, M):
@@ -80,6 +78,7 @@ class TestDeterminants:
         assert bareiss_det(R0, M) == expected
 
     def test_int_det(self):
+        # the test-only integer determinant runs the package's _det on ints
         assert int_det([[2, 1], [1, 1]]) == 1
         assert int_det([[1, 2], [3, 4]]) == -2
         assert int_det([]) == 1

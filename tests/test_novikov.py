@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from torsionlab.complexes import BasedChainComplex, TorsionValue, rebase_basis
+from torsionlab.complexes import BasedChainComplex, TorsionValue, rebase_basis, torsion_tau
 from torsionlab.errors import PreconditionError
 from torsionlab.novikov import (
     EulerLift,
@@ -282,3 +282,17 @@ class TestRankCheck:
         cn = trefoil_cn()
         cw = BasedChainComplex(R0, 0, [1, 1], [[[1 - t]]])
         assert oracles.novikov_rank_check(cn, cw)
+
+
+def test_generic_entry_points_see_the_baseline_basis():
+    # torsion_tau ignores a Novikov complex's lift and rebase_basis returns
+    # a plain complex without lift or order; only tau_novikov and
+    # apply_lift apply a lift
+    t = TPolynomial.t(R0)
+    one = TPolynomial.one(R0)
+    cn = NovikovComplex(R0, 0, [1, 1], [[[1 - t]]], order=4, lift=EulerLift(R0, [[t**2], [one]]))
+    assert frac_equal(torsion_tau(cn).raw, RationalFunction(one, 1 - t))
+    assert frac_equal(tau_novikov(cn).raw, RationalFunction(t**2, 1 - t))
+    rebased = rebase_basis(cn, 1, 0, t)
+    assert type(rebased) is BasedChainComplex
+    assert not hasattr(rebased, "lift") and not hasattr(rebased, "order")

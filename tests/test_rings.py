@@ -1,5 +1,6 @@
 import pytest
 from fractions import Fraction
+from math import factorial
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
@@ -938,3 +939,45 @@ def test_sympy_product_and_exact_div_with_negative_exponents(sympy, seed):
     assert q == a
     quotient = sympy.cancel(a_expr * b_expr / b_expr)
     assert sympy.simplify(as_sympy_laurent(sympy, q.terms, syms, t) - quotient) == 0
+
+
+# ---- the b = 0 recurrence on plain numbers against the slice path ----
+
+
+def embedded_terms(p):
+    """The terms of a V-free value of R1 with the V-exponents dropped."""
+    return {(n, ()): c for (n, v), c in p.terms.items()}
+
+
+@pytest.mark.parametrize(
+    "sums",
+    [
+        {1: {0: 1}},  # p_1 = 1: exp(t), whose steps are Fractions 1/n!
+        {1: {0: 2}, 3: {0: -5}, 4: {0: 7}},
+        {1: {0: 0}, 2: {}, 3: {0: 3}},  # zero sums and an empty slice
+        {2: {0: 0}},
+        {},
+    ],
+)
+def test_exp_power_sums_b0_agrees_with_the_slice_path(sums):
+    # the V-part key of V^0 is 0 in every ring, so the same sums describe
+    # a V-free series of R1, which runs the slice path
+    order = 9
+    plain = rings._exp_power_sums(R0, order, sums)
+    sliced = rings._exp_power_sums(R1, order, sums)
+    assert plain.terms == embedded_terms(sliced)
+    assert (plain.order, sliced.order) == (order, order)
+
+
+def test_exp_power_sums_b0_steps_through_fractions():
+    e = rings._exp_power_sums(R0, 6, {1: {0: 1}})
+    assert [e.coefficient(n) for n in range(7)] == [Fraction(1, factorial(n)) for n in range(7)]
+
+
+@pytest.mark.parametrize("k", [-1, 0, 1, 7])
+def test_series_invert_b0_agrees_with_the_slice_path(k):
+    for make in (lambda t: 1 - t, lambda t: 1 - 3 * t + t**3, lambda t: t - 2 * t**2):
+        plain = series_invert(make(TPolynomial.t(R0)), k)
+        sliced = series_invert(make(TPolynomial.t(R1)), k)
+        assert plain.terms == embedded_terms(sliced)
+        assert plain.order == sliced.order

@@ -1,4 +1,4 @@
-from itertools import islice
+from fractions import Fraction
 
 import pytest
 
@@ -13,6 +13,7 @@ from torsionlab.rings import (
 from torsionlab.zeta import (
     ClosedOrbit,
     _orbit_signs,
+    _power_traces,
     orbit_counts,
     zeta_exp,
     zeta_lefschetz,
@@ -48,6 +49,8 @@ class TestOrbitData:
             ClosedOrbit(t, period=0)
         with pytest.raises(PreconditionError):
             ClosedOrbit(t, return_map=[[1, 0]])
+        with pytest.raises(PreconditionError, match="square integer matrix"):
+            ClosedOrbit(t, return_map=[[True, False], [False, 3]])
 
     def test_signs_from_map(self):
         t = TPolynomial.t(R0)
@@ -69,9 +72,9 @@ class TestOrbitData:
         witness = ClosedOrbit(t, return_map=[[-2, 0], [0, 3]])
         for j in range(1, 7):
             assert orbit_sign(orbit, j) == orbit_sign(witness, j)
-        # zeta_exp's running sequence agrees with the one-power definition
+        # zeta_exp's signs agree with the one-power definition
         for o in (orbit, witness):
-            assert list(islice(_orbit_signs(o), 6)) == [orbit_sign(o, j) for j in range(1, 7)]
+            assert _orbit_signs(o, 6) == [orbit_sign(o, j) for j in range(1, 7)]
 
     def test_degenerate_sign(self):
         t = TPolynomial.t(R0)
@@ -265,3 +268,134 @@ def test_twisted_map_entries_checked():
         zeta_lefschetz(R0, [[[v]]])
     with pytest.raises(PreconditionError, match="integers or t-free"):
         zeta_lefschetz(R1, [[[0.5]]])
+    with pytest.raises(PreconditionError, match="integers or t-free"):
+        zeta_trace(R0, [[[True]]], 3)
+
+
+# ---- traces of powers by baby-step giant-step, and the Newton signs ----
+
+
+def naive_traces(A, order):
+    """tr(A^m) for m = 1..order, every power by one more mat_mul."""
+    traces, P = [], A
+    for m in range(1, order + 1):
+        if m > 1:
+            P = mat_mul(P, A, 0)
+        traces.append(sum(P[r][r] for r in range(len(A))))
+    return traces
+
+
+def same_values(xs, ys):
+    # ints and constant polynomials compare by their difference
+    return len(xs) == len(ys) and all(not (x - y) for x, y in zip(xs, ys))
+
+
+def test_power_traces_match_naive_powers_over_the_integers():
+    # every order 0..70 meets every baby/giant split, including exact
+    # multiples of k; the maps are not symmetric, so a Frobenius product
+    # that pairs rows with rows gives other numbers
+    rng = oracles.seeded(1500)
+    for n in range(9):
+        A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        if n >= 2:
+            A[0][1] = A[1][0] + 1
+        expected = naive_traces(A, 70)
+        for order in range(71):
+            assert _power_traces(A, order) == expected[:order], (n, order)
+
+
+@pytest.mark.parametrize("ring", [R1, R2], ids=["b1", "b2"])
+def test_power_traces_match_naive_powers_over_the_group_ring(ring):
+    rng = oracles.seeded(1510 + ring.num_group_vars)
+    for n in range(9):
+        A = oracles.random_return_map(rng, ring, n)
+        # entries grow with the power, so the long orders run on small maps
+        if n <= 2:
+            orders = list(range(21)) + [36, 49, 50]
+        else:
+            orders = list(range(13 if n <= 5 else 9))
+        expected = naive_traces(A, max(orders))
+        for order in orders:
+            assert same_values(_power_traces(A, order), expected[:order]), (n, order)
+
+
+def test_power_traces_known_values():
+    # every power of a shear has trace 2; a Frobenius product that paired
+    # rows with rows would read 10 at m = 3
+    assert _power_traces([[1, 2], [0, 1]], 5) == [2] * 5
+    # the Fibonacci map gives the Lucas numbers
+    assert _power_traces([[0, 1], [1, 1]], 9) == [1, 3, 4, 7, 11, 18, 29, 47, 76]
+
+
+def disguised(rng, B, shears=6):
+    """U B U^-1 for U a product of elementary shears: the same eigenvalues
+    in a dense, non-triangular integer matrix."""
+    n = len(B)
+    A = [list(row) for row in B]
+    for _ in range(shears if n >= 2 else 0):
+        i, j = rng.sample(range(n), 2)
+        lam = rng.choice([-1, 1])
+        for c in range(n):
+            A[i][c] += lam * A[j][c]
+        for r in range(n):
+            A[r][j] -= lam * A[r][i]
+    return A
+
+
+def hyperbolic_map(rng, n):
+    """An n x n integer map with no eigenvalue on the unit circle: 2 x 2
+    words in the shears with |trace| > 2, and -2 or 3 for an odd size."""
+    blocks = []
+    while 2 * len(blocks) + 1 < n:
+        W = [[1, 0], [0, 1]]
+        while abs(W[0][0] + W[1][1]) <= 2:
+            W = mat_mul(W, rng.choice([[[1, 1], [0, 1]], [[1, 0], [1, 1]]]), 0)
+        if rng.random() < 0.5:
+            W = [[-a for a in row] for row in W]
+        blocks.append(W)
+    B = [[0] * n for _ in range(n)]
+    for b, W in enumerate(blocks):
+        for r in range(2):
+            for c in range(2):
+                B[2 * b + r][2 * b + c] = W[r][c]
+    if n % 2:
+        B[n - 1][n - 1] = rng.choice([-2, 3])
+    return disguised(rng, B)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_newton_signs_match_bareiss_signs(n):
+    t = TPolynomial.t(R0)
+    rng = oracles.seeded(1520 + n)
+    for _ in range(2):
+        orbit = ClosedOrbit(t, return_map=hyperbolic_map(rng, n))
+        assert _orbit_signs(orbit, 40) == [orbit_sign(orbit, p) for p in range(1, 41)]
+
+
+def test_degenerate_power_raises_at_the_same_power():
+    # a hyperbolic block beside a rotation of order 6: det(1 - A^p) != 0
+    # for p < 6 and det(1 - A^6) = 0, disguised by shears
+    t = TPolynomial.t(R0)
+    rng = oracles.seeded(1530)
+    B = [[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, -1], [0, 0, 1, 0]]
+    orbit = ClosedOrbit(t, return_map=disguised(rng, B))
+    message = r"degenerate orbit: det\(1 - A\^6\) = 0"
+    assert _orbit_signs(orbit, 5) == [orbit_sign(orbit, p) for p in range(1, 6)]
+    with pytest.raises(PreconditionError, match=message):
+        _orbit_signs(orbit, 40)
+    with pytest.raises(PreconditionError, match=message):
+        orbit_sign(orbit, 6)
+    zeta_exp(R0, [orbit], 5)
+    with pytest.raises(PreconditionError, match=message):
+        zeta_exp(R0, [orbit], 6)
+
+
+def test_newton_signs_never_round():
+    # a map the orbit data would refuse: e_1 = 1/2 is no integer, and the
+    # division by k = 1 that should give it raises instead of rounding
+    class HalfMap:
+        def map_rows(self):
+            return [[Fraction(1, 2)]]
+
+    with pytest.raises(ArithmeticError):
+        _orbit_signs(HalfMap(), 1)
