@@ -109,9 +109,13 @@ def validate_complex(C):
 
 def _boundary_pivots(C):
     """Each boundary matrix eliminated once, on first use: its pivot columns
-    over the fraction field, and the echelon rows _eliminate left."""
+    over the fraction field, and the echelon rows _eliminate left, once
+    validate_complex passes: the homology path reads cycles off them."""
     if C._pivots is not None:
         return C._pivots
+    report = validate_complex(C)
+    if report:
+        raise PreconditionError("; ".join(report))
     one = TPolynomial.one(C.ring)
     pivots, echelons = [], []
     for mat in C.boundaries:
@@ -247,13 +251,16 @@ class HomologyBasis:
 
 
 def default_homology_basis(C):
-    """Deterministic homology representatives with polynomial entries:
-    kernel vectors, one per free column of the boundary out of each
-    degree, back-substituted on its echelon rows; the ones that extend
-    the image of the boundary into the degree are chosen."""
+    """Deterministic homology representatives with polynomial entries.
+
+    A cycle is fixed by its free coordinates, the indices that are no
+    pivot of the boundary out of its degree, where the kernel vector of a
+    free column f is a nonzero multiple of e_f.  So [image | identity] on
+    the free rows picks the columns that [image | kernel] would."""
     ring = C.ring
     ranks = homology_ranks(C)
     pivots, echelons = _boundary_pivots(C)
+    zero, one = TPolynomial.zero(ring), TPolynomial.one(ring)
     vectors = []
     for j, d in enumerate(C.dims):
         if not ranks[j]:
@@ -262,40 +269,34 @@ def default_homology_basis(C):
             continue
         # nothing leaves degree 0: no echelon rows, so every column is free
         out_pivots, out_rows = (pivots[j - 1], echelons[j - 1]) if j else ([], [])
-        kernel = [
-            _back_substitute(ring, out_rows, out_pivots, d, f)
-            for f in range(d)
-            if f not in out_pivots
+        free = [f for f in range(d) if f not in out_pivots]
+        image = pivots[j] if j < len(pivots) else []
+        stacked = [
+            [C.boundaries[j][r][c] for c in image] + [one if f == r else zero for f in free]
+            for r in free
         ]
-        mat_in = C.boundary_into(j)
-        image = [[mat_in[r][c] for r in range(d)] for c in pivots[j]] if mat_in else []
-        vectors.append(_complete_image_to_kernel(ring, d, image, kernel))
+        # the image columns are independent, so they are the first pivots
+        n = len(image)
+        chosen = [free[p - n] for p in poly_rank_pivots(ring, stacked)[1][n:]]
+        vectors.append([_back_substitute(ring, out_rows, out_pivots, d, f) for f in chosen])
     return HomologyBasis(ring, vectors)
-
-
-def _complete_image_to_kernel(ring, dim, image_cols, kernel_cols):
-    """Kernel vectors extending the image columns to a basis of the cycles."""
-    if not kernel_cols:
-        return []
-    stacked = []
-    for r in range(dim):
-        row = [col[r] for col in image_cols] + [col[r] for col in kernel_cols]
-        stacked.append(row)
-    _, pivots = poly_rank_pivots(ring, stacked)
-    cut = len(image_cols)
-    return [kernel_cols[p - cut] for p in pivots if p >= cut]
 
 
 def _tau_hat_pieces(C, h):
     """Per-degree transition determinants for the homology-weighted torsion.
 
-    Each homology vector is cleared of denominators by one factor, so a
-    piece is a pair: the polynomial determinant and the product of the
-    factors it is to be divided by.
+    The transition matrix [image | h | e_k], e_k a unit column per pivot
+    k of the boundary out of the degree, is never built: by Laplace its
+    determinant is the minor of [image | h] on the free rows, negated when
+    the rows k and the unit columns' positions have an odd sum.  Each
+    homology vector is cleared of denominators by one factor, so a piece
+    is a pair: the polynomial determinant and the product of the factors.
     """
     ring = C.ring
     ranks = homology_ranks(C)
     pivots = _boundary_pivots(C)[0]
+    if h.ring != ring:
+        raise PreconditionError("homology basis is over another ring than the complex")
     counts = h.counts()
     if len(counts) != len(C.dims):
         raise PreconditionError("homology basis has the wrong number of degrees")
@@ -304,48 +305,44 @@ def _tau_hat_pieces(C, h):
             raise PreconditionError(
                 "homology basis count mismatch at degree %d" % (C.min_degree + j)
             )
-    zero = TPolynomial.zero(ring)
-    one = TPolynomial.one(ring)
+    zero, one = TPolynomial.zero(ring), TPolynomial.one(ring)
     pieces = []
     for j, d in enumerate(C.dims):
-        mat_in = C.boundary_into(j)
-        mat_out = C.boundary_out_of(j)
-        cols = []
-        if mat_in is not None:
-            for c in pivots[j]:
-                cols.append([mat_in[r][c] for r in range(d)])
+        out_pivots = pivots[j - 1] if j else []
+        cols = [[row[c] for row in C.boundaries[j]] for c in pivots[j]] if j < len(pivots) else []
         factors = []
         for vec in h.vectors[j]:
             if len(vec) != d:
                 raise PreconditionError(
                     "homology vector length mismatch at degree %d" % (C.min_degree + j)
                 )
+            if any(
+                not (_exact(e) or isinstance(e, RationalFunction)) or e.ring != ring for e in vec
+            ):
+                raise PreconditionError(
+                    "homology vector entry is no polynomial or fraction of the complex's"
+                    " ring at degree %d" % (C.min_degree + j)
+                )
             (cleared,), (factor,) = _clear_row_denominators(ring, [vec])
-            if mat_out is not None and any(mat_apply(mat_out, cleared, zero)):
+            if j and any(mat_apply(C.boundary_out_of(j), cleared, zero)):
                 raise PreconditionError(
                     "homology vector is not a cycle at degree %d" % (C.min_degree + j)
                 )
             cols.append(cleared)
             factors.append(factor)
-        if mat_out is not None:
-            for k in pivots[j - 1]:
-                vec = [zero] * d
-                vec[k] = one
-                cols.append(vec)
-        if len(cols) != d:
+        if len(cols) + len(out_pivots) != d:
             raise PreconditionError(
                 "transition matrix at degree %d is not square" % (C.min_degree + j)
             )
-        T = [[cols[c][r] for c in range(d)] for r in range(d)]
-        pieces.append((bareiss_det(ring, T), _product(one, factors)))
+        det = bareiss_det(ring, [[col[r] for col in cols] for r in range(d) if r not in out_pivots])
+        if (sum(out_pivots) + sum(range(len(cols), d))) % 2:
+            det = -det
+        pieces.append((det, _product(one, factors)))
     return pieces
 
 
 def torsion_tau_hat(C, h=None):
     """Torsion weighted by a homology basis; defined for any valid complex."""
-    report = validate_complex(C)
-    if report:
-        raise PreconditionError("; ".join(report))
     if h is None:
         h = default_homology_basis(C)
     pieces = _tau_hat_pieces(C, h)

@@ -12,11 +12,12 @@ import random
 from torsionlab.complexes import (
     BasedChainComplex,
     ShortExactSequence,
+    _boundary_pivots,
     _clear_row_denominators,
     homology_ranks,
 )
 from torsionlab.errors import PreconditionError
-from torsionlab.linalg import _det, _eliminate, bareiss_det, mat_mul
+from torsionlab.linalg import _back_substitute, _det, _eliminate, bareiss_det, mat_mul, poly_rank_pivots
 from torsionlab.rings import RationalFunction, TPolynomial, _coeff_normal, _exp_power_sums, exact_div
 from torsionlab.zeta import _mapless_sign
 
@@ -105,6 +106,18 @@ def random_acyclic_complex(rng, ring, min_degree=0, max_len=4, shear_ops=8):
         pair_polys[0] = [random_poly(rng, ring, nonzero=True)]
     plain = elementary_sum(ring, min_degree, pair_polys, [0] * n)
     return plain, shear_basis(rng, plain, ops=shear_ops)
+
+
+def random_shear_complex(rng, ring, counts=(2, 2), extras=(1, 3, 1), shears=8):
+    """Pieces of at most two terms, counts[j] of them between degree
+    indices j+1 and j, plus extras with no boundary, then shears by +-1
+    monomials between any two rows, extras included: dims [3, 7, 3] by
+    default.  Every requested shear is applied, so the homology
+    generators mix with the pieces and the outgoing pivots move off the
+    trailing rows."""
+    pair_polys = [[random_poly(rng, ring, nonzero=True) for _ in range(k)] for k in counts]
+    plain = elementary_sum(ring, 0, pair_polys + [[]], list(extras))
+    return shear_basis(rng, plain, ops=shears, poly_kwargs=dict(nonzero=True))
 
 
 def random_valid_complex(rng, ring, min_degree=0, length=None, max_len=3, allow_homology=True, shear_ops=6):
@@ -328,3 +341,63 @@ def orbit_sign(orbit, power=1):
     if d == 0:
         raise PreconditionError("degenerate orbit: det(1 - A^%d) = 0" % power)
     return 1 if d > 0 else -1
+
+
+# ---- the homology path on all rows: references for the free coordinates ----
+
+
+def complete_image_to_kernel(ring, dim, image_cols, kernel_cols):
+    """Kernel vectors extending the image columns to a basis of the cycles,
+    picked by one elimination of the full dim-row stack [image | kernel]."""
+    if not kernel_cols:
+        return []
+    stacked = []
+    for r in range(dim):
+        row = [col[r] for col in image_cols] + [col[r] for col in kernel_cols]
+        stacked.append(row)
+    _, pivots = poly_rank_pivots(ring, stacked)
+    cut = len(image_cols)
+    return [kernel_cols[p - cut] for p in pivots if p >= cut]
+
+
+def full_stack_homology_vectors(C):
+    """The default homology vectors as the full stack picks them: a kernel
+    vector back-substituted for every free column of the boundary out of
+    each degree, and the image completed on all rows."""
+    ring = C.ring
+    ranks = homology_ranks(C)
+    pivots, echelons = _boundary_pivots(C)
+    vectors = []
+    for j, d in enumerate(C.dims):
+        if not ranks[j]:
+            vectors.append([])
+            continue
+        out_pivots, out_rows = (pivots[j - 1], echelons[j - 1]) if j else ([], [])
+        kernel = [
+            _back_substitute(ring, out_rows, out_pivots, d, f)
+            for f in range(d)
+            if f not in out_pivots
+        ]
+        mat_in = C.boundary_into(j)
+        image = [[mat_in[r][c] for r in range(d)] for c in pivots[j]] if mat_in else []
+        vectors.append(complete_image_to_kernel(ring, d, image, kernel))
+    return vectors
+
+
+def transition_matrix(C, h, j):
+    """The d x d transition matrix [image | cleared h | e_k] at degree index
+    j, with a unit column e_k for each pivot k of the boundary out of it,
+    and the product of the factors that cleared h's vectors."""
+    ring = C.ring
+    d = C.dims[j]
+    pivots = _boundary_pivots(C)[0]
+    mat_in = C.boundary_into(j)
+    cols = [[mat_in[r][c] for r in range(d)] for c in pivots[j]] if mat_in else []
+    cleared, factors = _clear_row_denominators(ring, h.vectors[j])
+    cols += cleared
+    for k in pivots[j - 1] if j else []:
+        cols.append([TPolynomial.one(ring) if r == k else TPolynomial.zero(ring) for r in range(d)])
+    factor = TPolynomial.one(ring)
+    for f in factors:
+        factor = factor * f
+    return [[col[r] for col in cols] for r in range(d)], factor

@@ -101,6 +101,34 @@ class TestValidation:
         with pytest.raises(PreconditionError):
             torsion_tau(C)
 
+    def test_homology_refuses_broken(self):
+        # with d^2 != 0 the pivots count no homology: ranks read [0, -1, 0]
+        one = TPolynomial.one(R0)
+        C = BasedChainComplex(R0, 0, [1, 1, 1], [[[one]], [[one]]])
+        for run in (homology_ranks, default_homology_basis, torsion_tau_hat):
+            with pytest.raises(PreconditionError, match=r"^d\^2 != 0 at degree 2$"):
+                run(C)
+        C = BasedChainComplex(R0, 0, [1, 1, 1, 1], [[[one]], [[one]], [[one]]])
+        with pytest.raises(PreconditionError, match=r"^d\^2 != 0 at degree 2; d\^2 != 0 at degree 3$"):
+            homology_ranks(C)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_tau_hat_validates_once(self, seed, monkeypatch):
+        import torsionlab.complexes as complexes
+
+        calls = []
+        real = complexes.validate_complex
+
+        def counted(C):
+            calls.append(C)
+            return real(C)
+
+        monkeypatch.setattr(complexes, "validate_complex", counted)
+        C = oracles.random_valid_complex(oracles.seeded(60 + seed), R1, length=3)
+        torsion_tau_hat(C)
+        torsion_tau_hat(C, default_homology_basis(C))
+        assert calls == [C]
+
 
 class TestHomologyRanks:
     def test_acyclic(self):
@@ -365,6 +393,41 @@ class TestTauHat:
         bad = HomologyBasis(R0, [[], [[TPolynomial.one(R0), TPolynomial.one(R0)]]])
         with pytest.raises(PreconditionError):
             torsion_tau_hat(C, bad)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["ints", "bools", "strs", "int_1x1", "int_beside_poly", "fraction_module",
+         "truncation", "other_ring_poly", "other_ring_fraction"],
+    )
+    def test_malformed_entries_rejected(self, name):
+        from fractions import Fraction
+
+        one, z = TPolynomial.one(R0), TPolynomial.zero(R0)
+        one_1, z_1 = TPolynomial.one(R1), TPolynomial.zero(R1)
+        window = TPolynomial(R0, {(0, ()): 1}, order=3)
+        vectors = {
+            "ints": [[1, 0], [0, 1]],
+            "bools": [[True, False], [False, True]],
+            "strs": [["1", "0"], ["0", "1"]],
+            "int_1x1": [[1]],
+            "int_beside_poly": [[one, 0], [z, one]],
+            "fraction_module": [[Fraction(1, 2), z], [z, one]],
+            "truncation": [[window, z], [z, one]],
+            "other_ring_poly": [[one_1, z_1], [z_1, one_1]],
+            "other_ring_fraction": [[RationalFunction(one_1), z], [z, one]],
+        }[name]
+        C = BasedChainComplex(R0, 3, [len(vectors)], [])
+        with pytest.raises(PreconditionError, match="at degree 3$"):
+            torsion_tau_hat(C, HomologyBasis(R0, [vectors]))
+
+    def test_basis_over_another_ring_rejected(self):
+        one, z = TPolynomial.one(R0), TPolynomial.zero(R0)
+        C = BasedChainComplex(R0, 0, [2], [])
+        with pytest.raises(PreconditionError, match="another ring"):
+            torsion_tau_hat(C, HomologyBasis(R1, [[[one, z], [z, one]]]))
+        # the same vectors over the right ring are a basis
+        value = torsion_tau_hat(C, HomologyBasis(R0, [[[one, z], [z, one]]]))
+        assert frac_equal(value.raw, RationalFunction.one(R0))
 
     def test_non_spanning_rejected(self):
         z = TPolynomial.zero(R0)
