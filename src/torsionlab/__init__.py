@@ -12,7 +12,6 @@ from .complexes import (
     BasedChainComplex,
     HomologyBasis,
     ShortExactSequence,
-    TorsionValue,
     default_homology_basis,
     homology_ranks,
     product_formula_check,
@@ -44,7 +43,6 @@ from .fixtures import (
 )
 from .novikov import (
     EulerLift,
-    MorseInvariant,
     NovikovComplex,
     apply_lift,
     invariant_I,
@@ -64,7 +62,6 @@ from .rings import (
 )
 from .threedim import (
     CoefficientFunction,
-    OffsetPolynomial,
     PathMatrix,
     i3_coefficients,
     path_matrix_det,
@@ -93,9 +90,7 @@ __all__ = [
     "Fixture",
     "FixtureError",
     "HomologyBasis",
-    "MorseInvariant",
     "NovikovComplex",
-    "OffsetPolynomial",
     "PathMatrix",
     "PreconditionError",
     "RationalFunction",
@@ -103,7 +98,6 @@ __all__ = [
     "Scenario",
     "ShortExactSequence",
     "TPolynomial",
-    "TorsionValue",
     "VerificationReport",
     "apply_lift",
     "approx_equal",

@@ -25,7 +25,7 @@ from .rings import (
     format_tpolynomial,
     format_truncation,
 )
-from .threedim import i3_coefficients, path_matrix_det, sw_consistency_check
+from .threedim import i3_coefficients, sw_consistency_check
 from .zeta import zeta_exp, zeta_lefschetz, zeta_product, zeta_trace
 
 EXIT_OK = 0
@@ -49,19 +49,9 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser():
     parser = _Parser(prog="torsionlab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command")
-    specs = (
-        ("tau", "torsion of a based complex"),
-        ("tau-hat", "homology-weighted torsion of a based complex"),
-        ("zeta", "closed-orbit counting function"),
-        ("assemble", "glue a cut system into one complex"),
-        ("verify-main", "check zeta * tau(CN) against the glued torsion"),
-        ("check-k", "compare the K-matrices with the counting boundary"),
-        ("i3", "coefficients of zeta times the path-matrix determinant"),
-        ("canon", "canonical form of a rational function"),
-        ("validate", "structural checks for any fixture"),
-    )
-    for name, text in specs:
+    for name, text, handler in _COMMANDS:
         p = sub.add_parser(name, help=text)
+        p.set_defaults(handler=handler)
         p.add_argument("--fixture", required=True, help="fixture file path")
         p.add_argument("--order", type=int, default=None, help="series order")
         if name == "zeta":
@@ -71,10 +61,6 @@ def _build_parser():
                 choices=("exp", "product", "trace", "lefschetz"),
             )
     return parser
-
-
-# parse_args returns a fresh namespace per call, so one parser serves all
-_PARSER = _build_parser()
 
 
 def _want(fixture, *kinds):
@@ -110,26 +96,25 @@ def _print_expansion(value, order):
         print(line)
 
 
-def _cmd_tau(args):
-    fixture = parse_fixture(args.fixture)
+def _cmd_tau(args, fixture):
     _want(fixture, "complex", "novikov", "scenario")
     value = torsion_tau(_lifted_complex(fixture))
-    if value is None:
+    if value.is_zero:
         print("tau: undefined (complex is not acyclic)")
         return EXIT_VIOLATION
-    print("tau: %s [canonical]" % format_rational(value.canonical))
+    value = canonical_mod_units(value)
+    print("tau: %s [canonical]" % format_rational(value))
     if args.order is not None:
-        _print_expansion(value.canonical, _order_for(args, fixture))
+        _print_expansion(value, _order_for(args, fixture))
     return EXIT_OK
 
 
-def _cmd_tau_hat(args):
-    fixture = parse_fixture(args.fixture)
+def _cmd_tau_hat(args, fixture):
     _want(fixture, "complex", "novikov", "scenario")
-    value = torsion_tau_hat(_lifted_complex(fixture))
-    print("tau-hat: %s [canonical]" % format_rational(value.canonical))
+    value = canonical_mod_units(torsion_tau_hat(_lifted_complex(fixture)))
+    print("tau-hat: %s [canonical]" % format_rational(value))
     if args.order is not None:
-        _print_expansion(value.canonical, _order_for(args, fixture))
+        _print_expansion(value, _order_for(args, fixture))
     return EXIT_OK
 
 
@@ -142,8 +127,7 @@ def _scenario_part(fixture, name):
     return fixture.payload
 
 
-def _cmd_zeta(args):
-    fixture = parse_fixture(args.fixture)
+def _cmd_zeta(args, fixture):
     order = _order_for(args, fixture)
     if args.method in ("exp", "product"):
         _want(fixture, "orbits", "scenario")
@@ -182,8 +166,7 @@ def _print_complex(C):
     return EXIT_OK
 
 
-def _cmd_assemble(args):
-    fixture = parse_fixture(args.fixture)
+def _cmd_assemble(args, fixture):
     _want(fixture, "cutsystem", "scenario")
     cs = _scenario_part(fixture, "cutsystem")
     report = validate_cut_system(cs)
@@ -195,17 +178,16 @@ def _cmd_assemble(args):
 
 
 def _tau_text(value):
-    if value is None:
+    if value.is_zero:
         return "undefined"
-    return format_rational(value.canonical)
+    return format_rational(canonical_mod_units(value))
 
 
 def _flag(ok):
     return "OK" if ok else "FAIL"
 
 
-def _cmd_verify_main(args):
-    fixture = parse_fixture(args.fixture)
+def _cmd_verify_main(args, fixture):
     _want(fixture, "scenario")
     sc = fixture.payload
     if sc.cutsystem is None or sc.novikov is None:
@@ -221,8 +203,7 @@ def _cmd_verify_main(args):
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
-def _cmd_check_k(args):
-    fixture = parse_fixture(args.fixture)
+def _cmd_check_k(args, fixture):
     _want(fixture, "scenario")
     sc = fixture.payload
     if sc.cutsystem is None or sc.novikov is None:
@@ -238,8 +219,7 @@ def _cmd_check_k(args):
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
-def _cmd_i3(args):
-    fixture = parse_fixture(args.fixture)
+def _cmd_i3(args, fixture):
     _want(fixture, "scenario")
     order = _order_for(args, fixture)
     sc = fixture.payload
@@ -251,7 +231,7 @@ def _cmd_i3(args):
         zeta = zeta_product(fixture.ring, sc.orbits)
     else:
         raise PreconditionError("scenario lacks a returnmaps or orbits section")
-    cf = i3_coefficients(zeta, path_matrix_det(sc.pathmatrix), order)
+    cf = i3_coefficients(zeta, sc.pathmatrix, order)
     consistent = None
     if sc.novikov is not None:
         consistent = sw_consistency_check(sc.pathmatrix, sc.novikov, k=order)
@@ -264,8 +244,7 @@ def _cmd_i3(args):
     return EXIT_OK if consistent else EXIT_VIOLATION
 
 
-def _cmd_canon(args):
-    fixture = parse_fixture(args.fixture)
+def _cmd_canon(args, fixture):
     _want(fixture, "rational")
     value = canonical_mod_units(fixture.payload)
     print("canonical: %s" % format_rational(value))
@@ -274,8 +253,7 @@ def _cmd_canon(args):
     return EXIT_OK
 
 
-def _cmd_validate(args):
-    fixture = parse_fixture(args.fixture)
+def _cmd_validate(args, fixture):
     report = []
     if fixture.kind in ("complex", "novikov"):
         report = validate_complex(fixture.payload)
@@ -295,17 +273,21 @@ def _cmd_validate(args):
     return EXIT_OK
 
 
-_COMMANDS = {
-    "tau": _cmd_tau,
-    "tau-hat": _cmd_tau_hat,
-    "zeta": _cmd_zeta,
-    "assemble": _cmd_assemble,
-    "verify-main": _cmd_verify_main,
-    "check-k": _cmd_check_k,
-    "i3": _cmd_i3,
-    "canon": _cmd_canon,
-    "validate": _cmd_validate,
-}
+_COMMANDS = (
+    ("tau", "torsion of a based complex", _cmd_tau),
+    ("tau-hat", "homology-weighted torsion of a based complex", _cmd_tau_hat),
+    ("zeta", "closed-orbit counting function", _cmd_zeta),
+    ("assemble", "glue a cut system into one complex", _cmd_assemble),
+    ("verify-main", "check zeta * tau(CN) against the glued torsion", _cmd_verify_main),
+    ("check-k", "compare the K-matrices with the counting boundary", _cmd_check_k),
+    ("i3", "coefficients of zeta times the path-matrix determinant", _cmd_i3),
+    ("canon", "canonical form of a rational function", _cmd_canon),
+    ("validate", "structural checks for any fixture", _cmd_validate),
+)
+
+
+# parse_args returns a fresh namespace per call, so one parser serves all
+_PARSER = _build_parser()
 
 
 def run_command(argv):
@@ -323,7 +305,7 @@ def run_command(argv):
                 raise PreconditionError("order must be nonnegative")
             if args.order > MAX_ORDER:
                 raise PreconditionError("order must be at most %d" % MAX_ORDER)
-        return _COMMANDS[args.command](args)
+        return args.handler(args, parse_fixture(args.fixture))
     except FixtureError as exc:
         print("fixture error: %s" % exc, file=sys.stderr)
         return EXIT_FIXTURE

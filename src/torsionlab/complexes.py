@@ -6,8 +6,6 @@ with rows indexed by the codomain basis, so each has shape
 dims[j] x dims[j+1].
 """
 
-from dataclasses import dataclass
-
 from .errors import PreconditionError
 from .linalg import (
     _back_substitute,
@@ -24,7 +22,6 @@ from .rings import (
     _exact,
     _monomial_unit,
     _unit_inverse,
-    canonical_mod_units,
     exact_div,
     unit_equivalent,
 )
@@ -133,14 +130,6 @@ def homology_ranks(C):
     return [d - ranks[j] - ranks[j + 1] for j, d in enumerate(C.dims)]
 
 
-@dataclass(frozen=True)
-class TorsionValue:
-    """Torsion both as computed and with monomial units stripped."""
-
-    raw: RationalFunction
-    canonical: RationalFunction
-
-
 def _product(one, factors):
     """The product of polynomials; a factor equal to 1 costs no ring product."""
     out = None
@@ -188,15 +177,15 @@ def _torsion_value(ring, first_degree, pairs):
             num, den = num * a, den * b
         else:
             num, den = num * b, den * a
-    result = RationalFunction(num, den)
-    return TorsionValue(result, canonical_mod_units(result))
+    return RationalFunction(num, den)
 
 
 def _torsion_engine(ring, min_degree, dims, matrices):
-    """Torsion of an acyclic based complex from its boundary matrices.
+    """Torsion of a based complex from its boundary matrices.
 
     matrices[j] has polynomial or fraction entries and shape dims[j] x
-    dims[j+1].  Returns None when the complex fails to be acyclic.
+    dims[j+1].  Returns the RationalFunction as computed, units and all,
+    and the zero value when the complex fails to be acyclic.
 
     Each boundary runs one fraction-free elimination on its rows outside
     the previous chain, cleared of denominators, and its pivot columns
@@ -217,19 +206,22 @@ def _torsion_engine(ring, min_degree, dims, matrices):
         W, factors = _clear_row_denominators(ring, kept)
         chain, sign = _eliminate(W, exact_div, one)
         if len(chain) < len(W):
-            return None
+            return RationalFunction.zero(ring)
         minor = W[-1][chain[-1]] if W else one
         if sign < 0:
             minor = -minor
         pairs.append((_product(one, factors), minor))
     if dims and dims[-1] != len(chain):
-        return None
+        return RationalFunction.zero(ring)
     return _torsion_value(ring, min_degree + 1, pairs)
 
 
 def torsion_tau(C):
-    """Torsion of an acyclic complex, or None when homology obstructs it,
-    in the baseline basis: only tau_novikov and apply_lift apply a lift."""
+    """Torsion as a RationalFunction, zero when the complex is not acyclic.
+
+    The value keeps its units; they are stripped where it is printed.  It
+    is taken in the baseline basis: only tau_novikov and apply_lift apply
+    a lift."""
     report = validate_complex(C)
     if report:
         raise PreconditionError("; ".join(report))
@@ -342,7 +334,8 @@ def _tau_hat_pieces(C, h):
 
 
 def torsion_tau_hat(C, h=None):
-    """Torsion weighted by a homology basis; defined for any valid complex."""
+    """Torsion weighted by a homology basis, as a RationalFunction with its
+    units; defined for any valid complex."""
     if h is None:
         h = default_homology_basis(C)
     pieces = _tau_hat_pieces(C, h)
@@ -530,7 +523,4 @@ def product_formula_check(ses, h_sub=None, h_total=None, h_quot=None):
     ring = ses.total.ring
     dims, matrices = _connecting_sequence(ses, h_sub, h_total, h_quot)
     tau_les = _torsion_engine(ring, 0, dims, matrices)
-    if tau_les is None:
-        return False
-    product = tau_sub.raw * tau_quot.raw * tau_les.raw
-    return unit_equivalent(tau_total.raw, product)
+    return unit_equivalent(tau_total, tau_sub * tau_quot * tau_les)

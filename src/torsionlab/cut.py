@@ -13,13 +13,7 @@ through the explicit placements above.
 
 from dataclasses import dataclass
 
-from .complexes import (
-    BasedChainComplex,
-    TorsionValue,
-    _torsion_engine,
-    torsion_tau,
-    validate_complex,
-)
+from .complexes import BasedChainComplex, _torsion_engine, torsion_tau, validate_complex
 from .errors import PreconditionError
 from .linalg import charpoly, mat_mul
 from .novikov import apply_lift, invariant_I, tau_novikov
@@ -29,7 +23,6 @@ from .rings import (
     TPolynomial,
     _exact,
     _from_t_coefficients,
-    canonical_mod_units,
     expand_series,
     unit_equivalent,
 )
@@ -257,7 +250,7 @@ def tau_via_products(cs):
     and is then weighted by the alternating product of
     det(1 - t phi_i), which is the counting function zeta_lefschetz
     returns.  A split that exists dimensionally but meets only singular
-    blocks yields the zero value.
+    blocks yields the zero value, as direct torsion does.
     """
     ring = cs.ring
     crit = cs.crit_dims
@@ -269,12 +262,7 @@ def tau_via_products(cs):
     if carried != crit[-1]:
         raise PreconditionError("critical ranks admit no square splitting")
     K, zeta = _return_flow(cs)
-    engine = _torsion_engine(ring, 0, crit, K)
-    if engine is None:
-        z = RationalFunction.zero(ring)
-        return TorsionValue(z, z)
-    total = engine.raw * zeta
-    return TorsionValue(total, canonical_mod_units(total))
+    return _torsion_engine(ring, 0, crit, K) * zeta
 
 
 def _least_degree(value):
@@ -350,10 +338,10 @@ class VerificationReport:
     """Everything the end-to-end identity check produced along the way."""
 
     zeta: RationalFunction
-    tau_cn: object
-    invariant: object
-    direct: object
-    product_route: object
+    tau_cn: RationalFunction
+    invariant: RationalFunction
+    direct: RationalFunction
+    product_route: RationalFunction
     series_consistent: bool
     main_identity: bool
     product_identity: bool
@@ -378,14 +366,6 @@ def verify_main_theorem(cs, cn, order=16):
     assembled = apply_lift(assemble_boundary(cs), cn.lift, cn.min_degree)
     direct = torsion_tau(assembled)
     product_route = tau_via_products(cs)
-    if inv.is_zero or inv.value is None or direct is None:
-        main = inv.is_zero and direct is None
-    else:
-        main = unit_equivalent(inv.value.raw, direct.raw)
-    if direct is None or product_route.raw.is_zero:
-        product = (direct is None) == product_route.raw.is_zero
-    else:
-        product = unit_equivalent(product_route.raw, direct.raw)
     return VerificationReport(
         zeta=zeta,
         tau_cn=tau_cn,
@@ -393,6 +373,6 @@ def verify_main_theorem(cs, cn, order=16):
         direct=direct,
         product_route=product_route,
         series_consistent=series_ok,
-        main_identity=main,
-        product_identity=product,
+        main_identity=unit_equivalent(inv, direct),
+        product_identity=unit_equivalent(product_route, direct),
     )

@@ -7,22 +7,9 @@ the index.  A complex may carry a lift: one +1 monomial offset per
 generator, relative to the fixture baseline, which its torsion applies.
 """
 
-from dataclasses import dataclass
-
-from .complexes import (
-    BasedChainComplex,
-    TorsionValue,
-    _rescaled,
-    torsion_tau,
-)
+from .complexes import BasedChainComplex, _rescaled, torsion_tau
 from .errors import PreconditionError
-from .rings import (
-    RationalFunction,
-    TPolynomial,
-    _monomial_unit,
-    canonical_mod_units,
-    expand_series,
-)
+from .rings import RationalFunction, TPolynomial, _monomial_unit, expand_series
 
 
 class NovikovComplex(BasedChainComplex):
@@ -102,34 +89,16 @@ def tau_novikov(cn):
     return torsion_tau(apply_lift(cn, cn.lift, cn.min_degree))
 
 
-@dataclass(frozen=True)
-class MorseInvariant:
-    """The counting invariant, exactly and/or as a truncated series.
-
-    A zero value (torsion of a non-acyclic complex) leaves both parts
-    None.  When the counting function arrives as a series, only the
-    series part is populated.
-    """
-
-    value: object = None
-    series: object = None
-
-    @property
-    def is_zero(self):
-        return self.value is None and self.series is None
-
-
 def invariant_I(zeta, tau_cn):
-    """Product of the counting function and the Morse torsion."""
-    if tau_cn is None:
-        return MorseInvariant()
-    if isinstance(zeta, RationalFunction):
-        raw = zeta * tau_cn.raw
-        if raw.is_zero:
-            return MorseInvariant()
-        return MorseInvariant(value=TorsionValue(raw, canonical_mod_units(raw)))
-    if isinstance(zeta, TPolynomial) and zeta.order is not None:
-        tau_series = expand_series(tau_cn.raw, zeta.order)
-        return MorseInvariant(series=zeta * tau_series)
-    raise PreconditionError("counting function must be exact or a truncation")
+    """Product of the counting function and the Morse torsion.
 
+    tau_cn is a RationalFunction, zero when the critical-point complex is
+    not acyclic, and so is I for an exact zeta; a truncated zeta gives
+    zeta times tau_cn's expansion through zeta's order.  Units stay in;
+    they are stripped where the value is printed.
+    """
+    if isinstance(zeta, RationalFunction):
+        return zeta * tau_cn
+    if isinstance(zeta, TPolynomial) and zeta.order is not None:
+        return zeta * expand_series(tau_cn, zeta.order)
+    raise PreconditionError("counting function must be exact or a truncation")

@@ -8,8 +8,6 @@ offset, where scaling by a monomial unit and moving the offset by its
 inverse presents the same underlying function.
 """
 
-from dataclasses import dataclass
-
 from .complexes import _rebasing_sign, torsion_tau
 from .cut import approx_equal
 from .errors import PreconditionError
@@ -106,18 +104,12 @@ def rebase_col(P, index, u):
     return _rebase_line(P, index, u, 1)
 
 
-@dataclass(frozen=True)
-class OffsetPolynomial:
-    """Exact polynomial value still referenced to a torsor offset."""
-
-    poly: TPolynomial
-    offset: TPolynomial
-
-
 def path_matrix_det(P):
-    """det(P) with P's offset, computed on first use and kept on P."""
+    """det(P), a polynomial computed on first use and kept on P.
+
+    It is referenced to P.offset, which callers read off P itself."""
     if P._det is None:
-        P._det = OffsetPolynomial(bareiss_det(P.ring, P.matrix), P.offset)
+        P._det = bareiss_det(P.ring, P.matrix)
     return P._det
 
 
@@ -146,17 +138,18 @@ class CoefficientFunction(TPolynomial):
         return self
 
 
-def i3_coefficients(zeta, detP, k):
-    """Coefficient function of the counting series times the determinant."""
-    ring = detP.poly.ring
+def i3_coefficients(zeta, P, k):
+    """Coefficient function of the counting series times det(P), with
+    P.offset as its torsor offset."""
+    ring = P.ring
     if isinstance(zeta, RationalFunction):
         zeta = expand_series(zeta, k)
     if not isinstance(zeta, TPolynomial) or zeta.order is None:
         raise PreconditionError("counting factor must be a truncation or a fraction")
     if zeta.ring != ring:
         raise PreconditionError("mismatched ring specs")
-    product = (zeta * detP.poly).truncate(min(k, zeta.order))
-    return object.__new__(CoefficientFunction)._adopt(product, detP.offset)
+    product = (zeta * path_matrix_det(P)).truncate(min(k, zeta.order))
+    return object.__new__(CoefficientFunction)._adopt(product, P.offset)
 
 
 def t_invariant(cf, cls):
@@ -191,8 +184,6 @@ def sw_consistency_check(P, cn, k=16):
     d2 = moved.boundaries[1 - moved.min_degree] if P.size else []
     if P.matrix != mat_transpose(d2, cols=m2):
         return False
-    det = path_matrix_det(P).poly
+    det = path_matrix_det(P)
     tau = torsion_tau(moved)
-    if tau is None:
-        return det.is_zero
-    return approx_equal(det, tau.raw, k + 1) or approx_equal(-det, tau.raw, k + 1)
+    return approx_equal(det, tau, k + 1) or approx_equal(-det, tau, k + 1)

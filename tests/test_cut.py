@@ -19,6 +19,7 @@ from torsionlab.novikov import EulerLift, NovikovComplex
 from torsionlab.rings import (
     RationalFunction,
     TPolynomial,
+    canonical_mod_units,
     frac_equal,
     unit_equivalent,
 )
@@ -528,28 +529,28 @@ class TestOmegaFactorization:
 class TestTauViaProducts:
     def test_circle_nocrit(self):
         value = tau_via_products(circle_nocrit())
-        assert frac_equal(value.raw, RationalFunction(ONE, 1 - T))
-        assert value.canonical.den == 1 - T
+        assert frac_equal(value, RationalFunction(ONE, 1 - T))
+        assert canonical_mod_units(value).den == 1 - T
 
     def test_circle_onecrit(self):
         value = tau_via_products(circle_onecrit())
-        assert frac_equal(value.raw, RationalFunction(ONE, 1 - T))
+        assert frac_equal(value, RationalFunction(ONE, 1 - T))
 
     def test_catmap(self):
         value = tau_via_products(catmap_cut())
         expected = RationalFunction(rp((0, 1), (1, -3), (2, 1)), (1 - T) * (1 - T))
-        assert frac_equal(value.raw, expected)
-        assert value.canonical.num == rp((0, 1), (1, -3), (2, 1))
+        assert frac_equal(value, expected)
+        assert canonical_mod_units(value).num == rp((0, 1), (1, -3), (2, 1))
 
     def test_stabilized(self):
         value = tau_via_products(stabilized_cut())
-        assert frac_equal(value.raw, RationalFunction(rp((0, 1), (1, -2)), 1 - T))
+        assert frac_equal(value, RationalFunction(rp((0, 1), (1, -2)), 1 - T))
 
     def test_matches_direct_on_fixtures(self):
         for cs in (circle_nocrit(), circle_onecrit(), catmap_cut(), stabilized_cut()):
             direct = torsion_tau(assemble_boundary(cs))
-            assert direct is not None
-            assert unit_equivalent(tau_via_products(cs).raw, direct.raw)
+            assert not direct.is_zero
+            assert unit_equivalent(tau_via_products(cs), direct)
 
     def test_singular_k_gives_zero(self):
         cs = CutSystem(
@@ -561,8 +562,8 @@ class TestTauViaProducts:
             W=[[[0]]],
         )
         value = tau_via_products(cs)
-        assert value.raw.is_zero
-        assert torsion_tau(assemble_boundary(cs)) is None
+        assert value.is_zero
+        assert torsion_tau(assemble_boundary(cs)).is_zero
 
     def test_unpairable_ranks_raise(self):
         cs = CutSystem(
@@ -581,16 +582,16 @@ class TestTauViaProducts:
             rng = oracles.seeded(3300 + seed)
             cs = random_mapping_torus(rng)
             direct = torsion_tau(assemble_boundary(cs))
-            assert direct is not None
-            assert unit_equivalent(tau_via_products(cs).raw, direct.raw)
+            assert not direct.is_zero
+            assert unit_equivalent(tau_via_products(cs), direct)
 
     def test_random_stabilizations(self):
         for seed in range(12):
             rng = oracles.seeded(4400 + seed)
             cs = random_stabilized_torus(rng)
             direct = torsion_tau(assemble_boundary(cs))
-            assert direct is not None
-            assert unit_equivalent(tau_via_products(cs).raw, direct.raw)
+            assert not direct.is_zero
+            assert unit_equivalent(tau_via_products(cs), direct)
 
     @pytest.mark.parametrize("ring", RINGS[:2], ids=["b0", "b1"])
     def test_k_rows_cleared_by_one_determinant(self, ring):
@@ -612,10 +613,10 @@ class TestTauViaProducts:
                     assert factor == dens[0]
             direct = torsion_tau(assemble_boundary(cs))
             value = tau_via_products(cs)
-            if direct is None:
-                assert value.raw.is_zero
+            if direct.is_zero:
+                assert value.is_zero
             else:
-                assert unit_equivalent(value.raw, direct.raw)
+                assert unit_equivalent(value, direct)
         assert shared
 
     def test_commuting_identity_torus(self):
@@ -629,7 +630,7 @@ class TestTauViaProducts:
                 W=[[], []],
             )
             direct = torsion_tau(assemble_boundary(cs))
-            assert unit_equivalent(tau_via_products(cs).raw, direct.raw)
+            assert unit_equivalent(tau_via_products(cs), direct)
 
 
 class TestApproxEqual:
@@ -819,8 +820,8 @@ class TestVerifyMainTheorem:
         cn = NovikovComplex(R0, 0, [], [])
         report = verify_main_theorem(cs, cn)
         assert frac_equal(report.zeta, RationalFunction(ONE, 1 - T))
-        assert frac_equal(report.tau_cn.raw, RationalFunction.one(R0))
-        assert report.invariant.value.canonical.den == 1 - T
+        assert frac_equal(report.tau_cn, RationalFunction.one(R0))
+        assert canonical_mod_units(report.invariant).den == 1 - T
         assert report.series_consistent
         assert report.main_identity
         assert report.product_identity
@@ -830,7 +831,7 @@ class TestVerifyMainTheorem:
         cn = NovikovComplex(R0, 0, [1, 1], [[[1 - T]]])
         report = verify_main_theorem(cs, cn)
         assert frac_equal(report.zeta, RationalFunction.one(R0))
-        assert frac_equal(report.tau_cn.raw, RationalFunction(ONE, 1 - T))
+        assert frac_equal(report.tau_cn, RationalFunction(ONE, 1 - T))
         assert report.main_identity
         assert report.product_identity
         assert report.series_consistent
@@ -840,8 +841,8 @@ class TestVerifyMainTheorem:
         second = verify_main_theorem(
             circle_onecrit(), NovikovComplex(R0, 0, [1, 1], [[[1 - T]]])
         )
-        a = first.invariant.value.canonical
-        b = second.invariant.value.canonical
+        a = canonical_mod_units(first.invariant)
+        b = canonical_mod_units(second.invariant)
         assert a.num == b.num and a.den == b.den
 
     def test_catmap_scenario(self):
@@ -852,7 +853,7 @@ class TestVerifyMainTheorem:
             report.zeta,
             RationalFunction(rp((0, 1), (1, -3), (2, 1)), (1 - T) * (1 - T)),
         )
-        assert frac_equal(report.tau_cn.raw, RationalFunction.one(R0))
+        assert frac_equal(report.tau_cn, RationalFunction.one(R0))
         assert report.main_identity
         assert report.product_identity
 
@@ -872,6 +873,26 @@ class TestVerifyMainTheorem:
         assert not report.main_identity
         assert report.product_identity
 
+    def test_vanishing_sides(self):
+        # a complex that is not acyclic has torsion 0 (Turaev's convention):
+        # both sides vanishing is agreement, one side vanishing is not
+        singular = CutSystem(
+            point_sigma(), phi=[[[0]]], crit_dims=[1, 1], N=[[[0]]], M=[[[0]]], W=[[[0]]]
+        )
+        flat_cn = NovikovComplex(R0, 0, [1, 1], [[[ZERO]]])
+        both = verify_main_theorem(singular, flat_cn)
+        assert both.invariant.is_zero and both.direct.is_zero
+        assert both.main_identity
+        assert both.product_identity
+        cn_only = verify_main_theorem(circle_onecrit(), flat_cn)
+        assert cn_only.invariant.is_zero and not cn_only.direct.is_zero
+        assert not cn_only.main_identity
+        assert cn_only.product_identity
+        direct_only = verify_main_theorem(singular, NovikovComplex(R0, 0, [1, 1], [[[ONE]]]))
+        assert not direct_only.invariant.is_zero and direct_only.direct.is_zero
+        assert not direct_only.main_identity
+        assert direct_only.product_identity
+
     def test_stabilized_pair_series_route(self):
         # the truncated flow complex certifies the series identity only;
         # its polynomial torsion is not the exact value, so the literal
@@ -881,7 +902,7 @@ class TestVerifyMainTheorem:
         assert report.product_identity
         assert not report.main_identity
         assert frac_equal(
-            report.product_route.raw, RationalFunction(rp((0, 1), (1, -2)), 1 - T)
+            report.product_route, RationalFunction(rp((0, 1), (1, -2)), 1 - T)
         )
 
     @pytest.mark.parametrize(
@@ -921,4 +942,4 @@ class TestVerifyMainTheorem:
             "charpoly": len(cs.phi),
         }
         assert report.product_identity
-        assert frac_equal(report.product_route.raw, tau_via_products(cs).raw)
+        assert frac_equal(report.product_route, tau_via_products(cs))

@@ -233,6 +233,36 @@ class TestCommandContract:
         assert "product formula: OK" in lines
         assert lines[-1] == "I == tau(X'): FAIL"
 
+    def test_tau_of_a_complex_that_is_not_acyclic(self, capsys, tmp_path):
+        # a zero boundary on dims [1, 1]: the torsion vanishes, which tau
+        # prints as undefined, while tau-hat weighs the homology in
+        data = load_data("circle_cw.json")
+        data["boundaries"] = [[[[]]]]
+        path = tmp_path / "circle_flat.json"
+        path.write_text(json.dumps(data), encoding="ascii")
+        code, out, _ = invoke(capsys, "tau", "--fixture", str(path))
+        assert code == 2
+        assert out == "tau: undefined (complex is not acyclic)\n"
+        code, out, _ = invoke(capsys, "tau-hat", "--fixture", str(path))
+        assert code == 0
+        assert out == "tau-hat: 1 [canonical]\n"
+
+    def test_verify_main_when_the_critical_complex_is_not_acyclic(self, capsys, tmp_path):
+        data = load_data("circle_crit_scenario.json")
+        data["novikov"]["boundaries"] = [[[[]]]]
+        path = tmp_path / "circle_crit_flat.json"
+        path.write_text(json.dumps(data), encoding="ascii")
+        code, out, _ = invoke(capsys, "verify-main", "--fixture", str(path))
+        assert code == 2
+        assert out.splitlines() == [
+            "zeta: 1",
+            "tau(CN): undefined",
+            "tau(X'): (1 - t)^-1",
+            "series agreement (K vs CN): FAIL",
+            "product formula: OK",
+            "I == tau(X'): FAIL",
+        ]
+
     def test_validate_reports_broken_differential(self, capsys):
         code, out, _ = invoke(
             capsys, "validate", "--fixture", fix("broken_dsq.json")

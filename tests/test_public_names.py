@@ -4,7 +4,8 @@ A public name defined at the top of a package module is either exported
 by torsionlab/__init__.py or used by package code: named in an
 expression (a call inside its own module counts, a mention in a
 docstring does not).  A helper that only tests use belongs in
-tests/oracles.py.  Standard library only.
+tests/oracles.py.  Every name a module other than __init__.py imports
+is used in that module.  Standard library only.
 """
 
 import ast
@@ -58,3 +59,23 @@ def test_every_public_name_is_exported_or_used():
         and node.name not in used
     ]
     assert dead == []
+
+
+def imported_names(tree):
+    """The names a module binds by import, __future__ features aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0]
+
+
+def test_every_import_is_used():
+    unused = []
+    for name, tree in parsed_modules().items():
+        if name == "__init__.py":
+            continue
+        named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += ["%s: %s" % (name, bound) for bound in imported_names(tree) if bound not in named]
+    assert unused == []
