@@ -18,6 +18,7 @@ from .errors import FixtureError, PreconditionError
 from .fixtures import parse_fixture
 from .novikov import apply_lift
 from .rings import (
+    DEFAULT_ORDER,
     MAX_ORDER,
     canonical_mod_units,
     expand_series,
@@ -33,8 +34,6 @@ EXIT_VIOLATION = 2
 EXIT_FIXTURE = 3
 EXIT_PRECONDITION = 4
 EXIT_USAGE = 64
-
-DEFAULT_ORDER = 16
 
 
 class _Parser(argparse.ArgumentParser):
@@ -91,9 +90,17 @@ def _order_for(args, fixture):
     return DEFAULT_ORDER
 
 
-def _print_expansion(value, order):
-    for line in format_truncation(expand_series(value, order)):
+def _print_value(head, value, order):
+    """Print head, then value's expansion through order unless order is None.
+
+    The expansion is taken first, so one that fails (a lowest coefficient
+    that is no unit) prints nothing at all.
+    """
+    lines = [] if order is None else format_truncation(expand_series(value, order))
+    print(head)
+    for line in lines:
         print(line)
+    return EXIT_OK
 
 
 def _cmd_tau(args, fixture):
@@ -103,19 +110,13 @@ def _cmd_tau(args, fixture):
         print("tau: undefined (complex is not acyclic)")
         return EXIT_VIOLATION
     value = canonical_mod_units(value)
-    print("tau: %s [canonical]" % format_rational(value))
-    if args.order is not None:
-        _print_expansion(value, _order_for(args, fixture))
-    return EXIT_OK
+    return _print_value("tau: %s [canonical]" % format_rational(value), value, args.order)
 
 
 def _cmd_tau_hat(args, fixture):
     _want(fixture, "complex", "novikov", "scenario")
     value = canonical_mod_units(torsion_tau_hat(_lifted_complex(fixture)))
-    print("tau-hat: %s [canonical]" % format_rational(value))
-    if args.order is not None:
-        _print_expansion(value, _order_for(args, fixture))
-    return EXIT_OK
+    return _print_value("tau-hat: %s [canonical]" % format_rational(value), value, args.order)
 
 
 def _scenario_part(fixture, name):
@@ -145,10 +146,7 @@ def _cmd_zeta(args, fixture):
                 print(line)
             return EXIT_OK
         value = zeta_lefschetz(fixture.ring, maps)
-    print("zeta: %s" % format_rational(value))
-    if args.order is not None:
-        _print_expansion(value, order)
-    return EXIT_OK
+    return _print_value("zeta: %s" % format_rational(value), value, args.order)
 
 
 def _print_complex(C):
@@ -247,10 +245,7 @@ def _cmd_i3(args, fixture):
 def _cmd_canon(args, fixture):
     _want(fixture, "rational")
     value = canonical_mod_units(fixture.payload)
-    print("canonical: %s" % format_rational(value))
-    if args.order is not None:
-        _print_expansion(value, _order_for(args, fixture))
-    return EXIT_OK
+    return _print_value("canonical: %s" % format_rational(value), value, args.order)
 
 
 def _cmd_validate(args, fixture):

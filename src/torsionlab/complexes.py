@@ -14,6 +14,7 @@ from .linalg import (
     mat_apply,
     mat_is_zero,
     mat_mul,
+    mat_transpose,
     poly_rank_pivots,
 )
 from .rings import (
@@ -322,10 +323,6 @@ def _tau_hat_pieces(C, h):
                 )
             cols.append(cleared)
             factors.append(factor)
-        if len(cols) + len(out_pivots) != d:
-            raise PreconditionError(
-                "transition matrix at degree %d is not square" % (C.min_degree + j)
-            )
         det = bareiss_det(ring, [[col[r] for col in cols] for r in range(d) if r not in out_pivots])
         if (sum(out_pivots) + sum(range(len(cols), d))) % 2:
             det = -det
@@ -471,7 +468,7 @@ def _connecting_sequence(ses, h_sub, h_total, h_quot):
                     ring, h_quot.vectors[i], ses.quotient.boundary_into(i), proj
                 )
             )
-        matrices.append(_cols_to_matrix(cols, dims[3 * i]))
+        matrices.append(mat_transpose(cols, dims[3 * i]))
         # map induced by inclusion, landing at slot 3i+1
         cols = []
         for v in h_sub.vectors[i]:
@@ -481,7 +478,7 @@ def _connecting_sequence(ses, h_sub, h_total, h_quot):
                     ring, h_total.vectors[i], ses.total.boundary_into(i), embedded
                 )
             )
-        matrices.append(_cols_to_matrix(cols, dims[3 * i + 1]))
+        matrices.append(mat_transpose(cols, dims[3 * i + 1]))
         # connecting map from slot 3(i+1) down to 3i+2
         if i + 1 < n:
             cols = []
@@ -501,12 +498,8 @@ def _connecting_sequence(ses, h_sub, h_total, h_quot):
                         ring, h_sub.vectors[i], ses.sub.boundary_into(i), head
                     )
                 )
-            matrices.append(_cols_to_matrix(cols, dims[3 * i + 2]))
+            matrices.append(mat_transpose(cols, dims[3 * i + 2]))
     return dims, matrices
-
-
-def _cols_to_matrix(cols, rows):
-    return [[col[r] for col in cols] for r in range(rows)]
 
 
 def product_formula_check(ses, h_sub=None, h_total=None, h_quot=None):

@@ -9,6 +9,7 @@ Parsing reports a JSON-path location with every failure.
 
 import json
 import os
+from dataclasses import dataclass
 from itertools import accumulate
 
 from .complexes import BasedChainComplex
@@ -20,17 +21,6 @@ from .threedim import PathMatrix
 from .zeta import ClosedOrbit
 
 FIXTURE_DIR_VAR = "TORSIONLAB_FIXTURE_DIR"
-
-KINDS = (
-    "complex",
-    "novikov",
-    "orbits",
-    "returnmaps",
-    "cutsystem",
-    "pathmatrix",
-    "scenario",
-    "rational",
-)
 
 
 def _fail(message, where):
@@ -312,54 +302,30 @@ def _rational(ring, obj, where):
     return _build(RationalFunction, where, num, den)
 
 
+@dataclass(eq=False)
 class Scenario:
     """Optional bundle of everything one verification run may consume."""
 
-    __slots__ = ("cutsystem", "novikov", "orbits", "returnmaps", "pathmatrix", "order")
+    cutsystem: CutSystem | None = None
+    novikov: NovikovComplex | None = None
+    orbits: list | None = None
+    returnmaps: list | None = None
+    pathmatrix: PathMatrix | None = None
+    order: int | None = None
 
-    def __init__(
-        self,
-        cutsystem=None,
-        novikov=None,
-        orbits=None,
-        returnmaps=None,
-        pathmatrix=None,
-        order=None,
-    ):
-        self.cutsystem = cutsystem
-        self.novikov = novikov
-        self.orbits = orbits
-        self.returnmaps = returnmaps
-        self.pathmatrix = pathmatrix
-        self.order = order
+
+# the sections of a scenario, each with the payload of the kind it is named after
+_SECTIONS = ("cutsystem", "novikov", "orbits", "returnmaps", "pathmatrix")
 
 
 def _scenario(ring, obj, where):
     parts = {}
-    for key, parser in (
-        ("cutsystem", _cutsystem),
-        ("novikov", _novikov),
-        ("orbits", _orbits),
-        ("returnmaps", _returnmaps),
-        ("pathmatrix", _pathmatrix),
-    ):
+    for key in _SECTIONS:
         sub = _get(obj, key, where, required=False)
         if sub is not None:
-            parts[key] = parser(ring, sub, where + "." + key)
+            parts[key] = _KINDS[key][0](ring, sub, where + "." + key)
     parts["order"] = _order(obj, where)
     return Scenario(**parts)
-
-
-_PARSERS = {
-    "complex": _complex,
-    "novikov": _novikov,
-    "orbits": _orbits,
-    "returnmaps": _returnmaps,
-    "cutsystem": _cutsystem,
-    "pathmatrix": _pathmatrix,
-    "scenario": _scenario,
-    "rational": _rational,
-}
 
 
 class Fixture:
@@ -372,7 +338,7 @@ class Fixture:
     __slots__ = ("kind", "ring", "payload")
 
     def __init__(self, kind, ring, payload):
-        if kind not in KINDS:
+        if kind not in _KINDS:
             raise FixtureError('unknown fixture kind "%s"' % kind)
         self.kind = kind
         self.ring = ring
@@ -391,10 +357,10 @@ class Fixture:
 
 def parse_fixture_data(data, where="fixture"):
     kind = _str(_get(data, "kind", where), where + ".kind")
-    if kind not in KINDS:
+    if kind not in _KINDS:
         _fail('unknown fixture kind "%s"' % kind, where + ".kind")
     ring = parse_ring(_get(data, "ring", where), where + ".ring")
-    payload = _PARSERS[kind](ring, data, where)
+    payload = _KINDS[kind][0](ring, data, where)
     return Fixture(kind, ring, payload)
 
 
@@ -517,36 +483,18 @@ def _serialize_rational(r):
 
 def _serialize_scenario(sc):
     out = {}
-    if sc.cutsystem is not None:
-        out["cutsystem"] = _serialize_cutsystem(sc.cutsystem)
-    if sc.novikov is not None:
-        out["novikov"] = _serialize_novikov(sc.novikov)
-    if sc.orbits is not None:
-        out["orbits"] = _serialize_orbits(sc.orbits)
-    if sc.returnmaps is not None:
-        out["returnmaps"] = _serialize_returnmaps(sc.returnmaps)
-    if sc.pathmatrix is not None:
-        out["pathmatrix"] = _serialize_pathmatrix(sc.pathmatrix)
+    for key in _SECTIONS:
+        part = getattr(sc, key)
+        if part is not None:
+            out[key] = _KINDS[key][1](part)
     if sc.order is not None:
         out["order"] = sc.order
     return out
 
 
-_SERIALIZERS = {
-    "complex": _serialize_complex,
-    "novikov": _serialize_novikov,
-    "orbits": _serialize_orbits,
-    "returnmaps": _serialize_returnmaps,
-    "cutsystem": _serialize_cutsystem,
-    "pathmatrix": _serialize_pathmatrix,
-    "scenario": _serialize_scenario,
-    "rational": _serialize_rational,
-}
-
-
 def serialize_fixture(fx):
     out = {"kind": fx.kind, "ring": serialize_ring(fx.ring)}
-    out.update(_SERIALIZERS[fx.kind](fx.payload))
+    out.update(_KINDS[fx.kind][1](fx.payload))
     return out
 
 
@@ -554,3 +502,18 @@ def save_fixture(fx, path):
     text = json.dumps(serialize_fixture(fx), indent=1, sort_keys=True)
     with open(path, "w", encoding="ascii") as handle:
         handle.write(text + "\n")
+
+
+# every fixture kind with its (parser, serializer); a parser takes the
+# ring, the JSON object and its location, a serializer returns the payload
+# keys of the object
+_KINDS = {
+    "complex": (_complex, _serialize_complex),
+    "novikov": (_novikov, _serialize_novikov),
+    "orbits": (_orbits, _serialize_orbits),
+    "returnmaps": (_returnmaps, _serialize_returnmaps),
+    "cutsystem": (_cutsystem, _serialize_cutsystem),
+    "pathmatrix": (_pathmatrix, _serialize_pathmatrix),
+    "scenario": (_scenario, _serialize_scenario),
+    "rational": (_rational, _serialize_rational),
+}

@@ -52,6 +52,9 @@ from .errors import PreconditionError
 # ones, so their memory grows with the order and their time with its square.
 MAX_ORDER = 1024
 
+# Series order used when neither the command line nor a fixture gives one.
+DEFAULT_ORDER = 16
+
 # Width of one V-exponent digit of a packed key: every group exponent e
 # satisfies |e| < 2**(SLOT_BITS - 1).
 SLOT_BITS = 32

@@ -14,6 +14,7 @@ from .errors import PreconditionError
 from .linalg import bareiss_det, mat_transpose
 from .novikov import apply_lift
 from .rings import (
+    DEFAULT_ORDER,
     RationalFunction,
     TPolynomial,
     _exact,
@@ -162,7 +163,7 @@ def t_invariant(cf, cls):
     return cf.coefficient(t_exp, v)
 
 
-def sw_consistency_check(P, cn, k=16):
+def sw_consistency_check(P, cn, k=DEFAULT_ORDER):
     """Determinant count against the torsion of the two-degree complex.
 
     The complex must be concentrated in degrees 1 and 2; its boundary,

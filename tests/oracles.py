@@ -16,6 +16,7 @@ from torsionlab.complexes import (
     _clear_row_denominators,
     homology_ranks,
 )
+from torsionlab.cut import CutSystem
 from torsionlab.errors import PreconditionError
 from torsionlab.linalg import _back_substitute, _det, _eliminate, bareiss_det, mat_mul, poly_rank_pivots
 from torsionlab.rings import RationalFunction, TPolynomial, _coeff_normal, _exp_power_sums, exact_div
@@ -401,3 +402,121 @@ def transition_matrix(C, h, j):
     for f in factors:
         factor = factor * f
     return [[col[r] for col in cols] for r in range(d)], factor
+
+
+# ---- cut systems: the coupling identities block by block ----
+
+
+def _mat_sum(*signed):
+    """sum of sign * matrix over (sign, matrix) pairs of one shape."""
+    signs = [sign for sign, _ in signed]
+    return [
+        [sum(sign * e for sign, e in zip(signs, entries)) for entries in zip(*rows)]
+        for rows in zip(*(mat for _, mat in signed))
+    ]
+
+
+def cut_system_report(cs):
+    """The defect report of a cut system by direct block products: sigma's
+    d^2, then in each degree i = 2..n the identities N N = 0,
+    M N + d M = 0, N W - W d = 0 and M W - phi d + d phi = 0, with d
+    sigma's boundary out of degree i - 1."""
+    ring = cs.ring
+    zero = TPolynomial.zero(ring)
+    crit, sd = cs.crit_dims, cs.sigma.dims
+
+    def prod(A, B, cols):
+        return mat_mul(A, B, zero, cols=cols)
+
+    def nonzero(*signed):
+        return any(e for row in _mat_sum(*signed) for e in row)
+
+    bounds = cs.sigma.boundaries
+    report = [
+        "sigma: d^2 != 0 at degree %d" % (j + 2)
+        for j in range(len(bounds) - 1)
+        if nonzero((1, prod(bounds[j], bounds[j + 1], sd[j + 2])))
+    ]
+    for i in range(2, cs.n + 1):
+        d = bounds[i - 2]
+        N0, N1 = cs.N[i - 2], cs.N[i - 1]
+        M0, M1 = cs.M[i - 2], cs.M[i - 1]
+        W0, W1 = cs.W[i - 2], cs.W[i - 1]
+        if nonzero((1, prod(N0, N1, crit[i]))):
+            report.append("critical block d^2 != 0 at degree %d" % i)
+        if nonzero((1, prod(M0, N1, crit[i])), (1, prod(d, M1, crit[i]))):
+            report.append("M/N compatibility fails at degree %d" % i)
+        if nonzero((1, prod(N0, W1, sd[i - 1])), (-1, prod(W0, d, sd[i - 1]))):
+            report.append("W/N compatibility fails at degree %d" % i)
+        if nonzero(
+            (1, prod(M0, W1, sd[i - 1])),
+            (-1, prod(cs.phi[i - 2], d, sd[i - 1])),
+            (1, prod(d, cs.phi[i - 1], sd[i - 1])),
+        ):
+            report.append("return map fails the W/M commutator at degree %d" % i)
+    return report
+
+
+def _t_free_complex(rng, ring, dims_pairs, extras):
+    """A split complex of t-free pieces, disguised by t-free shears."""
+    pairs = [[random_poly(rng, ring, t_hi=0, nonzero=True) for _ in range(k)] for k in dims_pairs]
+    plain = elementary_sum(ring, 0, pairs + [[]], extras)
+    return shear_basis(rng, plain, ops=6, poly_kwargs=dict(t_hi=0, nonzero=True))
+
+
+def coupled_cut_system(rng, ring, n):
+    """A valid cut system of n >= 2 surface degrees with every coupling in play.
+
+    sigma (boundaries dS) and the critical complex (boundaries N) are
+    disguised split complexes, and phi0 = k + dS h + h dS is a chain map.
+    For random t-free A_i: D_i -> sigma_i and B_i: sigma_(i-1) -> D_i,
+    the blocks M_i = dS_i A_i - A_(i-1) N_i, W_i = N_i B_i + B_(i-1)
+    dS_(i-1) and phi_j = phi0_j - A_j (N_(j+1) B_(j+1) + B_j dS_j) meet
+    all four identities, whatever A, B, h and k are.
+    """
+    zero = TPolynomial.zero(ring)
+    sigma = _t_free_complex(
+        rng, ring, [rng.randint(0, 1) for _ in range(n - 1)], [rng.randint(1, 2) for _ in range(n)]
+    )
+    crit = _t_free_complex(
+        rng, ring, [rng.randint(0, 1) for _ in range(n)], [rng.randint(0, 1) for _ in range(n + 1)]
+    )
+    sd, c = sigma.dims, crit.dims
+
+    def s(j):
+        return sd[j] if 0 <= j < n else 0
+
+    def dS(j):
+        if 1 <= j <= n - 1:
+            return sigma.boundaries[j - 1]
+        return [[zero] * s(j) for _ in range(s(j - 1))]
+
+    def rand(rows, cols):
+        return [[random_poly(rng, ring, t_hi=0) for _ in range(cols)] for _ in range(rows)]
+
+    def prod(X, Y, cols):
+        return mat_mul(X, Y, zero, cols=cols)
+
+    N = crit.boundaries
+    A = {j: rand(s(j), c[j]) for j in range(n + 1)}
+    B = {i: rand(c[i], s(i - 1)) for i in range(n + 1)}
+    h = {j: rand(s(j + 1), s(j)) for j in range(-1, n)}
+    k = rng.randint(-2, 2)
+    M = [
+        _mat_sum((1, prod(dS(i), A[i], c[i])), (-1, prod(A[i - 1], N[i - 1], c[i])))
+        for i in range(1, n + 1)
+    ]
+    W = [
+        _mat_sum((1, prod(N[i - 1], B[i], s(i - 1))), (1, prod(B[i - 1], dS(i - 1), s(i - 1))))
+        for i in range(1, n + 1)
+    ]
+    phi = []
+    for j in range(n):
+        phi0 = _mat_sum(
+            (1, [[k * (r == q) for q in range(sd[j])] for r in range(sd[j])]),
+            (1, prod(dS(j + 1), h[j], sd[j])),
+            (1, prod(h[j - 1], dS(j), sd[j])),
+        )
+        X = _mat_sum((1, prod(N[j], B[j + 1], sd[j])), (1, prod(B[j], dS(j), sd[j])))
+        phi.append(_mat_sum((1, phi0), (-1, prod(A[j], X, sd[j]))))
+    return CutSystem(sigma, phi, c, N, M, W)

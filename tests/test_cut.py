@@ -237,6 +237,55 @@ class TestCutSystemValidation:
             assemble_boundary(cs)
 
 
+COUPLING_DEFECTS = {
+    "sigma: d^2 != 0",
+    "critical block d^2 != 0",
+    "M/N compatibility fails",
+    "W/N compatibility fails",
+    "return map fails the W/M commutator",
+}
+
+
+def perturbed(rng, cs, name):
+    """cs with one entry of one block of the named family moved by a
+    nonzero t-free polynomial, or None when the family has no entries."""
+    blocks = cs.sigma.boundaries if name == "sigma" else getattr(cs, name)
+    spots = [
+        (b, r, c)
+        for b, mat in enumerate(blocks)
+        for r, row in enumerate(mat)
+        for c in range(len(row))
+    ]
+    if not spots:
+        return None
+    b, r, c = rng.choice(spots)
+    blocks = [[list(row) for row in mat] for mat in blocks]
+    blocks[b][r][c] = blocks[b][r][c] + oracles.random_poly(rng, cs.ring, t_hi=0, nonzero=True)
+    parts = dict(sigma=cs.sigma, phi=cs.phi, crit_dims=cs.crit_dims, N=cs.N, M=cs.M, W=cs.W)
+    if name == "sigma":
+        parts["sigma"] = BasedChainComplex(cs.ring, 0, cs.sigma.dims, blocks)
+    else:
+        parts[name] = blocks
+    return CutSystem(**parts)
+
+
+def test_single_block_perturbations_match_the_identities():
+    # the report read off the glued complex's d^2 against the identities
+    # taken block by block
+    seen = set()
+    for seed in range(100):
+        rng = oracles.seeded(7200 + seed)
+        cs = oracles.coupled_cut_system(rng, RINGS[seed % 3], 2 + seed % 2)
+        assert validate_cut_system(cs) == oracles.cut_system_report(cs) == []
+        bad = perturbed(rng, cs, ("phi", "N", "M", "W", "sigma")[seed % 5])
+        if bad is None:
+            continue
+        report = validate_cut_system(bad)
+        assert report == oracles.cut_system_report(bad)
+        seen.update(line.split(" at degree")[0] for line in report)
+    assert seen == COUPLING_DEFECTS
+
+
 class TestAssembly:
     def test_circle_nocrit(self):
         glued = assemble_boundary(circle_nocrit())

@@ -13,15 +13,20 @@ import random
 
 import pytest
 
+import torsionlab.fixtures as fixtures_module
 from torsionlab.cli import run_command
+from torsionlab.complexes import BasedChainComplex
+from torsionlab.cut import CutSystem
 from torsionlab.errors import FixtureError
 from torsionlab.fixtures import (
     Fixture,
+    Scenario,
     parse_fixture,
     parse_fixture_data,
     save_fixture,
     serialize_fixture,
 )
+from torsionlab.rings import TPolynomial
 
 from conftest import R0
 
@@ -72,6 +77,27 @@ class TestCorpus:
         with open(fix(name), "rb") as handle:
             original = handle.read()
         assert out.read_bytes() == original
+
+    def test_every_kind_round_trips(self):
+        # one corpus file per kind, and a scenario carrying every section
+        by_kind = {}
+        for name in EXPECTED_CORPUS:
+            fixture = parse_fixture(fix(name))
+            by_kind.setdefault(fixture.kind, fixture)
+        assert sorted(by_kind) == sorted(fixtures_module._KINDS)
+        parts = {
+            key: getattr(by_kind["scenario"].payload, key) for key in fixtures_module._SECTIONS
+        }
+        parts["orbits"] = by_kind["orbits"].payload
+        full = Fixture("scenario", R0, Scenario(order=5, **parts))
+        for fixture in list(by_kind.values()) + [full]:
+            data = serialize_fixture(fixture)
+            reparsed = parse_fixture_data(json.loads(json.dumps(data)))
+            assert reparsed.kind == fixture.kind
+            assert serialize_fixture(reparsed) == data
+        assert sorted(serialize_fixture(full)) == sorted(
+            ("kind", "ring", "order") + fixtures_module._SECTIONS
+        )
 
     def test_fixture_equality_sees_payload(self):
         a = parse_fixture(fix("circle_cw.json"))
@@ -503,6 +529,91 @@ class TestCommandContract:
         ]
 
 
+def term_list(*pairs):
+    """(t-degree, coefficient) pairs as a fixture term list over R0."""
+    return [{"c": c, "t": t, "v": []} for t, c in pairs]
+
+
+def write_json(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_text(json.dumps(data), encoding="ascii")
+    return str(path)
+
+
+def defective_cut(N, M, W):
+    """Two surface degrees with a zero boundary, one handle per degree and
+    zero return maps: the blocks alone decide the coupling identities."""
+    sigma = BasedChainComplex(R0, 0, [1, 1], [[[TPolynomial.zero(R0)]]])
+    return CutSystem(sigma, [[[0]], [[0]]], [1, 1, 1], N, M, W)
+
+
+# (N, M, W) of defective_cut, and the one line each reports
+DEFECTIVE_BLOCKS = [
+    (([[1]], [[1]]), ([[0]], [[0]]), ([[0]], [[0]]), "critical block d^2 != 0 at degree 2"),
+    (([[0]], [[1]]), ([[1]], [[0]]), ([[0]], [[0]]), "M/N compatibility fails at degree 2"),
+    (([[1]], [[0]]), ([[0]], [[0]]), ([[1]], [[1]]), "W/N compatibility fails at degree 2"),
+    (
+        ([[0]], [[0]]),
+        ([[1]], [[0]]),
+        ([[0]], [[1]]),
+        "return map fails the W/M commutator at degree 2",
+    ),
+]
+
+
+class TestCutSystemReports:
+    """validate on cutsystem and scenario fixtures, and assemble's report."""
+
+    def test_clean_cutsystem_and_scenario(self, capsys):
+        for name in ("stabilized_cut.json", "catmap_scenario.json"):
+            code, out, _ = invoke(capsys, "validate", "--fixture", fix(name))
+            assert (code, out) == (0, "OK\n")
+
+    @pytest.mark.parametrize("N, M, W, line", DEFECTIVE_BLOCKS)
+    def test_each_coupling_defect(self, capsys, tmp_path, N, M, W, line):
+        cs = defective_cut(list(N), list(M), list(W))
+        alone = tmp_path / "defect_cut.json"
+        save_fixture(Fixture("cutsystem", R0, cs), str(alone))
+        bundled = tmp_path / "defect_scenario.json"
+        save_fixture(Fixture("scenario", R0, Scenario(cutsystem=cs)), str(bundled))
+        for argv in (
+            ("validate", "--fixture", str(alone)),
+            ("validate", "--fixture", str(bundled)),
+            ("assemble", "--fixture", str(bundled)),
+        ):
+            code, out, err = invoke(capsys, *argv)
+            assert (code, out, err) == (2, line + "\n", "")
+
+    def test_scenario_with_a_broken_novikov_section(self, capsys, tmp_path):
+        data = load_data("circle_scenario.json")
+        one = [term_list((0, 1))]
+        data["novikov"] = {
+            "min_degree": 0,
+            "dims": [1, 1, 1],
+            "boundaries": [[one], [one]],
+            "indices": [0, 1, 2],
+        }
+        path = write_json(tmp_path, "circle_broken_novikov.json", data)
+        code, out, _ = invoke(capsys, "validate", "--fixture", path)
+        assert (code, out) == (2, "novikov: d^2 != 0 at degree 2\n")
+
+    @pytest.mark.parametrize("command", ["assemble", "verify-main", "validate"])
+    def test_glued_complex_is_built_once(self, capsys, monkeypatch, command):
+        import torsionlab.cut as cut
+
+        built = []
+        real = cut.BasedChainComplex
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cut, "BasedChainComplex", counted)
+        code, _, _ = invoke(capsys, command, "--fixture", fix("catmap_scenario.json"))
+        assert code == 0
+        assert len(built) == 1
+
+
 class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
         code, _, err = invoke(capsys, "frobnicate")
@@ -570,6 +681,39 @@ class TestExitCodes:
             assert out == ""
             assert err.startswith("fixture error: ")
             assert err.endswith(".order: order must be nonnegative\n")
+
+    def test_failed_expansion_prints_no_value(self, capsys, tmp_path):
+        # 2 - t has no unit lowest coefficient, so no expansion exists: the
+        # command fails before it prints the value line
+        ring = {"group_vars": [], "t": "t"}
+        two_minus_t = term_list((0, 2), (1, -1))
+        rational = write_json(
+            tmp_path,
+            "rational_two.json",
+            {"kind": "rational", "ring": ring, "num": term_list((0, 1)), "den": two_minus_t},
+        )
+        complex_ = write_json(
+            tmp_path,
+            "complex_two.json",
+            {
+                "kind": "complex",
+                "ring": ring,
+                "min_degree": 0,
+                "dims": [1, 1],
+                "boundaries": [[[two_minus_t]]],
+            },
+        )
+        for argv in (
+            ("canon", "--fixture", rational),
+            ("tau", "--fixture", complex_),
+            ("tau-hat", "--fixture", complex_),
+        ):
+            code, out, _ = invoke(capsys, *argv)
+            assert code == 0
+            assert "(2 - t)^-1" in out
+            code, out, err = invoke(capsys, *argv, "--order", "3")
+            assert (code, out) == (4, "")
+            assert err.startswith("precondition failed: lowest t-coefficient is not a unit")
 
     def test_order_above_ceiling_is_code_4(self, capsys):
         code, out, err = invoke(
