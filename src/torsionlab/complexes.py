@@ -9,7 +9,7 @@ dims[j] x dims[j+1].
 from .errors import PreconditionError
 from .linalg import (
     _back_substitute,
-    _eliminate,
+    _eliminate_poly,
     bareiss_det,
     mat_apply,
     mat_is_zero,
@@ -108,18 +108,26 @@ def validate_complex(C):
 def _boundary_pivots(C):
     """Each boundary matrix eliminated once, on first use: its pivot columns
     over the fraction field, and the echelon rows _eliminate left, once
-    validate_complex passes: the homology path reads cycles off them."""
+    validate_complex passes: the homology path reads cycles off them.
+
+    The rows of the boundary out of a degree are read only where that
+    degree has homology, that is where its rank falls below the degree's
+    dimension less the rank of the boundary into it; the boundaries are
+    eliminated from the top down, so that bound is known."""
     if C._pivots is not None:
         return C._pivots
     report = validate_complex(C)
     if report:
         raise PreconditionError("; ".join(report))
     one = TPolynomial.one(C.ring)
-    pivots, echelons = [], []
-    for mat in C.boundaries:
-        W = [list(row) for row in mat]
-        pivots.append(_eliminate(W, exact_div, one)[0])
-        echelons.append(W)
+    n = len(C.boundaries)
+    pivots, echelons = [None] * n, [None] * n
+    rank_in = 0
+    for j in reversed(range(n)):
+        W = [list(row) for row in C.boundaries[j]]
+        pivots[j] = _eliminate_poly(W, one, echelon_below=C.dims[j + 1] - rank_in)[0]
+        echelons[j] = W
+        rank_in = len(pivots[j])
     C._pivots = (pivots, echelons)
     return C._pivots
 
@@ -205,7 +213,7 @@ def _torsion_engine(ring, min_degree, dims, matrices):
         in_chain = set(chain)
         kept = [row for r, row in enumerate(matrices[j - 1]) if r not in in_chain]
         W, factors = _clear_row_denominators(ring, kept)
-        chain, sign = _eliminate(W, exact_div, one)
+        chain, sign = _eliminate_poly(W, one, echelon_below=0)
         if len(chain) < len(W):
             return RationalFunction.zero(ring)
         minor = W[-1][chain[-1]] if W else one
@@ -438,7 +446,7 @@ def _class_coords(ring, h_vectors, bnd_into, target):
         for r in range(dim)
     ]
     n = len(h_cols) + n_in
-    pivots, _ = _eliminate(W, exact_div, TPolynomial.one(ring))
+    pivots, _ = _eliminate_poly(W, TPolynomial.one(ring))
     if n in pivots:
         raise ArithmeticError("cycle does not lie in the displayed span")
     v = _back_substitute(ring, W, pivots, n + 1, n)

@@ -9,11 +9,26 @@ fraction-free elimination, _eliminate, which the torsion engine in
 complexes also runs once per boundary.  It scales rows lazily: a row
 with a zero in the pivot column skips the step, so sparse boundary
 matrices do a fraction of Bareiss's divisions.
+Every polynomial matrix enters it through _eliminate_poly.  With b = 0
+that packs the matrix into plain ints by Kronecker substitution t = 2^B
+(Fateman 2005; Harvey 2009) and runs the same kernel on them: each row is
+shifted by its least t-degree, and B = 2 + sum over rows of
+ceil(log2 sqrt(sum_j ||a_ij||_1^2)) keeps every coefficient of every
+minor at most 2^(B-2) in size (Hadamard's bound on |t| = 1).  So the
+substitution is one to one on every entry the kernel keeps, its balanced
+base-2^B digits are the coefficients, and the pivots, swaps and minors
+are the polynomial kernel's.  A matrix whose row t-spans sum to more than its
+term count, sparse with huge exponents, would pack to huge ints and stays
+on the term-dict kernel (exact_div), as every b >= 1 matrix does; that
+kernel is also the int route's test oracle.  Only the entries a caller
+reads are read back: the last pivot for a determinant or a torsion minor,
+the pivot rows where back-substitution needs them.
 Kernel vectors and solutions over the fraction field come from
 _back_substitute on the rows _eliminate leaves, as polynomial vectors,
 so no rational function is formed.
 """
 
+from functools import partial
 from math import gcd
 
 from .errors import PreconditionError
@@ -141,6 +156,89 @@ def _eliminate(W, div, one):
     return pivots, sign
 
 
+def _int_div(a, b):
+    """a // b for ints that b divides; ArithmeticError on a remainder."""
+    q, r = divmod(a, b)
+    if r:
+        raise ArithmeticError("inexact interior division")
+    return q
+
+
+def _eliminate_poly(W, one, echelon_below=None):
+    """_eliminate(W, exact_div, one) for a matrix of exact polynomials of
+    one's ring: the same pivots and sign, and the same pivot rows from
+    their pivot columns rightwards when the rank is below echelon_below
+    (always when it is None).  Otherwise only the last pivot, the
+    determinant of the pivot square up to the swap sign, is certain to be
+    in place.  Other entries are scratch.
+
+    With b = 0 and row t-spans summing to at most the matrix's term
+    count, row r is multiplied by t^-m_r, m_r its least t-degree, and
+    each entry is packed as its value at t = 2^B, B as in the module
+    docstring.  Every entry _eliminate keeps is a minor, with
+    coefficients of size at most 2^(B-2), so it is zero exactly when its
+    image is; the kernel makes the polynomial kernel's choices on the
+    images, and each division of images is exact.  Pivot row i holds
+    minors on the rows in places 0..i, so its entries are read back as
+    balanced base-2^B digits times t^(sum of those rows' m_r).
+    """
+    ring = one.ring
+    if ring._shifts:
+        return _eliminate(W, exact_div, one)
+    shifts, spans, terms, bits = [], 0, 0, 2
+    for row in W:
+        nonzero = [t for e in row if (t := e._terms)]
+        low = 0
+        if nonzero:
+            keys = [k for t in nonzero for k in t]
+            low = min(keys)
+            spans += max(keys) - low
+            terms += len(keys)
+            norm = sum([sum(map(abs, t.values())) ** 2 for t in nonzero])
+            # ceil(log2 sqrt(norm)) = ceil(ceil(log2 norm) / 2)
+            bits += ((norm - 1).bit_length() + 1) // 2
+        shifts.append(low)
+    if spans > terms:
+        return _eliminate(W, exact_div, one)
+    packed = [
+        [sum([c << bits * (k - m) for k, c in t.items()]) if (t := e._terms) else 0 for e in row]
+        for row, m in zip(W, shifts)
+    ]
+    place = {id(row): r for r, row in enumerate(packed)}
+    pivots, sign = _eliminate(packed, _int_div, 1)
+    order = [place[id(row)] for row in packed]
+    W[:] = [W[r] for r in order]
+    echelon = echelon_below is None or len(pivots) < echelon_below
+    zero = TPolynomial.zero(ring)
+    shift = 0
+    for i, c in enumerate(pivots):
+        shift += shifts[order[i]]
+        if echelon or i == len(pivots) - 1:
+            row = W[i]
+            for j in range(c, len(row) if echelon else c + 1):
+                x = packed[i][j]
+                row[j] = _from_kronecker(ring, x, bits, shift) if x else zero
+    return pivots, sign
+
+
+def _from_kronecker(ring, x, bits, shift):
+    """The polynomial sum_k d_k t^(shift + k) whose balanced base-2^bits
+    digits d_k, each of size below 2^(bits-1), make up x."""
+    terms = {}
+    width = 1 << bits
+    half, mask = width >> 1, width - 1
+    k = shift
+    while x:
+        d = x & mask
+        if d >= half:
+            d -= width
+        if d:
+            terms[k] = d
+        x = (x - d) >> bits
+        k += 1
+    return TPolynomial._trusted(ring, terms)
+
+
 def _back_substitute(ring, W, pivots, cols, free):
     """A vector v of length cols with W v = 0, for W and pivots as
     _eliminate left them and free a column that is not a pivot.
@@ -186,10 +284,12 @@ def _square_size(M, what):
     return n
 
 
-def _det(M, div, one, zero):
+def _det(M, eliminate, one, zero):
+    """det M from eliminate(W, one) on a copy of M: an elimination that
+    leaves the last pivot of a square of full rank in place."""
     n = _square_size(M, "determinant")
     W = [list(row) for row in M]
-    pivots, sign = _eliminate(W, div, one)
+    pivots, sign = eliminate(W, one)
     if len(pivots) < n:
         return zero
     d = W[n - 1][n - 1] if n else one
@@ -198,7 +298,8 @@ def _det(M, div, one, zero):
 
 def bareiss_det(ring, M):
     """Fraction-free determinant of a square matrix over the Laurent ring."""
-    return _det(M, exact_div, TPolynomial.one(ring), TPolynomial.zero(ring))
+    last_pivot = partial(_eliminate_poly, echelon_below=0)
+    return _det(M, last_pivot, TPolynomial.one(ring), TPolynomial.zero(ring))
 
 
 def poly_rank_pivots(ring, M):
@@ -207,7 +308,7 @@ def poly_rank_pivots(ring, M):
     Rank is taken over the fraction field; fraction-free elimination keeps
     every intermediate entry polynomial.
     """
-    pivots, _ = _eliminate([list(row) for row in M], exact_div, TPolynomial.one(ring))
+    pivots, _ = _eliminate_poly([list(row) for row in M], TPolynomial.one(ring), echelon_below=0)
     return len(pivots), pivots
 
 

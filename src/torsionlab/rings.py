@@ -522,9 +522,14 @@ def _from_t_coefficients(ring, coeffs):
     """sum_k coeffs[k] t^k for int or t-free polynomial coefficients: the
     key of t^k shifts each one onto its own t-degree, so none collide."""
     terms = {}
+    step = ring.pack(1)
     for k, c in enumerate(coeffs):
-        c = c._terms if isinstance(c, TPolynomial) else {0: c} if c else {}
-        terms.update((key + ring.pack(k), a) for key, a in c.items())
+        if isinstance(c, TPolynomial):
+            shift = k * step
+            for key, a in c._terms.items():
+                terms[key + shift] = a
+        elif c:
+            terms[k * step] = c
     return TPolynomial._trusted(ring, terms)
 
 

@@ -18,7 +18,15 @@ from torsionlab.complexes import (
 )
 from torsionlab.cut import CutSystem
 from torsionlab.errors import PreconditionError
-from torsionlab.linalg import _back_substitute, _det, _eliminate, bareiss_det, mat_mul, poly_rank_pivots
+from torsionlab.linalg import (
+    _back_substitute,
+    _det,
+    _eliminate,
+    _int_div,
+    bareiss_det,
+    mat_mul,
+    poly_rank_pivots,
+)
 from torsionlab.rings import RationalFunction, TPolynomial, _coeff_normal, _exp_power_sums, exact_div
 from torsionlab.zeta import _mapless_sign
 
@@ -311,19 +319,37 @@ def novikov_rank_check(cn, cw):
     return all(v == 0 for v in ranks.values())
 
 
+# ---- the Kronecker route of b = 0 eliminations and its references ----
+
+
+def kronecker_eligible(M):
+    """Whether _eliminate_poly takes a b = 0 matrix to plain ints: its row
+    t-spans sum to at most its term count."""
+    spans = terms = 0
+    for row in M:
+        keys = [k for e in row for k in e._terms]
+        if keys:
+            spans += max(keys) - min(keys)
+            terms += len(keys)
+    return spans <= terms
+
+
+def sylvester_hadamard(m):
+    """The 2^m x 2^m Sylvester-Hadamard matrix of +-1: H_(m+1) = [[H, H],
+    [H, -H]].  Its rows are orthogonal of length 2^(m/2), so |det| meets
+    Hadamard's bound."""
+    H = [[1]]
+    for _ in range(m):
+        H = [row + row for row in H] + [row + [-x for x in row] for row in H]
+    return H
+
+
 # ---- integer determinants: the Bareiss reference for the orbit signs ----
-
-
-def _int_div(a, b):
-    q, r = divmod(a, b)
-    if r:
-        raise ArithmeticError("inexact interior division")
-    return q
 
 
 def int_det(M):
     """Integer determinant by the package's fraction-free elimination."""
-    return _det(M, _int_div, 1, 0)
+    return _det(M, lambda W, one: _eliminate(W, _int_div, one), 1, 0)
 
 
 def orbit_sign(orbit, power=1):

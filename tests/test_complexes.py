@@ -26,18 +26,18 @@ from conftest import R0, R1, tpoly
 
 
 def count_eliminations(monkeypatch):
-    """Patch complexes._eliminate to record each matrix it is handed, as
-    it was before the elimination; returns the list of records."""
+    """Patch complexes._eliminate_poly to record each matrix it is handed,
+    as it was before the elimination; returns the list of records."""
     import torsionlab.complexes as complexes
 
     calls = []
-    original = complexes._eliminate
+    original = complexes._eliminate_poly
 
-    def counted(W, *args):
+    def counted(W, one, **kwargs):
         calls.append([list(row) for row in W])
-        return original(W, *args)
+        return original(W, one, **kwargs)
 
-    monkeypatch.setattr(complexes, "_eliminate", counted)
+    monkeypatch.setattr(complexes, "_eliminate_poly", counted)
     return calls
 
 
@@ -248,16 +248,16 @@ class TestTorsionEngine:
         plain, sheared = oracles.random_acyclic_complex(oracles.seeded(6009), R1)
         expected = torsion_tau(plain)
         calls = []
-        real = complexes._eliminate
+        real = complexes._eliminate_poly
 
-        def counted(W, div, one):
+        def counted(W, one, **kwargs):
             calls.append(len(W))
-            return real(W, div, one)
+            return real(W, one, **kwargs)
 
         def refused(ring, M):
             raise AssertionError("torsion_tau took a separate determinant")
 
-        monkeypatch.setattr(complexes, "_eliminate", counted)
+        monkeypatch.setattr(complexes, "_eliminate_poly", counted)
         monkeypatch.setattr(complexes, "bareiss_det", refused)
         for C in (trefoil_surgery_complex(), sheared):
             calls.clear()
@@ -457,19 +457,20 @@ class TestTauHat:
         # the completion and the determinants eliminate inside linalg; the
         # eliminations complexes runs itself are the boundary matrices'
         seen = []
-        real = complexes._eliminate
+        real = complexes._eliminate_poly
 
-        def recorded(W, div, one):
+        def recorded(W, one, **kwargs):
             seen.append([list(row) for row in W])
-            return real(W, div, one)
+            return real(W, one, **kwargs)
 
-        monkeypatch.setattr(complexes, "_eliminate", recorded)
+        monkeypatch.setattr(complexes, "_eliminate_poly", recorded)
         rng = oracles.seeded(250 + seed)
         C = oracles.random_valid_complex(rng, R0 if seed % 2 else R1, length=3)
         for C in (C, trefoil_surgery_complex()):
             seen.clear()
             torsion_tau_hat(C)
-            assert seen == C.boundaries
+            # from the top down: each rank bounds which rows the next is read for
+            assert seen == C.boundaries[::-1]
 
 
 class TestRebase:

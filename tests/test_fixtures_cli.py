@@ -26,6 +26,7 @@ from torsionlab.fixtures import (
     save_fixture,
     serialize_fixture,
 )
+from torsionlab.novikov import NovikovComplex
 from torsionlab.rings import TPolynomial
 
 from conftest import R0
@@ -612,6 +613,37 @@ class TestCutSystemReports:
         code, _, _ = invoke(capsys, command, "--fixture", fix("catmap_scenario.json"))
         assert code == 0
         assert len(built) == 1
+
+    def test_verify_main_squares_each_differential_once(self, capsys, monkeypatch):
+        # validate reads every block of d^2 off the glued complex, and the
+        # lift is a diagonal unit change, so only sigma's d^2 is taken by
+        # validate_complex (the Novikov section here has no generators)
+        import torsionlab.complexes as complexes
+        import torsionlab.cut as cut
+
+        seen = []
+        real = complexes.validate_complex
+
+        def counted(C):
+            seen.append(C.dims)
+            return real(C)
+
+        monkeypatch.setattr(complexes, "validate_complex", counted)
+        monkeypatch.setattr(cut, "validate_complex", counted)
+        code, _, _ = invoke(capsys, "verify-main", "--fixture", fix("catmap_scenario.json"))
+        assert code == 0
+        assert [dims for dims in seen if dims] == [[1, 2, 1]]
+
+    @pytest.mark.parametrize("N, M, W, line", DEFECTIVE_BLOCKS)
+    def test_verify_main_refuses_each_coupling_defect(self, capsys, tmp_path, N, M, W, line):
+        cs = defective_cut(list(N), list(M), list(W))
+        zero = [[TPolynomial.zero(R0)]]
+        cn = NovikovComplex(R0, 0, [1, 1, 1], [zero, zero])
+        path = tmp_path / "defect_scenario.json"
+        save_fixture(Fixture("scenario", R0, Scenario(cutsystem=cs, novikov=cn)), str(path))
+        code, out, err = invoke(capsys, "verify-main", "--fixture", str(path))
+        assert (code, out) == (4, "")
+        assert line in err
 
 
 class TestExitCodes:

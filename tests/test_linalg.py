@@ -9,6 +9,7 @@ from torsionlab.errors import PreconditionError
 from torsionlab.linalg import (
     _back_substitute,
     _eliminate,
+    _eliminate_poly,
     bareiss_det,
     charpoly,
     mat_apply,
@@ -19,7 +20,17 @@ from torsionlab.linalg import (
 from torsionlab.rings import RationalFunction, TPolynomial, exact_div
 
 from conftest import R0, R1, R2, RINGS, mono, tpoly, tpolynomials
-from oracles import SympyView, _int_div, int_det, random_return_map, rf_det, scaled_solve, seeded
+from oracles import (
+    SympyView,
+    _int_div,
+    int_det,
+    kronecker_eligible,
+    random_return_map,
+    rf_det,
+    scaled_solve,
+    seeded,
+    sylvester_hadamard,
+)
 
 
 def ints_to_poly(ring, M):
@@ -569,14 +580,17 @@ def test_sparse_diagonal_skips_every_update(monkeypatch):
     eager = CountingDiv(exact_div)
     eager_bareiss([list(row) for row in M], eager, TPolynomial.one(R0))
     assert eager.calls == 140
-    lazy = CountingDiv(exact_div)
-    monkeypatch.setattr(linalg, "exact_div", lazy)
+    # at b = 0 the kernel divides packed ints: count those divisions, and
+    # refuse the term-dict ones the route must not take
+    lazy = CountingDiv(linalg._int_div)
+    monkeypatch.setattr(linalg, "_int_div", lazy)
+    monkeypatch.setattr(linalg, "exact_div", refuse_dict_division)
     expected = TPolynomial.one(R0)
     for d in diagonal:
         expected = expected * d
     assert bareiss_det(R0, M) == expected
     # only the pivot entries catch up, one division each
-    assert lazy.calls <= 8
+    assert 0 < lazy.calls <= 8
 
 
 def test_dense_matrix_divides_as_eager(monkeypatch):
@@ -611,6 +625,122 @@ def test_sympy_sparse(sympy, ring):
         d, Y = scaled_solve(ring, A, B)
         residual = sA * view.matrix(Y) - view.expr(d) * view.matrix(B)
         assert residual.applyfunc(sympy.expand).is_zero_matrix
+
+
+# ---- b = 0 on plain ints: the Kronecker route against the term-dict kernel ----
+
+
+def refuse_dict_division(a, b):
+    raise AssertionError("a b = 0 matrix took the term-dict kernel")
+
+
+def laurent_matrix(rng, rows, cols, kind):
+    """A seeded R0 matrix of one kind, every row shifted by a monomial
+    t^k, k in [-3, 3], so that rows carry negative exponents."""
+    zero = TPolynomial.zero(R0)
+    if kind in SPARSE_SHAPES:
+        M = sparse_matrix(rng, R0, rows, cols, kind)
+    elif kind == "product":
+        # a product through a narrower inner dimension is rank deficient
+        inner = rng.randint(0, min(rows, cols) - 1)
+        M = mat_mul(random_matrix(rng, R0, rows, inner), random_matrix(rng, R0, inner, cols), zero, cols=cols)
+    else:
+        M = random_matrix(rng, R0, rows, cols, t_lo=-2)
+        if kind == "dependent" and rows > 1:
+            a, b = rng.sample(range(rows), 2)
+            M[b] = [x * (1 - TPolynomial.t(R0)) for x in M[a]]
+        elif kind == "zero row":
+            M[rng.randrange(rows)] = [zero] * cols
+    return [[e * TPolynomial.t(R0, rng.randint(-3, 3)) for e in row] for row in M]
+
+
+def assert_route_matches_dict_kernel(M, monkeypatch):
+    """_eliminate_poly on M against the term-dict kernel: pivots, sign and
+    every pivot-row entry from its pivot rightwards when the rank is below
+    echelon_below (or it is None), else the last pivot alone.  An eligible
+    matrix must not touch exact_div.  Returns whether M was eligible."""
+    one = TPolynomial.one(R0)
+    oracle = [list(row) for row in M]
+    pivots, sign = _eliminate(oracle, exact_div, one)
+    rank = len(pivots)
+    eligible = kronecker_eligible(M)
+    for below in (None, rank + 1, rank, 0):
+        route = [list(row) for row in M]
+        with monkeypatch.context() as patch:
+            if eligible:
+                patch.setattr(linalg, "exact_div", refuse_dict_division)
+            assert _eliminate_poly(route, one, echelon_below=below) == (pivots, sign)
+        if below is None or rank < below:
+            for k, c in enumerate(pivots):
+                assert route[k][c:] == oracle[k][c:]
+        elif pivots:
+            assert route[rank - 1][pivots[-1]] == oracle[rank - 1][pivots[-1]]
+    return eligible
+
+
+KRONECKER_KINDS = ("laurent", "product", "dependent", "zero row") + SPARSE_SHAPES
+
+
+def test_kronecker_route_matches_dict_kernel(monkeypatch):
+    rng = seeded(31)
+    eligible = 0
+    for trial in range(140):
+        kind = KRONECKER_KINDS[trial % len(KRONECKER_KINDS)]
+        n = rng.randint(1, 7)
+        # squares (singular ones included) and both orientations of rectangles
+        rows, cols = (n, n) if trial % 3 == 0 else (rng.randint(1, 7), rng.randint(1, 7))
+        eligible += assert_route_matches_dict_kernel(laurent_matrix(rng, rows, cols, kind), monkeypatch)
+    # the route is what the comparison reaches: most seeded matrices are eligible
+    assert eligible > 100
+
+
+def test_kronecker_route_degenerate_shapes(monkeypatch):
+    zero, t = TPolynomial.zero(R0), TPolynomial.t(R0)
+    swap = [[zero, TPolynomial.t(R0, -2)], [TPolynomial.t(R0, -1), zero]]
+    for M in ([], [[], []], [[zero, zero]], [[zero], [zero], [1 - t]], swap):
+        assert assert_route_matches_dict_kernel(M, monkeypatch)
+    assert bareiss_det(R0, swap) == -TPolynomial.t(R0, -3)
+
+
+def test_sympy_kronecker_det(sympy, monkeypatch):
+    from sympy.polys.matrices import DomainMatrix
+
+    view = SympyView(sympy, R0)
+    rng = seeded(32)
+    # laurent_matrix's exponents are at least -5: t^5 on every entry clears
+    # them for sympy and scales the determinant by t^(5n)
+    shift = TPolynomial.t(R0, 5)
+    monkeypatch.setattr(linalg, "exact_div", refuse_dict_division)
+    checked = 0
+    for trial in range(12):
+        n = rng.randint(2, 7)
+        M = laurent_matrix(rng, n, n, ("laurent", "dependent", "banded")[trial % 3])
+        if not kronecker_eligible(M):
+            continue
+        shifted = view.matrix([[e * shift for e in row] for row in M])
+        expected = DomainMatrix.from_Matrix(shifted).det().as_expr()
+        assert sympy.expand(view.expr(bareiss_det(R0, M) * shift**n) - expected) == 0
+        checked += 1
+    assert checked >= 8
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+def test_hadamard_bound_met_with_equality(m, monkeypatch):
+    # H (1 + t)^k with H Sylvester-Hadamard, n = 2^m: at t = 1 each row has
+    # norm 2^k sqrt(n) and |det| is the product of the row norms.  With k = 0
+    # and n a power of 4 (m = 2, 4) the ceilings of the bound are exact, so
+    # the coefficient n^(n/2) is 2^(B-2) and a width one bit short fails.
+    # Row r is shifted by t^-r, so the unpacking must shift the minors back.
+    H = sylvester_hadamard(m)
+    n = len(H)
+    t = TPolynomial.t(R0)
+    for k in range(3):
+        f = (1 + t) ** k
+        M = [[f * (x * TPolynomial.t(R0, -r)) for x in row] for r, row in enumerate(H)]
+        assert assert_route_matches_dict_kernel(M, monkeypatch)
+        monkeypatch.setattr(linalg, "exact_div", refuse_dict_division)
+        assert bareiss_det(R0, M) == int_det(H) * f**n * TPolynomial.t(R0, -n * (n - 1) // 2)
+        monkeypatch.undo()
 
 
 # ---- characteristic polynomial: Berkowitz against sympy ----
