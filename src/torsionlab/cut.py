@@ -7,10 +7,11 @@ The assembled boundary in each degree is the block matrix
                                        [0,   0,    -dS      ]]
 
 with the F summand in degree i identified with the E summand in degree
-i-1.  All stored block data is t-free; the twisting variable enters only
-through the explicit placements above.  A cut system is valid when this
-complex is one: validate_cut_system reads each coupling identity off a
-block of d^2.
+i-1.  All stored block data is t-free and plain, as zeta._plain_matrix
+leaves it: an int where an entry is constant, a t-free ring element
+otherwise.  The twisting variable enters only through the explicit
+placements above.  A cut system is valid when this complex is one:
+validate_cut_system reads each coupling identity off a block of d^2.
 """
 
 from dataclasses import dataclass
@@ -24,7 +25,6 @@ from .rings import (
     RationalFunction,
     RingSpec,
     TPolynomial,
-    _exact,
     _from_t_coefficients,
     expand_series,
     unit_equivalent,
@@ -37,28 +37,12 @@ def _check_block(mat, rows, cols, name):
         raise PreconditionError("block %s has the wrong shape" % name)
 
 
-def _t_free_block(ring, mat, name):
-    """A block's entries as t-free elements of ring: an int is coerced, and
-    a non-ring, foreign-ring or t-dependent entry is refused."""
-    out = []
-    for row in mat:
-        coerced = []
-        for entry in row:
-            if isinstance(entry, int):
-                entry = TPolynomial.monomial(ring, coeff=entry)
-            elif not _exact(entry):
-                raise PreconditionError("cut data entries must be ring elements")
-            elif entry.ring != ring:
-                raise PreconditionError("mismatched ring specs")
-            elif not entry.is_t_free():
-                raise PreconditionError("block %s must not involve t" % name)
-            coerced.append(entry)
-        out.append(coerced)
-    return out
-
-
 class CutSystem:
-    """Cut-surface complex, return maps, and critical-handle coupling data."""
+    """Cut-surface complex, return maps, and critical-handle coupling data.
+
+    phi, N, M and W are stored plain (zeta._plain_matrix): an entry is an
+    int where it is constant and a t-free ring element otherwise.
+    """
 
     # _flow is the return flow (K, zeta), kept by _return_flow on first use,
     # and _glued the glued complex, kept by _glue; __init__ copies the
@@ -89,13 +73,13 @@ class CutSystem:
             _check_block(W[i - 1], crit_dims[i - 1], sigma.dims[i - 1], "W_%d" % i)
         ring = sigma.ring
         for j, mat in enumerate(sigma.boundaries):
-            _t_free_block(ring, mat, "sigma boundary %d" % (j + 1))
+            _plain_matrix(ring, mat, "sigma boundary %d" % (j + 1))
         self.sigma = sigma
-        self.phi = [_t_free_block(ring, mat, "phi_%d" % i) for i, mat in enumerate(phi)]
+        self.phi = [_plain_matrix(ring, mat, "block phi_%d" % i) for i, mat in enumerate(phi)]
         self.crit_dims = crit_dims
-        self.N = [_t_free_block(ring, mat, "N_%d" % i) for i, mat in enumerate(N, 1)]
-        self.M = [_t_free_block(ring, mat, "M_%d" % i) for i, mat in enumerate(M, 1)]
-        self.W = [_t_free_block(ring, mat, "W_%d" % i) for i, mat in enumerate(W, 1)]
+        self.N = [_plain_matrix(ring, mat, "block N_%d" % i) for i, mat in enumerate(N, 1)]
+        self.M = [_plain_matrix(ring, mat, "block M_%d" % i) for i, mat in enumerate(M, 1)]
+        self.W = [_plain_matrix(ring, mat, "block W_%d" % i) for i, mat in enumerate(W, 1)]
         self._flow = None
         self._glued = None
 
@@ -173,13 +157,14 @@ def _glue(cs):
     for i in range(1, cs.n + 1):
         mat = [[zero] * dims[i] for _ in range(dims[i - 1])]
         (rd, re, rf), (cd, ce, cf) = spans[i - 1], spans[i]
+        # each plain entry lifted where it is placed: e, -t*e or delta - t*e
         twist = [
             [_from_t_coefficients(ring, [int(r == c), -e]) for c, e in enumerate(row)]
             for r, row in enumerate(cs.phi[i - 1])
         ]
         for rows, cols, block in (
-            (rd, cd, cs.N[i - 1]),
-            (rd, cf, cs.W[i - 1]),
+            (rd, cd, [[_from_t_coefficients(ring, [e]) for e in row] for row in cs.N[i - 1]]),
+            (rd, cf, [[_from_t_coefficients(ring, [e]) for e in row] for row in cs.W[i - 1]]),
             (re, cd, [[_from_t_coefficients(ring, [0, -e]) for e in row] for row in cs.M[i - 1]]),
             (re, ce, d_sigma[i]),
             (re, cf, twist),
@@ -218,7 +203,6 @@ def _return_flow(cs):
     ring = cs.ring
     K, charpolys = [], []
     for phi, N, M, W, cols in zip(cs.phi, cs.N, cs.M, cs.W, cs.crit_dims[1:]):
-        phi, N, M, W = (_plain_matrix(ring, X) for X in (phi, N, M, W))
         c = charpoly(phi)
         num = [[[x] for x in row] for row in N]  # the numerators' t-coefficients
         Y = M

@@ -16,7 +16,7 @@ from .complexes import BasedChainComplex
 from .cut import CutSystem
 from .errors import FixtureError, PreconditionError
 from .novikov import EulerLift, NovikovComplex
-from .rings import MAX_ORDER, RationalFunction, RingSpec, TPolynomial
+from .rings import MAX_ORDER, RationalFunction, RingSpec, TPolynomial, _from_t_coefficients
 from .threedim import PathMatrix
 from .zeta import ClosedOrbit
 
@@ -403,8 +403,9 @@ def serialize_poly(p):
     ]
 
 
-def serialize_matrix(M):
-    return [[serialize_poly(entry) for entry in row] for row in M]
+def serialize_matrix(ring, M):
+    """Term lists of a matrix of ring elements, a plain int as a constant."""
+    return [[serialize_poly(_from_t_coefficients(ring, [e])) for e in row] for row in M]
 
 
 def _serialize_unit(u):
@@ -412,20 +413,20 @@ def _serialize_unit(u):
     return {"c": 1, "t": t, "v": list(v)}
 
 
-def _serialize_complex(C):
+def _serialize_complex(ring, C):
     out = {
         "ring": serialize_ring(C.ring),
         "min_degree": C.min_degree,
         "dims": list(C.dims),
-        "boundaries": [serialize_matrix(mat) for mat in C.boundaries],
+        "boundaries": [serialize_matrix(ring, mat) for mat in C.boundaries],
     }
     if C.labels is not None:
         out["labels"] = [list(group) for group in C.labels]
     return out
 
 
-def _serialize_novikov(cn):
-    out = _serialize_complex(cn)
+def _serialize_novikov(ring, cn):
+    out = _serialize_complex(ring, cn)
     out["indices"] = _grading(cn)
     if cn.order is not None:
         out["order"] = cn.order
@@ -434,7 +435,7 @@ def _serialize_novikov(cn):
     return out
 
 
-def _serialize_orbits(orbits):
+def _serialize_orbits(ring, orbits):
     items = []
     for orbit in orbits:
         _, t, v = orbit.homology_class.unit_parts()
@@ -453,23 +454,23 @@ def _serialize_orbits(orbits):
     return {"orbits": items}
 
 
-def _serialize_returnmaps(maps):
-    return {"phi": [serialize_matrix(m) for m in maps]}
+def _serialize_returnmaps(ring, maps):
+    return {"phi": [serialize_matrix(ring, m) for m in maps]}
 
 
-def _serialize_cutsystem(cs):
+def _serialize_cutsystem(ring, cs):
     return {
-        "sigma": _serialize_complex(cs.sigma),
-        "phi": [serialize_matrix(m) for m in cs.phi],
+        "sigma": _serialize_complex(ring, cs.sigma),
+        "phi": [serialize_matrix(ring, m) for m in cs.phi],
         "crit_dims": list(cs.crit_dims),
-        "N": [serialize_matrix(m) for m in cs.N],
-        "M": [serialize_matrix(m) for m in cs.M],
-        "W": [serialize_matrix(m) for m in cs.W],
+        "N": [serialize_matrix(ring, m) for m in cs.N],
+        "M": [serialize_matrix(ring, m) for m in cs.M],
+        "W": [serialize_matrix(ring, m) for m in cs.W],
     }
 
 
-def _serialize_pathmatrix(P):
-    out = {"P": serialize_matrix(P.matrix), "offset": _serialize_unit(P.offset)}
+def _serialize_pathmatrix(ring, P):
+    out = {"P": serialize_matrix(ring, P.matrix), "offset": _serialize_unit(P.offset)}
     if P.row_labels is not None:
         out["row_labels"] = list(P.row_labels)
     if P.col_labels is not None:
@@ -477,16 +478,16 @@ def _serialize_pathmatrix(P):
     return out
 
 
-def _serialize_rational(r):
+def _serialize_rational(ring, r):
     return {"num": serialize_poly(r.num), "den": serialize_poly(r.den)}
 
 
-def _serialize_scenario(sc):
+def _serialize_scenario(ring, sc):
     out = {}
     for key in _SECTIONS:
         part = getattr(sc, key)
         if part is not None:
-            out[key] = _KINDS[key][1](part)
+            out[key] = _KINDS[key][1](ring, part)
     if sc.order is not None:
         out["order"] = sc.order
     return out
@@ -494,7 +495,7 @@ def _serialize_scenario(sc):
 
 def serialize_fixture(fx):
     out = {"kind": fx.kind, "ring": serialize_ring(fx.ring)}
-    out.update(_KINDS[fx.kind][1](fx.payload))
+    out.update(_KINDS[fx.kind][1](fx.ring, fx.payload))
     return out
 
 
@@ -505,8 +506,8 @@ def save_fixture(fx, path):
 
 
 # every fixture kind with its (parser, serializer); a parser takes the
-# ring, the JSON object and its location, a serializer returns the payload
-# keys of the object
+# ring, the JSON object and its location, a serializer takes the ring and the
+# payload and returns the payload keys of the object
 _KINDS = {
     "complex": (_complex, _serialize_complex),
     "novikov": (_novikov, _serialize_novikov),

@@ -51,7 +51,7 @@ class PathMatrix:
                 raise PreconditionError("path matrix must be square")
             out = []
             for entry in row:
-                if isinstance(entry, int):
+                if isinstance(entry, int) and not isinstance(entry, bool):
                     entry = TPolynomial.monomial(ring, coeff=entry)
                 if not _exact(entry) or entry.ring != ring:
                     raise PreconditionError("path matrix entries must be ring elements")

@@ -208,30 +208,26 @@ def zeta_product(ring, orbits):
     return RationalFunction(num, den)
 
 
-def _as_plain_int(p):
-    """The value of a constant polynomial, else None."""
-    # a constant has no term but (possibly) the one at the origin
-    c = p.coefficient(0)
-    return c if len(p) == (1 if c else 0) else None
-
-
-def _map_entry(ring, entry):
-    """A return-map entry: an int when constant, else a t-free ring element."""
+def _map_entry(ring, entry, name):
+    """A t-free entry in plain form: an int when constant, else a t-free
+    ring element; anything else is refused in the words of name."""
     if _exact(entry):
         if entry.ring != ring:
             raise PreconditionError("mismatched ring specs")
         if not entry.is_t_free():
-            raise PreconditionError("return map entries must not involve t")
-        plain = _as_plain_int(entry)
-        return entry if plain is None else plain
+            raise PreconditionError("%s entries must not involve t" % name)
+        # a constant has no term but (possibly) the one at the origin
+        c = entry.coefficient(0)
+        return c if len(entry) == (1 if c else 0) else entry
     if isinstance(entry, int) and not isinstance(entry, bool):
         return entry
-    raise PreconditionError("return map entries must be integers or t-free polynomials")
+    raise PreconditionError("%s entries must be integers or t-free polynomials" % name)
 
 
-def _plain_matrix(ring, A):
-    """A through _map_entry, so products of constant entries are int products."""
-    return [[_map_entry(ring, entry) for entry in row] for row in A]
+def _plain_matrix(ring, A, name):
+    """A copy of A through _map_entry, so products of constant entries are
+    int products: the one coercion of t-free matrix data."""
+    return [[_map_entry(ring, entry, name) for entry in row] for row in A]
 
 
 def _plain_maps(ring, maps):
@@ -239,7 +235,7 @@ def _plain_maps(ring, maps):
     for i, A in enumerate(maps):
         if any(len(row) != len(A) for row in A):
             raise PreconditionError("return map in degree %d is not square" % i)
-    return [_plain_matrix(ring, A) for A in maps]
+    return [_plain_matrix(ring, A, "return map") for A in maps]
 
 
 def zeta_trace(ring, maps, order):

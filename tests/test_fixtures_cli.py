@@ -16,7 +16,7 @@ import pytest
 import torsionlab.fixtures as fixtures_module
 from torsionlab.cli import run_command
 from torsionlab.complexes import BasedChainComplex
-from torsionlab.cut import CutSystem
+from torsionlab.cut import CutSystem, compute_K
 from torsionlab.errors import FixtureError
 from torsionlab.fixtures import (
     Fixture,
@@ -29,7 +29,8 @@ from torsionlab.fixtures import (
 from torsionlab.novikov import NovikovComplex
 from torsionlab.rings import TPolynomial
 
-from conftest import R0
+import oracles
+from conftest import R0, R1, R2
 
 FIXTURE_DIR = os.path.abspath(
     os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -99,6 +100,22 @@ class TestCorpus:
         assert sorted(serialize_fixture(full)) == sorted(
             ("kind", "ring", "order") + fixtures_module._SECTIONS
         )
+
+    def test_mixed_plain_blocks_round_trip(self):
+        # the committed cut systems are all b = 0; over Z[V] the stored
+        # blocks hold plain ints beside t-free ring elements
+        seen = set()
+        for seed, ring in enumerate((R1, R2, R1, R2)):
+            cs = oracles.coupled_cut_system(oracles.seeded(7300 + seed), ring, 2 + seed % 2)
+            blocks = [cs.phi, cs.N, cs.M, cs.W]
+            seen.update(type(e) for group in blocks for X in group for row in X for e in row)
+            data = serialize_fixture(Fixture("cutsystem", ring, cs))
+            reparsed = parse_fixture_data(json.loads(json.dumps(data)))
+            assert serialize_fixture(reparsed) == data
+            back = reparsed.payload
+            assert [back.phi, back.N, back.M, back.W] == blocks
+            assert compute_K(back) == compute_K(cs)
+        assert seen == {int, TPolynomial}
 
     def test_fixture_equality_sees_payload(self):
         a = parse_fixture(fix("circle_cw.json"))

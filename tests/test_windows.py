@@ -292,10 +292,19 @@ EXACT_ONLY = {
     ),
     "cut block": (
         lambda: CutSystem(POINT, [[[UNIT]]], [0, 0], [[]], [[[]]], [[]]),
-        PreconditionError, "cut data entries must be ring elements",
+        PreconditionError, "block phi_0 entries must be integers or t-free polynomials",
     ),
     "path matrix": (
         lambda: PathMatrix(R0, [[TRUNC]]),
+        PreconditionError, "path matrix entries must be ring elements",
+    ),
+    # a bool is no integer entry here, though isinstance(True, int) holds
+    "cut block, bool": (
+        lambda: CutSystem(POINT, [[[True]]], [0, 0], [[]], [[[]]], [[]]),
+        PreconditionError, "block phi_0 entries must be integers or t-free polynomials",
+    ),
+    "path matrix, bool": (
+        lambda: PathMatrix(R0, [[True]]),
         PreconditionError, "path matrix entries must be ring elements",
     ),
     "return map, lefschetz": (
