@@ -10,7 +10,6 @@ from .errors import PreconditionError
 from .linalg import (
     _back_substitute,
     _eliminate_poly,
-    bareiss_det,
     mat_apply,
     mat_is_zero,
     mat_mul,
@@ -176,19 +175,6 @@ def _clear_row_denominators(ring, M):
     return cleared, factors
 
 
-def _torsion_value(ring, first_degree, pairs):
-    """The torsion from one polynomial pair (a, b) per degree, the first
-    in first_degree: a / b enters in odd degrees and b / a in even ones,
-    and the two products form one fraction."""
-    num = den = TPolynomial.one(ring)
-    for degree, (a, b) in enumerate(pairs, first_degree):
-        if degree % 2:
-            num, den = num * a, den * b
-        else:
-            num, den = num * b, den * a
-    return RationalFunction(num, den)
-
-
 def _torsion_engine(ring, min_degree, dims, matrices):
     """Torsion of a based complex from its boundary matrices.
 
@@ -204,10 +190,13 @@ def _torsion_engine(ring, min_degree, dims, matrices):
     kernel's pivot rows are Bareiss's even where it scales rows lazily,
     so the last pivot, times the row-swap sign, is the square's
     determinant.  Divided by the factors that cleared the kept rows, it
-    is the minor the tau-chain formula takes.
+    is the minor the tau-chain formula takes, up to Turaev's sign: by
+    Laplace along the previous chain's unit columns, which follow the
+    images at positions len(chain)..d-1, it is negated when those
+    positions and rows have an odd sum, whatever chain was picked.
     """
     one = TPolynomial.one(ring)
-    pairs = []
+    num = den = one
     chain = []
     for j in range(1, len(dims)):
         in_chain = set(chain)
@@ -217,12 +206,17 @@ def _torsion_engine(ring, min_degree, dims, matrices):
         if len(chain) < len(W):
             return RationalFunction.zero(ring)
         minor = W[-1][chain[-1]] if W else one
-        if sign < 0:
+        if sign * (-1) ** (sum(in_chain) + sum(range(len(chain), dims[j - 1]))) < 0:
             minor = -minor
-        pairs.append((_product(one, factors), minor))
+        # the minor sits in degree min_degree + j - 1 and enters inverted in even degrees
+        factor = _product(one, factors)
+        if (min_degree + j) % 2:
+            num, den = num * factor, den * minor
+        else:
+            num, den = num * minor, den * factor
     if dims and dims[-1] != len(chain):
         return RationalFunction.zero(ring)
-    return _torsion_value(ring, min_degree + 1, pairs)
+    return RationalFunction(num, den)
 
 
 def torsion_tau(C):
@@ -283,19 +277,21 @@ def default_homology_basis(C):
     return HomologyBasis(ring, vectors)
 
 
-def _tau_hat_pieces(C, h):
-    """Per-degree transition determinants for the homology-weighted torsion.
+def torsion_tau_hat(C, h=None):
+    """Torsion weighted by a homology basis, as a RationalFunction with its
+    units; defined for any valid complex.
 
-    The transition matrix [image | h | e_k], e_k a unit column per pivot
-    k of the boundary out of the degree, is never built: by Laplace its
-    determinant is the minor of [image | h] on the free rows, negated when
-    the rows k and the unit columns' positions have an odd sum.  Each
-    homology vector is cleared of denominators by one factor, so a piece
-    is a pair: the polynomial determinant and the product of the factors.
+    It is the torsion of the cone on h (Milnor's acyclic extension): each
+    vector of h in degree j is the boundary of a new generator in degree
+    j + 1, placed after the old ones with a zero row, and the top degree's
+    vectors open a new top degree.  A new generator is its own lift, so
+    each transition matrix of the cone is [image | h | lifts] of C beside
+    an identity block, and the engine's torsion of the cone is tau-hat.
     """
+    if h is None:
+        h = default_homology_basis(C)
     ring = C.ring
     ranks = homology_ranks(C)
-    pivots = _boundary_pivots(C)[0]
     if h.ring != ring:
         raise PreconditionError("homology basis is over another ring than the complex")
     counts = h.counts()
@@ -306,12 +302,8 @@ def _tau_hat_pieces(C, h):
             raise PreconditionError(
                 "homology basis count mismatch at degree %d" % (C.min_degree + j)
             )
-    zero, one = TPolynomial.zero(ring), TPolynomial.one(ring)
-    pieces = []
+    zero = TPolynomial.zero(ring)
     for j, d in enumerate(C.dims):
-        out_pivots = pivots[j - 1] if j else []
-        cols = [[row[c] for row in C.boundaries[j]] for c in pivots[j]] if j < len(pivots) else []
-        factors = []
         for vec in h.vectors[j]:
             if len(vec) != d:
                 raise PreconditionError(
@@ -324,32 +316,33 @@ def _tau_hat_pieces(C, h):
                     "homology vector entry is no polynomial or fraction of the complex's"
                     " ring at degree %d" % (C.min_degree + j)
                 )
-            (cleared,), (factor,) = _clear_row_denominators(ring, [vec])
+            (cleared,), _ = _clear_row_denominators(ring, [vec])
             if j and any(mat_apply(C.boundary_out_of(j), cleared, zero)):
                 raise PreconditionError(
                     "homology vector is not a cycle at degree %d" % (C.min_degree + j)
                 )
-            cols.append(cleared)
-            factors.append(factor)
-        det = bareiss_det(ring, [[col[r] for col in cols] for r in range(d) if r not in out_pivots])
-        if (sum(out_pivots) + sum(range(len(cols), d))) % 2:
-            det = -det
-        pieces.append((det, _product(one, factors)))
-    return pieces
-
-
-def torsion_tau_hat(C, h=None):
-    """Torsion weighted by a homology basis, as a RationalFunction with its
-    units; defined for any valid complex."""
-    if h is None:
-        h = default_homology_basis(C)
-    pieces = _tau_hat_pieces(C, h)
-    for j, (det, _) in enumerate(pieces):
-        if not det:
-            raise PreconditionError(
-                "homology basis does not span at degree %d" % (C.min_degree + j)
-            )
-    return _torsion_value(C.ring, C.min_degree, pieces)
+    dims = [d + (counts[j - 1] if j else 0) for j, d in enumerate(C.dims)]
+    mats = C.boundaries
+    if counts and counts[-1]:
+        dims.append(counts[-1])
+        mats = mats + [[[] for _ in range(C.dims[-1])]]
+    cone = [
+        [list(row) + [vec[r] for vec in h.vectors[j]] for r, row in enumerate(mat)]
+        + [[zero] * dims[j + 1] for _ in range(dims[j] - C.dims[j])]
+        for j, mat in enumerate(mats)
+    ]
+    value = _torsion_engine(ring, C.min_degree, dims, cone)
+    if not value:
+        # the first degree whose free rows, no pivot of the boundary out
+        # of it, fall short of full rank in the cone
+        pivots = [[]] + _boundary_pivots(C)[0]
+        for j, mat in enumerate(cone):
+            free = [row for r, row in enumerate(mat[: C.dims[j]]) if r not in pivots[j]]
+            if poly_rank_pivots(ring, _clear_row_denominators(ring, free)[0])[0] < len(free):
+                raise PreconditionError(
+                    "homology basis does not span at degree %d" % (C.min_degree + j)
+                )
+    return value
 
 
 def _rescaled(C, units):

@@ -229,20 +229,25 @@ def tau_via_products(cs):
     engine as direct torsion, which clears the fraction rows it keeps,
     and is then weighted by the alternating product of
     det(1 - t phi_i), which is the counting function zeta_lefschetz
-    returns.  A split that exists dimensionally but meets only singular
+    returns.  It equals direct torsion, sign included: in degree j the
+    glued transition matrix is the critical one's beside 1 - t phi_j
+    once the sigma.dims[j] images of 1 - t phi_j move past the rank K_j
+    lifts in D.  A split that exists dimensionally but meets only singular
     blocks yields the zero value, as direct torsion does.
     """
     ring = cs.ring
     crit = cs.crit_dims
-    carried = 0
+    ranks, carried = [], 0
     for j in range(1, len(crit)):
-        carried = crit[j - 1] - carried
+        carried = crit[j - 1] - carried  # the rank of K_j
         if carried < 0 or carried > crit[j]:
             raise PreconditionError("critical ranks admit no square splitting")
+        ranks.append(carried)
     if carried != crit[-1]:
         raise PreconditionError("critical ranks admit no square splitting")
     K, zeta = _return_flow(cs)
-    return _torsion_engine(ring, 0, crit, K) * zeta
+    value = _torsion_engine(ring, 0, crit, K) * zeta
+    return -value if sum(s * r for s, r in zip(cs.sigma.dims[1:], ranks)) % 2 else value
 
 
 def _least_degree(value):

@@ -80,8 +80,11 @@ def elementary_sum(ring, min_degree, pair_polys, extra_dims):
 
 
 def shear_basis(rng, C, ops=6, poly_kwargs=None):
-    """Apply determinant-one basis changes; torsion must not move."""
-    kwargs = dict(max_terms=1, t_lo=0, t_hi=1, coeff_span=1)
+    """Apply determinant-one basis changes; torsion must not move.
+
+    Every multiplier is nonzero, so every shear between two generators
+    of one degree is applied."""
+    kwargs = dict(max_terms=1, t_lo=0, t_hi=1, coeff_span=1, nonzero=True)
     if poly_kwargs:
         kwargs.update(poly_kwargs)
     boundaries = [[list(row) for row in mat] for mat in C.boundaries]
@@ -92,8 +95,6 @@ def shear_basis(rng, C, ops=6, poly_kwargs=None):
             continue
         r1, r2 = rng.sample(range(C.dims[j]), 2)
         lam = random_poly(rng, C.ring, **kwargs)
-        if not lam:
-            continue
         if j < n - 1:
             mat = boundaries[j]
             for c in range(C.dims[j + 1]):
@@ -126,7 +127,7 @@ def random_shear_complex(rng, ring, counts=(2, 2), extras=(1, 3, 1), shears=8):
     trailing rows."""
     pair_polys = [[random_poly(rng, ring, nonzero=True) for _ in range(k)] for k in counts]
     plain = elementary_sum(ring, 0, pair_polys + [[]], list(extras))
-    return shear_basis(rng, plain, ops=shears, poly_kwargs=dict(nonzero=True))
+    return shear_basis(rng, plain, ops=shears)
 
 
 def random_valid_complex(rng, ring, min_degree=0, length=None, max_len=3, allow_homology=True, shear_ops=6):
@@ -430,6 +431,49 @@ def transition_matrix(C, h, j):
     return [[col[r] for col in cols] for r in range(d)], factor
 
 
+def transition_torsion(C, h):
+    """Turaev's torsion of C with the homology basis h, from the full
+    transition matrices: det T_j / factor_j enters in odd degrees and its
+    inverse in even ones.  For an acyclic C, h has no vectors."""
+    value = RationalFunction.one(C.ring)
+    for j in range(len(C.dims)):
+        T, factor = transition_matrix(C, h, j)
+        piece = RationalFunction(bareiss_det(C.ring, T), factor)
+        value = value * (piece if (C.min_degree + j) % 2 else piece.inverse())
+    return value
+
+
+def cone(C, h):
+    """The cone on a polynomial homology basis h: each vector of h in
+    degree index j is the boundary of a new generator in degree index
+    j + 1, after the old ones, and the last degree's vectors open a new
+    top degree."""
+    zero = TPolynomial.zero(C.ring)
+    n = len(C.dims)
+    counts = h.counts()
+    dims = [d + (counts[j - 1] if j else 0) for j, d in enumerate(C.dims)]
+    if n and counts[-1]:
+        dims.append(counts[-1])
+    boundaries = []
+    for j in range(len(dims) - 1):
+        old = C.boundaries[j] if j < n - 1 else [[] for _ in range(C.dims[j])]
+        rows = [list(row) + [vec[r] for vec in h.vectors[j]] for r, row in enumerate(old)]
+        rows += [[zero] * dims[j + 1] for _ in range(dims[j] - C.dims[j])]
+        boundaries.append(rows)
+    return BasedChainComplex(C.ring, C.min_degree, dims, boundaries)
+
+
+def cone_free_rows(C, h):
+    """Per boundary of cone(C, h), its rows on the free coordinates of C:
+    the rows that are no pivot of C's boundary out of that degree.  The
+    new generators' rows are pivots of the cone's boundary out of them."""
+    pivots = _boundary_pivots(C)[0]
+    return [
+        [row for r, row in enumerate(mat[: C.dims[j]]) if not j or r not in pivots[j - 1]]
+        for j, mat in enumerate(cone(C, h).boundaries)
+    ]
+
+
 # ---- cut systems: the coupling identities block by block ----
 
 
@@ -487,7 +531,7 @@ def _t_free_complex(rng, ring, dims_pairs, extras):
     """A split complex of t-free pieces, disguised by t-free shears."""
     pairs = [[random_poly(rng, ring, t_hi=0, nonzero=True) for _ in range(k)] for k in dims_pairs]
     plain = elementary_sum(ring, 0, pairs + [[]], extras)
-    return shear_basis(rng, plain, ops=6, poly_kwargs=dict(t_hi=0, nonzero=True))
+    return shear_basis(rng, plain, ops=6, poly_kwargs=dict(t_hi=0))
 
 
 def coupled_cut_system(rng, ring, n):

@@ -22,7 +22,7 @@ from torsionlab.rings import (
 )
 
 import oracles
-from conftest import R0, R1, tpoly
+from conftest import R0, R1, RINGS, tpoly
 
 
 def count_eliminations(monkeypatch):
@@ -192,13 +192,15 @@ class TestTorsionEngine:
         from torsionlab.complexes import _torsion_engine
 
         # d1 = [p, q] puts column 0 in the chain, so d2 = [-q/r, p/r]^T
-        # keeps only its row 1 and the torsion is (p/r) / p = 1/r
+        # keeps only its row 1; the transition matrix in degree 1 is
+        # [[-q/r, 1], [p/r, 0]], of determinant -p/r, so the torsion is
+        # (-p/r) / p = -1/r
         t = TPolynomial.t(R0)
         p, q, r = 1 + t, 2 + t**2, 1 - t
         d1 = [[RationalFunction(p), RationalFunction(q)]]
         d2 = [[RationalFunction(-q, r)], [RationalFunction(p, r)]]
         value = _torsion_engine(R0, 0, [1, 2, 1], [d1, d2])
-        assert frac_equal(value, RationalFunction(TPolynomial.one(R0), r))
+        assert frac_equal(value, RationalFunction(-TPolynomial.one(R0), r))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_fraction_matrices_go_in_directly(self, seed, monkeypatch):
@@ -244,6 +246,7 @@ class TestTorsionEngine:
 
     def test_one_elimination_per_boundary(self, monkeypatch):
         import torsionlab.complexes as complexes
+        import torsionlab.linalg as linalg
 
         plain, sheared = oracles.random_acyclic_complex(oracles.seeded(6009), R1)
         expected = torsion_tau(plain)
@@ -258,7 +261,7 @@ class TestTorsionEngine:
             raise AssertionError("torsion_tau took a separate determinant")
 
         monkeypatch.setattr(complexes, "_eliminate_poly", counted)
-        monkeypatch.setattr(complexes, "bareiss_det", refused)
+        monkeypatch.setattr(linalg, "bareiss_det", refused)
         for C in (trefoil_surgery_complex(), sheared):
             calls.clear()
             value = torsion_tau(C)
@@ -275,6 +278,20 @@ class TestTorsionEngine:
         got = torsion_tau(sheared)
         assert not expected.is_zero and not got.is_zero
         assert frac_equal(expected, got)
+
+    @pytest.mark.parametrize("ring", RINGS, ids=["b0", "b1", "b2"])
+    def test_sign_independent_of_the_chain(self, ring):
+        # twelve nonzero shears move the pivot chains; the sign, not only
+        # the value up to units, must stay, and must be Turaev's
+        for seed in range(100):
+            rng = oracles.seeded(7000 + 100 * ring.num_group_vars + seed)
+            plain, sheared = oracles.random_acyclic_complex(rng, ring, max_len=5, shear_ops=12)
+            expected = torsion_tau(plain)
+            got = torsion_tau(sheared)
+            assert not expected.is_zero
+            assert frac_equal(got, expected), seed
+            none = HomologyBasis(ring, [[] for _ in sheared.dims])
+            assert frac_equal(got, oracles.transition_torsion(sheared, none)), seed
 
 
 class TestTauHat:
@@ -337,17 +354,12 @@ class TestTauHat:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_homology_path_adds_and_inverts_no_fractions(self, seed, monkeypatch):
-        from torsionlab.complexes import _tau_hat_pieces
-
         rng = oracles.seeded(170 + seed)
         C = oracles.random_valid_complex(rng, R1 if seed % 2 else R0, max_len=4)
         assert any(homology_ranks(C))
-        # the pieces multiplied in the fraction field, odd degrees up
-        pieces = _tau_hat_pieces(C, default_homology_basis(C))
-        expected = RationalFunction.one(C.ring)
-        for j, (det, factor) in enumerate(pieces):
-            piece = RationalFunction(det, factor)
-            expected = expected * (piece if (C.min_degree + j) % 2 else piece.inverse())
+        # the full transition determinants multiplied in the fraction
+        # field, odd degrees up
+        expected = oracles.transition_torsion(C, default_homology_basis(C))
 
         def refused(*args):
             raise AssertionError("fraction-field arithmetic on the homology path")
@@ -360,12 +372,15 @@ class TestTauHat:
 
     @pytest.mark.parametrize("with_basis", [False, True], ids=["default", "given"])
     def test_each_boundary_eliminated_once(self, with_basis, monkeypatch):
+        # each boundary once for the pivots (the default basis already
+        # took them), then the engine once per boundary of the cone
         rng = oracles.seeded(190)
         C = oracles.random_valid_complex(rng, R1, max_len=4)
         h = default_homology_basis(C) if with_basis else None
         calls = count_eliminations(monkeypatch)
         torsion_tau_hat(C, h)
-        assert len(calls) == len(C.boundaries)
+        cone = oracles.cone(C, default_homology_basis(C))
+        assert len(calls) == (0 if with_basis else len(C.boundaries)) + len(cone.boundaries)
 
     def test_huge_exponent_finishes(self):
         from time import perf_counter
@@ -385,6 +400,20 @@ class TestTauHat:
         C = BasedChainComplex(R0, 0, [1], [])
         with pytest.raises(PreconditionError):
             torsion_tau_hat(C, HomologyBasis(R0, [[]]))
+
+    @pytest.mark.parametrize(
+        "vectors, message",
+        [
+            ([[], [], []], "^homology basis has the wrong number of degrees$"),
+            ([[], [[TPolynomial.one(R0)]]], "^homology vector length mismatch at degree 4$"),
+        ],
+        ids=["degrees", "length"],
+    )
+    def test_malformed_shapes_rejected(self, vectors, message):
+        z = TPolynomial.zero(R0)
+        C = BasedChainComplex(R0, 3, [1, 2], [[[1 - TPolynomial.t(R0), z]]])
+        with pytest.raises(PreconditionError, match=message):
+            torsion_tau_hat(C, HomologyBasis(R0, vectors))
 
     def test_non_cycle_rejected(self):
         t = TPolynomial.t(R0)
@@ -440,6 +469,25 @@ class TestTauHat:
         with pytest.raises(PreconditionError):
             torsion_tau_hat(C, squashed)
 
+    @pytest.mark.parametrize("min_degree", [0, 3])
+    @pytest.mark.parametrize("where", ["bottom", "top"])
+    def test_non_spanning_names_its_degree(self, where, min_degree):
+        t = TPolynomial.t(R0)
+        one, z = TPolynomial.one(R0), TPolynomial.zero(R0)
+        if where == "bottom":
+            # h_0 is the image of 1 - t, so the cycles of degree index 0 are
+            # not spanned; degree index 1 has no homology
+            C = BasedChainComplex(R0, min_degree, [2, 1], [[[1 - t], [z]]])
+            h, index = HomologyBasis(R0, [[[1 - t, z]], []]), 0
+        else:
+            # degree index 0 is the image of 1 - t; in degree index 1 the
+            # second vector is t times the first
+            C = BasedChainComplex(R0, min_degree, [1, 3], [[[1 - t, z, z]]])
+            h, index = HomologyBasis(R0, [[], [[z, one, t], [z, t, t * t]]]), 1
+        message = "^homology basis does not span at degree %d$" % (min_degree + index)
+        with pytest.raises(PreconditionError, match=message):
+            torsion_tau_hat(C, h)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_default_basis_counts(self, seed):
         rng = oracles.seeded(200 + seed)
@@ -454,8 +502,8 @@ class TestTauHat:
     def test_one_elimination_per_boundary(self, seed, monkeypatch):
         import torsionlab.complexes as complexes
 
-        # the completion and the determinants eliminate inside linalg; the
-        # eliminations complexes runs itself are the boundary matrices'
+        # the completion eliminates inside linalg; complexes eliminates
+        # the boundary matrices, then the cone's boundaries on the free rows
         seen = []
         real = complexes._eliminate_poly
 
@@ -470,7 +518,8 @@ class TestTauHat:
             seen.clear()
             torsion_tau_hat(C)
             # from the top down: each rank bounds which rows the next is read for
-            assert seen == C.boundaries[::-1]
+            cone_rows = oracles.cone_free_rows(C, default_homology_basis(C))
+            assert seen == C.boundaries[::-1] + cone_rows
 
 
 class TestRebase:
@@ -549,20 +598,21 @@ class TestExtensions:
     @pytest.mark.parametrize("seed", range(4))
     def test_each_boundary_eliminated_once(self, seed, monkeypatch):
         # the default bases and the three torsions share one elimination
-        # of each boundary; the class coordinates eliminate wider matrices
+        # of each boundary, and each torsion eliminates its cone on the
+        # free rows; the class coordinates eliminate wider matrices
         rng = oracles.seeded(420 + seed)
         ses = oracles.random_extension(rng, R0 if seed % 2 else R1)
         calls = count_eliminations(monkeypatch)
         assert product_formula_check(ses)
-        boundaries = [
-            mat
-            for C in (ses.sub, ses.total, ses.quotient)
-            for mat in C.boundaries
-            if mat and mat[0]
+        parts = (ses.sub, ses.total, ses.quotient)
+        expected = [mat for C in parts for mat in C.boundaries[::-1]]
+        expected += [
+            rows for C in parts for rows in oracles.cone_free_rows(C, default_homology_basis(C))
         ]
+        assert calls[: len(expected)] == expected
+        boundaries = [mat for C in parts for mat in C.boundaries if mat and mat[0]]
         assert boundaries
-        for mat in boundaries:
-            assert calls.count(mat) == boundaries.count(mat)
+        assert not any(mat in calls[len(expected) :] for mat in boundaries)
 
     @pytest.mark.parametrize("by_fraction", [False, True], ids=["t", "1/(1+t)"])
     def test_multiplies_with_scaled_bases(self, by_fraction):

@@ -3,10 +3,12 @@
 The free coordinates of a degree are the indices that are no pivot of
 the boundary out of it; a cycle is fixed by its entries there.
 default_homology_basis completes the image on the free rows only, and
-_tau_hat_pieces takes each transition determinant as the minor on the
-free rows with a Laplace sign.  tests/oracles.py keeps the full-row
-versions as references: the completion of the full stack [image |
-kernel] and the d x d transition matrix with its unit columns.
+torsion_tau_hat runs the torsion engine on the cone of the basis, whose
+eliminations keep only the free rows of each degree and whose sign is
+the Laplace sign of the unit columns.  tests/oracles.py keeps the
+full-row versions as references: the completion of the full stack
+[image | kernel], and the d x d transition matrix [image | h | e_k]
+with its unit columns, whose determinants make up Turaev's torsion.
 """
 
 import pytest
@@ -16,13 +18,14 @@ from torsionlab.complexes import (
     BasedChainComplex,
     HomologyBasis,
     _boundary_pivots,
-    _tau_hat_pieces,
+    _clear_row_denominators,
     default_homology_basis,
     homology_ranks,
+    torsion_tau,
     torsion_tau_hat,
 )
 from torsionlab.linalg import bareiss_det
-from torsionlab.rings import RationalFunction, TPolynomial
+from torsionlab.rings import RationalFunction, TPolynomial, frac_equal
 
 import oracles
 from conftest import R0, R1, R2, RINGS
@@ -169,15 +172,18 @@ def test_sign_cases_take_both_laplace_signs():
 @pytest.mark.parametrize("given", [False, True], ids=["default", "fractions"])
 @pytest.mark.parametrize("case", sign_cases(), ids=case_id)
 def test_pieces_equal_the_full_transition_determinant(case, given):
+    # tau-hat is the alternating product of the full transition
+    # determinants, sign included, and none of them vanishes; the cone on
+    # the basis cleared of fractions is acyclic, and torsion_tau of it is
+    # that product for the cleared basis
     C = sign_case(case)
     h = fraction_basis(C, oracles.seeded(900)) if given else default_homology_basis(C)
-    pieces = _tau_hat_pieces(C, h)
-    assert len(pieces) == len(C.dims)
-    for j, (det, factor) in enumerate(pieces):
-        T, full_factor = oracles.transition_matrix(C, h, j)
-        assert det == bareiss_det(C.ring, T)
-        assert factor == full_factor
-        assert det
+    for j in range(len(C.dims)):
+        T, _ = oracles.transition_matrix(C, h, j)
+        assert bareiss_det(C.ring, T)
+    assert frac_equal(torsion_tau_hat(C, h), oracles.transition_torsion(C, h))
+    cleared = HomologyBasis(C.ring, [_clear_row_denominators(C.ring, g)[0] for g in h.vectors])
+    assert frac_equal(torsion_tau(oracles.cone(C, cleared)), oracles.transition_torsion(C, cleared))
 
 
 def test_split_pivots_take_the_laplace_sign():
@@ -186,9 +192,12 @@ def test_split_pivots_take_the_laplace_sign():
     C = split_pivots(R0)
     assert _boundary_pivots(C)[0] == [[0, 2], [0]]
     h = default_homology_basis(C)
-    det = _tau_hat_pieces(C, h)[1][0]
+    T, _ = oracles.transition_matrix(C, h, 1)
+    det = bareiss_det(R0, T)
     minor = bareiss_det(R0, [[C.boundaries[1][r][0], h.vectors[1][0][r]] for r in (1, 3)])
     assert det == -minor
+    # and tau-hat takes it with that sign
+    assert frac_equal(torsion_tau_hat(C, h), oracles.transition_torsion(C, h))
 
 
 @pytest.mark.parametrize("given", [False, True], ids=["default", "fractions"])
@@ -199,22 +208,34 @@ def test_eliminations_run_on_the_free_rows(case, given, monkeypatch):
     free = free_counts(C)
     ranks = homology_ranks(C)
     pivots = _boundary_pivots(C)[0]
-    shapes = {"poly_rank_pivots": [], "bareiss_det": []}
-    for name, seen in shapes.items():
-        real = getattr(complexes, name)
+    completions, eliminations = [], []
+    real_rank = complexes.poly_rank_pivots
+    real_eliminate = complexes._eliminate_poly
 
-        def recorded(ring, M, real=real, seen=seen):
-            seen.append((len(M), [len(row) for row in M]))
-            return real(ring, M)
+    def rank_recorded(ring, M):
+        completions.append((len(M), [len(row) for row in M]))
+        return real_rank(ring, M)
 
-        monkeypatch.setattr(complexes, name, recorded)
+    def eliminate_recorded(W, one, **kwargs):
+        eliminations.append((len(W), [len(row) for row in W]))
+        return real_eliminate(W, one, **kwargs)
+
+    monkeypatch.setattr(complexes, "poly_rank_pivots", rank_recorded)
+    monkeypatch.setattr(complexes, "_eliminate_poly", eliminate_recorded)
     torsion_tau_hat(C, h)
     # the completion runs once per degree with homology (none for a given
-    # basis), each determinant once per degree, all on the free rows
+    # basis), on the free rows
     completed = [j for j, r in enumerate(ranks) if r and not given]
-    assert [rows for rows, _ in shapes["poly_rank_pivots"]] == [free[j] for j in completed]
-    for (_, widths), j in zip(shapes["poly_rank_pivots"], completed):
+    assert [rows for rows, _ in completions] == [free[j] for j in completed]
+    for (_, widths), j in zip(completions, completed):
         image = len(pivots[j]) if j < len(pivots) else 0
         assert widths == [image + free[j]] * free[j]
-    assert [rows for rows, _ in shapes["bareiss_det"]] == free
-    assert all(widths == [rows] * rows for rows, widths in shapes["bareiss_det"])
+    # the boundaries were eliminated before; the engine then runs once per
+    # boundary of the cone, on the free rows of the degree it lands in and
+    # with every column of the cone: the degree above and its new vectors
+    landing = [j for j in range(len(C.dims)) if j < len(C.dims) - 1 or ranks[-1]]
+    above = C.dims[1:] + [0]
+    assert [rows for rows, _ in eliminations] == [free[j] for j in landing]
+    assert free[len(landing) :] == [0] * (len(free) - len(landing))
+    for (rows, widths), j in zip(eliminations, landing):
+        assert widths == [above[j] + ranks[j]] * rows
