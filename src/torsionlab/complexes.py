@@ -187,8 +187,8 @@ def _torsion_engine(ring, min_degree, dims, matrices):
     are the next chain.  Restricted to those columns the elimination is
     Bareiss on that square: an update of a pivot column reads only pivot
     columns, and every row swap is decided in a pivot column.  The
-    kernel's pivot rows are Bareiss's even where it scales rows lazily,
-    so the last pivot, times the row-swap sign, is the square's
+    kernel's pivots are Bareiss's even where it scales rows lazily, so
+    the last pivot, times the row-swap sign, is the square's
     determinant.  Divided by the factors that cleared the kept rows, it
     is the minor the tau-chain formula takes, up to Turaev's sign: by
     Laplace along the previous chain's unit columns, which follow the

@@ -8,7 +8,11 @@ Determinants and ranks over the polynomial ring all run one
 fraction-free elimination, _eliminate, which the torsion engine in
 complexes also runs once per boundary.  It scales rows lazily: a row
 with a zero in the pivot column skips the step, so sparse boundary
-matrices do a fraction of Bareiss's divisions.
+matrices do a fraction of Bareiss's divisions, and a pivot row that no
+row below reads catches up its pivot alone.  The rest of such a row
+catches up only for a caller that asks for echelon rows (echelon_below):
+back-substitution does, while determinants, ranks and the torsion engine
+read pivots only and skip those tails.
 Every polynomial matrix enters it through _eliminate_poly.  With b = 0
 that packs the matrix into plain ints by Kronecker substitution t = 2^B
 (Fateman 2005; Harvey 2009) and runs the same kernel on them: each row is
@@ -94,14 +98,17 @@ def mat_is_zero(M):
     return all(not entry for row in M for entry in row)
 
 
-def _eliminate(W, div, one):
+def _eliminate(W, div, one, echelon_below=None):
     """Fraction-free forward elimination of W in place (Bareiss 1968),
     with lazy row scaling (Lee and Saunders, J. Symb. Comput. 19, 1995).
 
-    Returns the pivot columns and the sign of the row swaps.  Each pivot
-    row, from its pivot column rightwards, is exactly what Bareiss leaves
-    there, so the last pivot of a square of full rank is its determinant;
-    rows past the rank and entries left of a row's pivot are scratch.
+    Returns the pivot columns and the sign of the row swaps.  The last
+    pivot is always what Bareiss leaves there, so the last pivot of a
+    square of full rank is its determinant.  When the rank is below
+    echelon_below (always when it is None), each pivot row, from its
+    pivot column rightwards, is exactly what Bareiss leaves there;
+    otherwise only the pivots are.  Rows past the rank and entries left
+    of a row's pivot are scratch.
 
     Invariant: row i holds its Bareiss entries as of base[i], the pivot
     it was last divided by (one at the start; swapped with its row).
@@ -111,10 +118,13 @@ def _eliminate(W, div, one):
     and keeps its base.  A row with f != 0 takes (p*w - f*q) / base[i],
     which equals the eager entry, and its base becomes p; entries with
     w = q = 0 stay zero without a division.  Scaling keeps zeros zero, so
-    pivot choice and swaps are Bareiss's own.  The pivot row catches up,
-    q <- prev*q / base, before it is used.  Every division is of a minor
-    by a minor and div must be exact on them.  On a dense matrix no row
-    is skipped and the divisions are exactly Bareiss's.
+    pivot choice and swaps are Bareiss's own.  A pivot row some row below
+    reads catches up, q <- prev*q / base, before it is used.  A pivot row
+    nobody reads catches up its pivot entry alone; the rest of the row
+    keeps its base, the invariant covers it too, and it catches up after
+    the loop only if the caller wants echelon rows.  Every division is of
+    a minor by a minor and div must be exact on them.  On a dense matrix
+    no row is skipped and the divisions are exactly Bareiss's.
     """
     rows = len(W)
     cols = len(W[0]) if rows else 0
@@ -122,6 +132,7 @@ def _eliminate(W, div, one):
     base = [one] * rows
     sign = 1
     pivots = []
+    stale = []
     for c in range(cols):
         r = len(pivots)
         if r == rows:
@@ -135,24 +146,36 @@ def _eliminate(W, div, one):
             sign = -sign
         pr = W[r]
         s = base[r]
-        if s is not prev:
-            for j in range(c, cols):
-                if pr[j]:
-                    pr[j] = div(prev * pr[j], s)
+        behind = s is not prev
+        if behind:
+            pr[c] = div(prev * pr[c], s)
         p = pr[c]
         for i in range(r + 1, rows):
             wi = W[i]
             f = wi[c]
             if not f:
                 continue
-            s = base[i]
+            if behind:
+                # the first row that reads the pivot row's tail catches it up
+                for j in range(c + 1, cols):
+                    if pr[j]:
+                        pr[j] = div(prev * pr[j], s)
+                behind = False
+            b = base[i]
             for j in range(c + 1, cols):
                 w, q = wi[j], pr[j]
                 if w or q:
-                    wi[j] = div(p * w - f * q, s)
+                    wi[j] = div(p * w - f * q, b)
             base[i] = p
+        if behind:
+            stale.append((pr, c, prev, s))
         prev = p
         pivots.append(c)
+    if echelon_below is None or len(pivots) < echelon_below:
+        for pr, c, prev, s in stale:
+            for j in range(c + 1, cols):
+                if pr[j]:
+                    pr[j] = div(prev * pr[j], s)
     return pivots, sign
 
 
@@ -165,12 +188,12 @@ def _int_div(a, b):
 
 
 def _eliminate_poly(W, one, echelon_below=None):
-    """_eliminate(W, exact_div, one) for a matrix of exact polynomials of
-    one's ring: the same pivots and sign, and the same pivot rows from
-    their pivot columns rightwards when the rank is below echelon_below
-    (always when it is None).  Otherwise only the last pivot, the
-    determinant of the pivot square up to the swap sign, is certain to be
-    in place.  Other entries are scratch.
+    """_eliminate(W, exact_div, one, echelon_below) for a matrix of exact
+    polynomials of one's ring: the same pivots and sign, and the same
+    pivot rows from their pivot columns rightwards when the rank is below
+    echelon_below (always when it is None).  Otherwise only the last
+    pivot, the determinant of the pivot square up to the swap sign, is
+    certain to be in place.  Other entries are scratch.
 
     With b = 0 and row t-spans summing to at most the matrix's term
     count, row r is multiplied by t^-m_r, m_r its least t-degree, and
@@ -184,7 +207,7 @@ def _eliminate_poly(W, one, echelon_below=None):
     """
     ring = one.ring
     if ring._shifts:
-        return _eliminate(W, exact_div, one)
+        return _eliminate(W, exact_div, one, echelon_below)
     shifts, spans, terms, bits = [], 0, 0, 2
     for row in W:
         nonzero = [t for e in row if (t := e._terms)]
@@ -199,13 +222,13 @@ def _eliminate_poly(W, one, echelon_below=None):
             bits += ((norm - 1).bit_length() + 1) // 2
         shifts.append(low)
     if spans > terms:
-        return _eliminate(W, exact_div, one)
+        return _eliminate(W, exact_div, one, echelon_below)
     packed = [
         [sum([c << bits * (k - m) for k, c in t.items()]) if (t := e._terms) else 0 for e in row]
         for row, m in zip(W, shifts)
     ]
     place = {id(row): r for r, row in enumerate(packed)}
-    pivots, sign = _eliminate(packed, _int_div, 1)
+    pivots, sign = _eliminate(packed, _int_div, 1, echelon_below)
     order = [place[id(row)] for row in packed]
     W[:] = [W[r] for r in order]
     echelon = echelon_below is None or len(pivots) < echelon_below

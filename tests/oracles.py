@@ -32,6 +32,11 @@ from torsionlab.zeta import _mapless_sign
 
 
 def random_poly(rng, ring, max_terms=2, t_lo=0, t_hi=2, coeff_span=2, v_span=1, nonzero=False):
+    """Up to max_terms seeded terms of t-degree in [t_lo, t_hi].  With
+    nonzero, draws that cancel give t^e instead, e the degree of the
+    window nearest 0."""
+    if t_lo > t_hi:
+        raise ValueError("empty t-degree window [%d, %d]" % (t_lo, t_hi))
     terms = {}
     for _ in range(rng.randint(1 if nonzero else 0, max_terms)):
         t_exp = rng.randint(t_lo, t_hi)
@@ -41,7 +46,7 @@ def random_poly(rng, ring, max_terms=2, t_lo=0, t_hi=2, coeff_span=2, v_span=1, 
             terms[(t_exp, v)] = terms.get((t_exp, v), 0) + c
     p = TPolynomial(ring, {k: v for k, v in terms.items() if v})
     if nonzero and not p:
-        return TPolynomial.one(ring)
+        return TPolynomial.t(ring, min(max(t_lo, 0), t_hi))
     return p
 
 

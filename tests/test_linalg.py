@@ -604,6 +604,85 @@ def test_dense_matrix_divides_as_eager(monkeypatch):
     assert lazy.calls == eager.calls == sum(k * k for k in range(5))
 
 
+def staircase(rng, ring, rows, cols):
+    """A seeded upper-staircase matrix with dense tails: row i is zero left
+    of its pivot column, the pivot columns increase, and every entry from
+    the pivot rightwards is nonzero, so no row below reads a pivot row."""
+    zero = 0 if ring is None else TPolynomial.zero(ring)
+    starts = sorted(rng.sample(range(cols), rows))
+    return [[nonzero_entry(rng, ring) if j >= s else zero for j in range(cols)] for s in starts]
+
+
+def echelon_matrix(rng, ring, rows, cols):
+    """A staircase in which a row is sometimes zero or the sum of two rows
+    below it, so the rank drops and a row below reads a pivot row."""
+    M = staircase(rng, ring, rows, cols)
+    if rows > 2 and rng.random() < 0.4:
+        d = rng.randrange(rows - 2)
+        a, b = rng.sample(range(d + 1, rows), 2)
+        M[d] = [x + y for x, y in zip(M[a], M[b])]
+    if rng.random() < 0.3:
+        M[rng.randrange(rows)] = [x * 0 for x in M[0]]
+    return M
+
+
+@pytest.mark.parametrize("ring", [None, R0, R1, R2], ids=["int", "b0", "b1", "b2"])
+def test_echelon_rows_only_when_asked(ring):
+    # whole pivot rows when the rank is below echelon_below (or it is None),
+    # otherwise the pivots alone
+    one = 1 if ring is None else TPolynomial.one(ring)
+    div = _int_div if ring is None else exact_div
+    rng = random.Random(25)
+    for trial in range(24):
+        rows = rng.randint(1, 6)
+        M = echelon_matrix(rng, ring, rows, rng.randint(rows, 2 * rows + 1))
+        eager = [list(row) for row in M]
+        pivots, sign = eager_bareiss(eager, div, one)
+        rank = len(pivots)
+        for below in (None, rank + 1, rank, 0):
+            lazy = [list(row) for row in M]
+            assert _eliminate(lazy, div, one, below) == (pivots, sign)
+            for k, c in enumerate(pivots):
+                if below is None or rank < below:
+                    assert lazy[k][c:] == eager[k][c:]
+                else:
+                    assert lazy[k][c] == eager[k][c]
+
+
+def test_echelon_route_matches_dict_kernel(monkeypatch):
+    # the b = 0 route catches stale rows up before it reads them back
+    rng = random.Random(27)
+    for trial in range(24):
+        rows = rng.randint(1, 6)
+        M = echelon_matrix(rng, R0, rows, rng.randint(rows, 2 * rows + 1))
+        assert assert_route_matches_dict_kernel(M, monkeypatch)
+
+
+@pytest.mark.parametrize("n", [3, 6])
+@pytest.mark.parametrize("ring, div", [(R1, "exact_div"), (R0, "_int_div")], ids=["b1 dict", "b0 ints"])
+def test_unread_pivot_rows_divide_their_pivot_alone(n, ring, div, monkeypatch):
+    # no row of a staircase reads a pivot row, so a rank or determinant
+    # run divides each pivot entry at most once and no tail entry: the
+    # rank of an n x 2n one and the determinant of an upper triangle
+    rng = random.Random(26 + n)
+    M, T = staircase(rng, ring, n, 2 * n), staircase(rng, ring, n, n)
+    diagonal = TPolynomial.one(ring)
+    for i in range(n):
+        diagonal = diagonal * T[i][i]
+    for run, expected in ((lambda: poly_rank_pivots(ring, M)[0], n), (lambda: bareiss_det(ring, T), diagonal)):
+        counted = CountingDiv(getattr(linalg, div))
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, div, counted)
+            if ring is R0:
+                patch.setattr(linalg, "exact_div", refuse_dict_division)
+            assert run() == expected
+        assert 0 < counted.calls <= n
+    # asked for echelon rows, the same n x 2n matrix catches every tail up
+    echelon = CountingDiv(exact_div)
+    _eliminate([list(row) for row in M], echelon, TPolynomial.one(ring))
+    assert echelon.calls > n
+
+
 @BOTH_RINGS
 def test_sympy_sparse(sympy, ring):
     from sympy.polys.matrices import DomainMatrix

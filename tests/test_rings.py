@@ -23,7 +23,7 @@ from torsionlab.rings import (
 )
 
 from conftest import R0, R1, R2, RINGS, mono, tpoly, tpolynomials, unit_monomials
-from oracles import series_exp
+from oracles import random_poly, series_exp
 
 # half the slot width: every group exponent e of a packed key has |e| < HALF
 HALF = 2 ** (SLOT_BITS - 1)
@@ -981,3 +981,29 @@ def test_series_invert_b0_agrees_with_the_slice_path(k):
         sliced = series_invert(make(TPolynomial.t(R1)), k)
         assert plain.terms == embedded_terms(sliced)
         assert plain.order == sliced.order
+
+
+class ScriptedRandom:
+    """An rng whose randint returns the scripted values in turn."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def randint(self, lo, hi):
+        value = next(self.values)
+        assert lo <= value <= hi
+        return value
+
+
+@pytest.mark.parametrize("ring", [R0, R1], ids=["b0", "b1"])
+@pytest.mark.parametrize("t_lo, t_hi, e", [(3, 5, 3), (-5, -3, -3), (-1, 2, 0)])
+def test_random_poly_cancelled_draws_stay_in_the_window(ring, t_lo, t_hi, e):
+    # two draws of one term, coefficients 2 and -2, cancel to zero
+    v = [0] * ring.num_group_vars
+    rng = ScriptedRandom([2] + ([t_hi] + v + [2]) + ([t_hi] + v + [-2]))
+    assert random_poly(rng, ring, t_lo=t_lo, t_hi=t_hi, nonzero=True) == TPolynomial.t(ring, e)
+
+
+def test_random_poly_refuses_an_empty_window():
+    with pytest.raises(ValueError):
+        random_poly(ScriptedRandom([]), R0, t_lo=5, t_hi=3)
