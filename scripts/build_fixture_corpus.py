@@ -138,8 +138,8 @@ def main():
         "orbits",
         R0,
         [
-            ClosedOrbit(T, period=1, return_map=[[2, 0], [0, 2]]),
-            ClosedOrbit(T**2, period=1, return_map=[[-2, 0], [0, 3]]),
+            ClosedOrbit(T, return_map=[[2, 0], [0, 2]]),
+            ClosedOrbit(T**2, return_map=[[-2, 0], [0, 3]]),
         ],
     )
 

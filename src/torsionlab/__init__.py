@@ -61,7 +61,6 @@ from .rings import (
     unit_equivalent,
 )
 from .threedim import (
-    CoefficientFunction,
     PathMatrix,
     i3_coefficients,
     path_matrix_det,
@@ -84,7 +83,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BasedChainComplex",
     "ClosedOrbit",
-    "CoefficientFunction",
     "CutSystem",
     "EulerLift",
     "Fixture",

@@ -233,7 +233,7 @@ def _cmd_i3(args, fixture):
     consistent = None
     if sc.novikov is not None:
         consistent = sw_consistency_check(sc.pathmatrix, sc.novikov, k=order)
-    print("offset: %s" % format_tpolynomial(cf.offset))
+    print("offset: %s" % format_tpolynomial(sc.pathmatrix.offset))
     for line in format_truncation(cf):
         print(line)
     if consistent is None:

@@ -486,10 +486,7 @@ def _connecting_sequence(ses, h_sub, h_total, h_quot):
             bnd = ses.total.boundary_into(i)
             for z in h_quot.vectors[i + 1]:
                 lift = [zero_rf] * ses.sub.dims[i + 1] + list(z)
-                if bnd is None:
-                    moved = [zero_rf] * ses.total.dims[i]
-                else:
-                    moved = mat_apply(bnd, lift, zero_rf)
+                moved = mat_apply(bnd, lift, zero_rf)
                 tail = moved[ses.sub.dims[i] :]
                 if any(not entry.is_zero for entry in tail):
                     raise ArithmeticError("connecting image left the subcomplex")

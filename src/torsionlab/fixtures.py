@@ -229,12 +229,17 @@ def _orbit(ring, obj, where):
         _fail(
             "exponent vector needs %d entries" % ring.num_group_vars, where + ".class.v"
         )
-    v = tuple(_int(e, where + ".class.v") for e in v)
+    try:
+        packed = ring.pack(t, [_int(e, where + ".class.v") for e in v])
+    except PreconditionError as exc:
+        _fail(str(exc), where + ".class.v")
 
     def field(key, default):
         return _int(_get(obj, key, where, required=False, default=default), where + "." + key)
 
-    period = field("period", 1)
+    # an orbit is irreducible; the legacy key "period" may only say so
+    if field("period", 1) != 1:
+        _fail("orbit period must be 1", where + ".period")
     # sign 0 defers to the return map; the schema's +-1 is the known case
     sign = field("sign", 0)
     i_minus = field("i_minus", -1)
@@ -246,8 +251,7 @@ def _orbit(ring, obj, where):
     ]
     try:
         return ClosedOrbit(
-            TPolynomial.monomial(ring, t_exp=t, v=v),
-            period=period,
+            TPolynomial._trusted(ring, {packed: 1}),
             eps=sign,
             return_map=tuple(tuple(row) for row in rmap),
             i_minus=i_minus,
@@ -441,7 +445,6 @@ def _serialize_orbits(ring, orbits):
         _, t, v = orbit.homology_class.unit_parts()
         entry = {
             "class": {"t": t, "v": list(v)},
-            "period": orbit.period,
             "sign": orbit.eps,
         }
         if orbit.i_minus >= 0:

@@ -756,7 +756,8 @@ class RationalFunction:
     denominator's lexicographically least monomial sits at the origin, and
     the sign is arranged so that the denominator's least coefficient is
     positive.  No multivariate gcd reduction is attempted; equality is by
-    cross-multiplication.
+    cross-multiplication.  The other operand of its arithmetic is a
+    RationalFunction or an exact polynomial of the same ring.
     """
 
     __slots__ = ("num", "den")
@@ -792,10 +793,6 @@ class RationalFunction:
         return self.num.ring
 
     @classmethod
-    def from_int(cls, ring, n):
-        return cls(TPolynomial.monomial(ring, coeff=n))
-
-    @classmethod
     def zero(cls, ring):
         return cls(TPolynomial.zero(ring))
 
@@ -811,8 +808,6 @@ class RationalFunction:
         return bool(self.num)
 
     def _coerce(self, other):
-        if isinstance(other, int):
-            return RationalFunction.from_int(self.ring, other)
         if _exact(other):
             _check_same_ring(self, other)
             return RationalFunction(other)
@@ -848,9 +843,6 @@ class RationalFunction:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -864,12 +856,6 @@ class RationalFunction:
         if other is None:
             return NotImplemented
         return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
 
     def inverse(self):
         if not self.num:

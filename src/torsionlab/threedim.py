@@ -114,34 +114,9 @@ def path_matrix_det(P):
     return P._det
 
 
-class CoefficientFunction(TPolynomial):
-    """Integer coefficients on homology classes: a truncation plus the
-    torsor offset of the determinant it came from.
-
-    Evaluation divides by the offset first: the stored keys are relative
-    classes, the offset converts an absolute query into a stored key.
-    """
-
-    __slots__ = ("offset",)
-
-    def __init__(self, ring, terms, order, offset=None, min_t=0):
-        self._adopt(TPolynomial(ring, terms, order, min_t), offset)
-
-    def _adopt(self, series, offset):
-        """Take over a truncation's state as is and attach the offset."""
-        if series.order is None:
-            raise PreconditionError("a coefficient function is a truncation")
-        if not series.is_integral():
-            raise ArithmeticError("coefficient function needs integer coefficients")
-        for name in TPolynomial.__slots__:
-            setattr(self, name, getattr(series, name))
-        self.offset = _offset(series.ring, offset)
-        return self
-
-
 def i3_coefficients(zeta, P, k):
-    """Coefficient function of the counting series times det(P), with
-    P.offset as its torsor offset."""
+    """The counting series times det(P), a truncation with integer
+    coefficients, referenced to P.offset as det(P) is."""
     ring = P.ring
     if isinstance(zeta, RationalFunction):
         zeta = expand_series(zeta, k)
@@ -150,16 +125,18 @@ def i3_coefficients(zeta, P, k):
     if zeta.ring != ring:
         raise PreconditionError("mismatched ring specs")
     product = (zeta * path_matrix_det(P)).truncate(min(k, zeta.order))
-    return object.__new__(CoefficientFunction)._adopt(product, P.offset)
+    if not product.is_integral():
+        raise ArithmeticError("i3 coefficients must be integers")
+    return product
 
 
-def t_invariant(cf, cls):
-    """The coefficient of the class cls, a +1 monomial of cf's ring.
-
-    The stored key of an absolute class is the class over cf's offset.
+def t_invariant(cf, offset, cls):
+    """The coefficient of the class cls, a +1 monomial of cf's ring, in
+    cf referenced to offset: the stored key of cls is cls over offset.
     """
+    _monomial_unit(offset, "offset must be a +1 monomial of the ring", cf.ring)
     _monomial_unit(cls, "class must be a +1 monomial of the ring", cf.ring)
-    _, t_exp, v = (cls * _unit_inverse(cf.offset)).unit_parts()
+    _, t_exp, v = (cls * _unit_inverse(offset)).unit_parts()
     return cf.coefficient(t_exp, v)
 
 

@@ -31,7 +31,6 @@ class ClosedOrbit:
     """
 
     homology_class: TPolynomial
-    period: int = 1
     eps: int = 0
     return_map: tuple = ()
     i_minus: int = -1
@@ -41,8 +40,6 @@ class ClosedOrbit:
         parts = _monomial_unit(self.homology_class, "orbit class must be a +1 monomial")
         if parts[1] <= 0:
             raise PreconditionError("orbit class must have positive t-degree")
-        if self.period < 1:
-            raise PreconditionError("orbit period must be positive")
         if self.eps not in (-1, 0, 1):
             raise PreconditionError("orbit sign must be -1, 0 or +1")
         rows = tuple(tuple(row) for row in self.return_map)

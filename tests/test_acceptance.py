@@ -182,7 +182,7 @@ def test_criterion_5_orbit_sum_equals_orbit_product():
                 rng.randint(-1, 1) for _ in range(ring.num_group_vars)
             )
             cls = TPolynomial.monomial(ring, t_exp=rng.randint(1, 3), v=v)
-            orbits.append(ClosedOrbit(cls, period=1, return_map=rmap))
+            orbits.append(ClosedOrbit(cls, return_map=rmap))
         assert zeta_exp(ring, orbits, 12) == expand_series(
             zeta_product(ring, orbits), 12
         )

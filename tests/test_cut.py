@@ -392,7 +392,7 @@ class TestComputeK:
             W=[[[0]]],
         )
         (K1,) = compute_K(cs)
-        assert frac_equal(K1[0][0], RationalFunction.from_int(R0, 2))
+        assert frac_equal(K1[0][0], RationalFunction(TPolynomial.monomial(R0, coeff=2)))
 
     def test_scalar_substitution(self):
         cs = CutSystem(

@@ -10,11 +10,13 @@ import glob
 import json
 import os
 import random
+import runpy
+import sys
 
 import pytest
 
 import torsionlab.fixtures as fixtures_module
-from torsionlab.cli import run_command
+from torsionlab.cli import main, run_command
 from torsionlab.complexes import BasedChainComplex
 from torsionlab.cut import CutSystem, compute_K
 from torsionlab.errors import FixtureError
@@ -27,7 +29,7 @@ from torsionlab.fixtures import (
     serialize_fixture,
 )
 from torsionlab.novikov import NovikovComplex
-from torsionlab.rings import TPolynomial
+from torsionlab.rings import RationalFunction, TPolynomial, series_invert
 
 import oracles
 from conftest import R0, R1, R2
@@ -122,6 +124,61 @@ class TestCorpus:
         b = parse_fixture(fix("broken_dsq.json"))
         assert a == parse_fixture(fix("circle_cw.json"))
         assert a != b
+
+    def test_fixture_never_equals_another_type(self):
+        fixture = parse_fixture(fix("circle_cw.json"))
+        assert fixture.__eq__(fixture.payload) is NotImplemented
+        assert fixture != fixture.payload
+
+    def test_orbit_index_counts_round_trip(self):
+        data = load_data("torus_orbits.json")
+        data["orbits"][0].update(i_minus=0, i_zero=0)
+        data["orbits"][1].update(i_minus=1, i_zero=2)
+        fixture = parse_fixture_data(data)
+        assert [(o.i_minus, o.i_zero) for o in fixture.payload] == [(0, 0), (1, 2)]
+        assert serialize_fixture(fixture) == data
+
+    def test_legacy_period_key_is_read_and_not_written(self):
+        data = load_data("torus_orbits.json")
+        for orbit in data["orbits"]:
+            orbit["period"] = 1
+        fixture = parse_fixture_data(data)
+        assert fixture == parse_fixture(fix("torus_orbits.json"))
+        assert all("period" not in orbit for orbit in serialize_fixture(fixture)["orbits"])
+
+
+T0 = TPolynomial.t(R0)
+
+# pytest's failure messages read these
+REPRS = [
+    (lambda: 1 - 2 * T0 + T0**3, "TPolynomial(1 - 2*t + t^3)", "1 - 2*t + t^3"),
+    (
+        lambda: series_invert(1 - T0, 2),
+        "TPolynomial[0..2](t^0: 1; t^1: 1; t^2: 1)",
+        "TPolynomial[0..2](t^0: 1; t^1: 1; t^2: 1)",
+    ),
+    (
+        lambda: RationalFunction(1 + T0, 1 - T0),
+        "RationalFunction((1 + t) / (1 - t))",
+        "(1 + t) / (1 - t)",
+    ),
+    (
+        lambda: BasedChainComplex(R0, 1, [1, 1], [[[1 - T0]]]),
+        "BasedChainComplex(min_degree=1, dims=[1, 1])",
+        "BasedChainComplex(min_degree=1, dims=[1, 1])",
+    ),
+    (
+        lambda: parse_fixture(fix("circle_cw.json")),
+        "Fixture(kind='complex')",
+        "Fixture(kind='complex')",
+    ),
+]
+
+
+@pytest.mark.parametrize("build, shown, printed", REPRS)
+def test_repr_and_str(build, shown, printed):
+    value = build()
+    assert (repr(value), str(value)) == (shown, printed)
 
 
 class TestSchemaErrors:
@@ -229,6 +286,11 @@ class TestCommandContract:
         )
         assert code == 0
         assert out == "tau: 1 - t + t^2 [canonical]\n"
+
+    @pytest.mark.parametrize("command", ["tau", "tau-hat"])
+    def test_torsion_of_a_scenario_novikov_section(self, capsys, command):
+        code, out, err = invoke(capsys, command, "--fixture", fix("catmap_scenario.json"))
+        assert (code, out, err) == (0, "%s: 1 [canonical]\n" % command, "")
 
     def test_verify_main_circle(self, capsys):
         code, out, _ = invoke(
@@ -483,8 +545,34 @@ class TestCommandContract:
             "det(P) consistent with tau(CN): OK",
         ]
 
+    def test_i3_from_orbits_without_a_novikov_section(self, capsys, tmp_path):
+        # zeta from the orbits' Euler product, det(P) = 1 for the empty
+        # path matrix, and no consistency line without a novikov section
+        catmap = load_data("catmap_scenario.json")
+        data = {
+            "kind": "scenario",
+            "ring": catmap["ring"],
+            "pathmatrix": catmap["pathmatrix"],
+            "orbits": {"orbits": load_data("torus_orbits.json")["orbits"]},
+        }
+        path = write_json(tmp_path, "torus_i3.json", data)
+        code, out, err = invoke(capsys, "i3", "--fixture", path, "--order", "4")
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["offset: 1", "t^0: 1", "t^1: 1", "t^4: 1"]
+
+    @pytest.mark.filterwarnings("ignore:'torsionlab.cli' found in sys.modules")
+    def test_main_and_the_module_guard(self, capsys, monkeypatch):
+        argv = ["torsionlab", "tau", "--fixture", fix("circle_cw.json")]
+        monkeypatch.setattr(sys, "argv", argv)
+        assert main() == 0
+        assert capsys.readouterr().out == "tau: (1 - t)^-1 [canonical]\n"
+        with pytest.raises(SystemExit) as info:
+            runpy.run_module("torsionlab.cli", run_name="__main__")
+        assert info.value.code == 0
+        assert capsys.readouterr().out == "tau: (1 - t)^-1 [canonical]\n"
+
     def test_i3_takes_one_determinant(self, capsys, monkeypatch):
-        # the coefficient function and the consistency check share det(P),
+        # the i3 coefficients and the consistency check share det(P),
         # which the path matrix keeps
         import torsionlab.threedim as threedim
 
@@ -663,6 +751,79 @@ class TestCutSystemReports:
         assert line in err
 
 
+DELETE = object()
+
+
+def changed(data, path, value):
+    """data with the node at path (keys and list indices) set to value, or
+    deleted when value is DELETE; the empty path replaces data itself."""
+    if not path:
+        return value
+    holder = data
+    for key in path[:-1]:
+        holder = holder[key]
+    if value is DELETE:
+        del holder[path[-1]]
+    else:
+        holder[path[-1]] = value
+    return data
+
+
+# a fixture, the changes made to its data, the JSON path after the file
+# name where the parser refuses the result, and its message
+PARSE_REFUSALS = {
+    "not an object": ("circle_cw.json", [((), [])], "", "expected an object"),
+    "missing kind": ("circle_cw.json", [(("kind",), DELETE)], "", 'missing "kind"'),
+    "kind, not a string": ("circle_cw.json", [(("kind",), 5)], ".kind", "expected a string"),
+    "group_vars, not a list": (
+        "circle_cw.json", [(("ring", "group_vars"), "v")], ".ring.group_vars", "expected a list",
+    ),
+    "ring, duplicate names": (
+        "circle_cw.json", [(("ring", "group_vars"), ["v", "v"])], ".ring",
+        "duplicate group variable names",
+    ),
+    "ring, t clashes": (
+        "circle_cw.json", [(("ring", "group_vars"), ["t"])], ".ring",
+        "t variable clashes with a group variable",
+    ),
+    "entry, not a term list": (
+        "circle_cw.json", [(("boundaries", 0, 0, 0), 5)], ".boundaries[0][0][0]",
+        "expected a list",
+    ),
+    "complex refuses its parts": (
+        "circle_cw.json", [(("dims",), [1, -1])], "", "negative module dimension",
+    ),
+    "offset coefficient": (
+        "trefoil_pathmatrix.json", [(("offset", "c"), 2)], ".offset",
+        "offset term must have c = 1",
+    ),
+    "offsets, one per generator": (
+        "trefoil_novikov.json", [(("offsets", 1), DELETE)], ".offsets",
+        "need one offset per generator",
+    ),
+    "orbit class, arity": (
+        "torus_orbits.json", [(("orbits", 0, "class", "v"), [0])], ".orbits[0].class.v",
+        "exponent vector needs 0 entries",
+    ),
+    # the class is packed where it is read, like every term's v
+    "orbit class, exponent range": (
+        "torus_orbits.json",
+        [
+            (("ring", "group_vars"), ["v"]),
+            (("orbits", 0, "class", "v"), [0]),
+            (("orbits", 1, "class", "v"), [2**40]),
+        ],
+        ".orbits[1].class.v",
+        "group exponent 1099511627776 is outside the packed range |e| < 2^31",
+    ),
+    # an orbit is irreducible: the legacy key may only say period 1
+    "orbit period": (
+        "torus_orbits.json", [(("orbits", 1, "period"), 3)], ".orbits[1].period",
+        "orbit period must be 1",
+    ),
+}
+
+
 class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
         code, _, err = invoke(capsys, "frobnicate")
@@ -702,6 +863,42 @@ class TestExitCodes:
         code, _, err = invoke(capsys, "i3", "--fixture", fix("circle_scenario.json"))
         assert code == 4
         assert "pathmatrix" in err
+
+    # each command on the catmap scenario cut down to the kept sections
+    @pytest.mark.parametrize(
+        "argv, kept, message",
+        [
+            (["tau"], ["pathmatrix"], "fixture carries no complex to take torsion of"),
+            (["zeta", "--method", "exp"], ["returnmaps"], "scenario lacks a orbits section"),
+            (["verify-main"], ["cutsystem"], "verify-main needs cutsystem and novikov sections"),
+            (["check-k"], ["novikov"], "check-k needs cutsystem and novikov sections"),
+            (
+                ["i3"],
+                ["pathmatrix", "novikov"],
+                "scenario lacks a returnmaps or orbits section",
+            ),
+        ],
+    )
+    def test_missing_scenario_section_is_code_4(self, capsys, tmp_path, argv, kept, message):
+        data = load_data("catmap_scenario.json")
+        for key in fixtures_module._SECTIONS:
+            if key not in kept:
+                data.pop(key, None)
+        path = write_json(tmp_path, "catmap_cut_down.json", data)
+        code, out, err = invoke(capsys, *argv, "--fixture", path)
+        assert (code, out) == (4, "")
+        assert err == "precondition failed: %s\n" % message
+
+    @pytest.mark.parametrize("case", sorted(PARSE_REFUSALS))
+    def test_parse_refusal_is_code_3_at_its_node(self, capsys, tmp_path, case):
+        name, changes, where, message = PARSE_REFUSALS[case]
+        data = load_data(name)
+        for path, value in changes:
+            data = changed(data, path, value)
+        path = write_json(tmp_path, name, data)
+        code, out, err = invoke(capsys, "validate", "--fixture", path)
+        assert (code, out) == (3, "")
+        assert err == "fixture error: %s%s: %s\n" % (name, where, message)
 
     def test_negative_order_is_code_4(self, capsys):
         code, _, err = invoke(

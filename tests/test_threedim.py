@@ -12,7 +12,6 @@ from torsionlab.rings import (
     expand_series,
 )
 from torsionlab.threedim import (
-    CoefficientFunction,
     PathMatrix,
     i3_coefficients,
     path_matrix_det,
@@ -177,9 +176,10 @@ class TestI3Coefficients:
     def test_unit_counting_factor(self):
         cf = i3_coefficients(trunc_one(6), PathMatrix(R0, [[ONE - T]]), 6)
         assert cf.terms == {(0, ()): 1, (1, ()): -1}
-        assert t_invariant(cf, ONE) == 1
-        assert t_invariant(cf, T) == -1
-        assert t_invariant(cf, T**4) == 0
+        assert (cf.order, cf.min_t) == (6, 0)
+        assert t_invariant(cf, ONE, ONE) == 1
+        assert t_invariant(cf, ONE, T) == -1
+        assert t_invariant(cf, ONE, T**4) == 0
 
     def test_geometric_factor_cancels(self):
         zeta = RationalFunction(ONE, ONE - T)
@@ -205,18 +205,10 @@ class TestI3Coefficients:
         with pytest.raises(PreconditionError):
             i3_coefficients(trunc_one(3), P, 3)
 
-    def test_stored_window_checked(self):
-        with pytest.raises(PreconditionError):
-            CoefficientFunction(R0, {(5, ()): 1}, 3)
-        with pytest.raises(PreconditionError):
-            CoefficientFunction(R0, {(0, (1,)): 1}, 3)
-
     def test_fractional_coefficients_rejected(self):
         halves = TPolynomial(R0, {(1, ()): Fraction(1, 2), (2, ()): Fraction(3, 2)}, 2)
-        with pytest.raises(ArithmeticError):
+        with pytest.raises(ArithmeticError, match="i3 coefficients must be integers"):
             i3_coefficients(halves, PathMatrix(R0, [[ONE]]), 2)
-        with pytest.raises(ArithmeticError):
-            CoefficientFunction(R0, {(1, ()): Fraction(1, 2)}, 2)
         whole = TPolynomial(R0, {(1, ()): Fraction(4, 2)}, 2)
         cf = i3_coefficients(whole, PathMatrix(R0, [[ONE]]), 2)
         assert cf.terms == {(1, ()): 2} and type(cf.terms[(1, ())]) is int
@@ -226,14 +218,14 @@ class TestTInvariant:
     def test_window_error(self):
         cf = i3_coefficients(CATMAP_ZETA, PathMatrix(R0, []), 2)
         with pytest.raises(PreconditionError):
-            t_invariant(cf, T**3)
+            t_invariant(cf, ONE, T**3)
 
     def test_offset_shifts_queries(self):
         P = PathMatrix(R0, [[ONE - T]], offset=T)
         cf = i3_coefficients(trunc_one(4), P, 4)
-        assert t_invariant(cf, T) == 1
-        assert t_invariant(cf, T**2) == -1
-        assert t_invariant(cf, ONE) == 0
+        assert t_invariant(cf, P.offset, T) == 1
+        assert t_invariant(cf, P.offset, T**2) == -1
+        assert t_invariant(cf, P.offset, ONE) == 0
 
     def test_group_direction_resolves(self):
         u = TPolynomial.monomial(R1, t_exp=0, v=(1,))
@@ -243,8 +235,8 @@ class TestTInvariant:
             P,
             3,
         )
-        assert t_invariant(cf, t_to(1, R1, (1,))) == -1
-        assert t_invariant(cf, t_to(1, R1, (0,))) == 0
+        assert t_invariant(cf, P.offset, t_to(1, R1, (1,))) == -1
+        assert t_invariant(cf, P.offset, t_to(1, R1, (0,))) == 0
 
     def test_rebasing_leaves_function_alone(self):
         P = PathMatrix(R0, [[TREFOIL, T], [ZERO, ONE]])
@@ -252,7 +244,7 @@ class TestTInvariant:
         moved = rebase_col(rebase_row(P, 0, T), 1, T)
         cf2 = i3_coefficients(CATMAP_ZETA, moved, 6)
         for e in range(5):
-            assert t_invariant(cf2, T**e) == t_invariant(cf, T**e)
+            assert t_invariant(cf2, moved.offset, T**e) == t_invariant(cf, P.offset, T**e)
 
     @given(st.integers(0, 2), st.integers(0, 1), st.integers(1, 3))
     def test_rebasing_equivariance(self, row_power, which, index_seed):
@@ -262,7 +254,7 @@ class TestTInvariant:
         cf = i3_coefficients(CATMAP_ZETA, P, 8)
         cf2 = i3_coefficients(CATMAP_ZETA, moved, 8)
         for e in range(6):
-            assert t_invariant(cf2, T**e) == t_invariant(cf, T**e)
+            assert t_invariant(cf2, moved.offset, T**e) == t_invariant(cf, P.offset, T**e)
 
 
 class TestConsistencyCheck:

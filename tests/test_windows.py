@@ -18,8 +18,8 @@ must match it:
 * two values are equal when they agree through the smaller order.
 
 Entry points that need an exact polynomial refuse a truncation with the
-message they give any other non-polynomial; series_invert and
-CoefficientFunction, which took one silently, refuse it with their own.
+message they give any other non-polynomial; series_invert, which took
+one silently, refuses it with its own.
 """
 
 from fractions import Fraction
@@ -34,7 +34,6 @@ from torsionlab.errors import PreconditionError
 from torsionlab.novikov import EulerLift, NovikovComplex
 from torsionlab.rings import RationalFunction, TPolynomial, series_invert
 from torsionlab.threedim import (
-    CoefficientFunction,
     PathMatrix,
     rebase_col,
     rebase_row,
@@ -335,8 +334,8 @@ EXACT_ONLY = {
         lambda: PathMatrix(R0, [[ONE]], offset=FOREIGN_T),
         PreconditionError, "offset must be a \\+1 monomial of the ring",
     ),
-    "coefficient function offset": (
-        lambda: CoefficientFunction(R0, {(0, ()): 1}, 3, offset=TRUNC_T),
+    "t_invariant offset": (
+        lambda: t_invariant(UNIT, TRUNC_T, T),
         PreconditionError, "offset must be a \\+1 monomial of the ring",
     ),
     "lift offset": (
@@ -352,7 +351,7 @@ EXACT_ONLY = {
         PreconditionError, "lift offsets do not match the generators",
     ),
     "t_invariant class": (
-        lambda: t_invariant(CoefficientFunction(R0, {(0, ()): 1}, 3), TRUNC_T),
+        lambda: t_invariant(UNIT, ONE, TRUNC_T),
         PreconditionError, "class must be a \\+1 monomial of the ring",
     ),
     "orbit class": (
@@ -362,10 +361,6 @@ EXACT_ONLY = {
     "series_invert": (
         lambda: series_invert(TRUNC, 5),
         PreconditionError, "series_invert needs an exact polynomial",
-    ),
-    "coefficient function": (
-        lambda: CoefficientFunction(R0, {(0, ()): 1}, None),
-        PreconditionError, "a coefficient function is a truncation",
     ),
     "rational numerator": (
         lambda: RationalFunction(TRUNC),
@@ -385,6 +380,14 @@ EXACT_ONLY = {
     ),
     "rational plus truncation": (
         lambda: RationalFunction(ONE) + TRUNC,
+        TypeError, "unsupported operand",
+    ),
+    "rational minus truncation": (
+        lambda: RationalFunction(ONE) - TRUNC,
+        TypeError, "unsupported operand",
+    ),
+    "rational over truncation": (
+        lambda: RationalFunction(ONE) / TRUNC,
         TypeError, "unsupported operand",
     ),
 }

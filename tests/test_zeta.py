@@ -31,8 +31,8 @@ CAT_MAP = [[2, 1], [1, 1]]
 
 def torus_orbit_pair():
     t = TPolynomial.t(R0)
-    expanding = ClosedOrbit(t, period=1, return_map=[[2, 0], [0, 2]])
-    flipped = ClosedOrbit(t**2, period=1, return_map=[[-2, 0], [0, 3]])
+    expanding = ClosedOrbit(t, return_map=[[2, 0], [0, 2]])
+    flipped = ClosedOrbit(t**2, return_map=[[-2, 0], [0, 3]])
     return [expanding, flipped]
 
 
@@ -45,8 +45,6 @@ class TestOrbitData:
             ClosedOrbit(2 * t)
         with pytest.raises(PreconditionError):
             ClosedOrbit(1 + t)
-        with pytest.raises(PreconditionError):
-            ClosedOrbit(t, period=0)
         with pytest.raises(PreconditionError):
             ClosedOrbit(t, return_map=[[1, 0]])
         with pytest.raises(PreconditionError, match="square integer matrix"):
