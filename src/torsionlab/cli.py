@@ -123,7 +123,7 @@ def _scenario_part(fixture, name):
     if fixture.kind == "scenario":
         part = getattr(fixture.payload, name)
         if part is None:
-            raise PreconditionError("scenario lacks a %s section" % name)
+            raise PreconditionError("scenario has no %s section" % name)
         return part
     return fixture.payload
 
@@ -222,13 +222,13 @@ def _cmd_i3(args, fixture):
     order = _order_for(args, fixture)
     sc = fixture.payload
     if sc.pathmatrix is None:
-        raise PreconditionError("scenario lacks a pathmatrix section")
+        raise PreconditionError("scenario has no pathmatrix section")
     if sc.returnmaps is not None:
         zeta = zeta_lefschetz(fixture.ring, sc.returnmaps)
     elif sc.orbits is not None:
         zeta = zeta_product(fixture.ring, sc.orbits)
     else:
-        raise PreconditionError("scenario lacks a returnmaps or orbits section")
+        raise PreconditionError("scenario has no returnmaps or orbits section")
     cf = i3_coefficients(zeta, sc.pathmatrix, order)
     consistent = None
     if sc.novikov is not None:

@@ -55,7 +55,7 @@ class BasedChainComplex:
                 for entry in row:
                     if not _exact(entry):
                         raise PreconditionError("boundary entries must be polynomial")
-                    if entry.ring != ring:
+                    if entry.ring is not ring and entry.ring != ring:
                         raise PreconditionError("mismatched ring specs")
             checked.append([list(row) for row in mat])
         if labels is not None:

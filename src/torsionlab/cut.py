@@ -72,8 +72,11 @@ class CutSystem:
             _check_block(M[i - 1], sigma.dims[i - 1], crit_dims[i], "M_%d" % i)
             _check_block(W[i - 1], crit_dims[i - 1], sigma.dims[i - 1], "W_%d" % i)
         ring = sigma.ring
+        # sigma's entries are polynomials over its ring, as BasedChainComplex
+        # checked; they only have to be t-free
         for j, mat in enumerate(sigma.boundaries):
-            _plain_matrix(ring, mat, "sigma boundary %d" % (j + 1))
+            if not all(entry.is_t_free() for row in mat for entry in row):
+                raise PreconditionError("sigma boundary %d entries must not involve t" % (j + 1))
         self.sigma = sigma
         self.phi = [_plain_matrix(ring, mat, "block phi_%d" % i) for i, mat in enumerate(phi)]
         self.crit_dims = crit_dims

@@ -5,6 +5,11 @@ Terms are {"c": int, "t": int, "v": [int]}, polynomials are term lists,
 matrices are row-major lists of polynomial rows.  Nested complex objects
 may repeat the ring spec; when they do, it has to agree with the file's.
 Parsing reports a JSON-path location with every failure.
+
+Each term list is checked and packed in one sweep (_sweep); the first
+term that fails a check is refused at its own path by the per-term
+_term.  Cut-block and return-map entries are read in plain form, as
+zeta._plain_matrix keeps them: a constant entry is an int.
 """
 
 import json
@@ -105,31 +110,80 @@ def _bad_field(obj, key, message, at):
     _fail(message, "%s.%s" % (_path(at), key))
 
 
-def _poly(ring, data, *at):
-    """The polynomial of a term list at the location at (see _term)."""
-    if type(data) is not list:
-        _fail("expected a list", _path(at))
-    terms = {}
-    for i, item in enumerate(data):
-        c, key = _term(ring, item, *at, i)
-        s = terms.pop(key, 0) + c
-        if s:
-            terms[key] = s
-    return TPolynomial._trusted(ring, terms)
+def _ints(v):
+    """Whether every item of the list v is an int, bool excluded."""
+    for e in v:
+        if type(e) is not int:
+            return False
+    return True
 
 
-def _matrix(ring, data, where):
+def _sweep(ring, lists, entry, at):
+    """[entry(ring, terms) for each term list in lists], terms the list's
+    summed {packed key: c} with zero sums dropped; list k sits at the
+    location at(k) (a tuple, see _path).
+
+    One sweep: each term is type-checked inline and packed by ring.pack.
+    A term that fails an inline check goes to _term, whose checks they are,
+    so it is refused at its own path with _term's message; an exponent that
+    pack refuses is refused at the term's .v, as _term refuses it."""
+    pack = ring.pack
+    b = len(ring.var_names)
+    out = []
+    for k, data in enumerate(lists):
+        if type(data) is not list:
+            _fail("expected a list", _path(at(k)))
+        terms = {}
+        try:
+            for i, item in enumerate(data):
+                if (
+                    type(item) is dict
+                    and type(c := item.get("c")) is int
+                    and type(t := item.get("t")) is int
+                    and type(v := item.get("v")) is list
+                    and len(v) == b
+                    and (not b or _ints(v))
+                ):
+                    key = pack(t, v)
+                else:
+                    c, key = _term(ring, item, *at(k), i)
+                s = terms.pop(key, 0) + c
+                if s:
+                    terms[key] = s
+        except PreconditionError as exc:
+            _fail(str(exc), _path((*at(k), i)) + ".v")
+        out.append(entry(ring, terms))
+    return out
+
+
+def _poly(ring, data, where):
+    """The polynomial of the term list at where."""
+    return _sweep(ring, [data], TPolynomial._trusted, lambda k: (where,))[0]
+
+
+def _plain(ring, terms):
+    """A t-free block entry in plain form, as zeta._plain_matrix keeps it:
+    an int when the terms are constant (no key but the origin's, 0), else
+    their polynomial, which CutSystem or the zeta routes check for t."""
+    c = terms.get(0, 0)
+    return c if len(terms) == (1 if c else 0) else TPolynomial._trusted(ring, terms)
+
+
+def _matrix(ring, data, where, entry=TPolynomial._trusted):
+    """A matrix of term lists, each entry made by entry(ring, terms): a
+    polynomial by default, a plain block entry with entry=_plain."""
     rows = []
     for i, row in enumerate(_list(data, where)):
         if type(row) is not list:
             _fail("expected a list", "%s[%d]" % (where, i))
-        rows.append([_poly(ring, entry, where, i, j) for j, entry in enumerate(row)])
+        rows.append(_sweep(ring, row, entry, lambda j, i=i: (where, i, j)))
     return rows
 
 
-def _matrices(ring, data, where):
+def _matrices(ring, data, where, entry=TPolynomial._trusted):
     return [
-        _matrix(ring, m, "%s[%d]" % (where, i)) for i, m in enumerate(_list(data, where))
+        _matrix(ring, m, "%s[%d]" % (where, i), entry)
+        for i, m in enumerate(_list(data, where))
     ]
 
 
@@ -267,18 +321,18 @@ def _orbits(ring, obj, where):
 
 
 def _returnmaps(ring, obj, where):
-    return _matrices(ring, _get(obj, "phi", where), where + ".phi")
+    return _matrices(ring, _get(obj, "phi", where), where + ".phi", _plain)
 
 
 def _cutsystem(ring, obj, where):
     sigma = _complex(ring, _get(obj, "sigma", where), where + ".sigma")
-    phi = _matrices(ring, _get(obj, "phi", where), where + ".phi")
+    phi = _matrices(ring, _get(obj, "phi", where), where + ".phi", _plain)
     crit = [
         _int(d, where + ".crit_dims")
         for d in _list(_get(obj, "crit_dims", where), where + ".crit_dims")
     ]
     blocks = {
-        name: _matrices(ring, _get(obj, name, where), where + "." + name)
+        name: _matrices(ring, _get(obj, name, where), where + "." + name, _plain)
         for name in ("N", "M", "W")
     }
     return _build(CutSystem, where, sigma, phi, crit, blocks["N"], blocks["M"], blocks["W"])

@@ -101,4 +101,4 @@ def invariant_I(zeta, tau_cn):
         return zeta * tau_cn
     if isinstance(zeta, TPolynomial) and zeta.order is not None:
         return zeta * expand_series(tau_cn, zeta.order)
-    raise PreconditionError("counting function must be exact or a truncation")
+    raise PreconditionError("counting function must be a RationalFunction or a truncation")

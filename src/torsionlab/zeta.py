@@ -208,16 +208,17 @@ def zeta_product(ring, orbits):
 def _map_entry(ring, entry, name):
     """A t-free entry in plain form: an int when constant, else a t-free
     ring element; anything else is refused in the words of name."""
+    # a plain int first: the parser leaves every constant block entry one
+    if type(entry) is int or isinstance(entry, int) and not isinstance(entry, bool):
+        return entry
     if _exact(entry):
-        if entry.ring != ring:
+        if entry.ring is not ring and entry.ring != ring:
             raise PreconditionError("mismatched ring specs")
         if not entry.is_t_free():
             raise PreconditionError("%s entries must not involve t" % name)
         # a constant has no term but (possibly) the one at the origin
         c = entry.coefficient(0)
         return c if len(entry) == (1 if c else 0) else entry
-    if isinstance(entry, int) and not isinstance(entry, bool):
-        return entry
     raise PreconditionError("%s entries must be integers or t-free polynomials" % name)
 
 

@@ -27,6 +27,7 @@ from torsionlab.fixtures import (
     parse_fixture_data,
     save_fixture,
     serialize_fixture,
+    serialize_ring,
 )
 from torsionlab.novikov import NovikovComplex
 from torsionlab.rings import RationalFunction, TPolynomial, series_invert
@@ -797,6 +798,17 @@ PARSE_REFUSALS = {
         "trefoil_pathmatrix.json", [(("offset", "c"), 2)], ".offset",
         "offset term must have c = 1",
     ),
+    # a single term is packed where it is read, as a term list's terms are
+    "offset, exponent range": (
+        "trefoil_pathmatrix.json",
+        [
+            (("ring", "group_vars"), ["v"]),
+            (("P",), [[[]]]),
+            (("offset", "v"), [-(2**40)]),
+        ],
+        ".offset.v",
+        "group exponent -1099511627776 is outside the packed range |e| < 2^31",
+    ),
     "offsets, one per generator": (
         "trefoil_novikov.json", [(("offsets", 1), DELETE)], ".offsets",
         "need one offset per generator",
@@ -869,13 +881,13 @@ class TestExitCodes:
         "argv, kept, message",
         [
             (["tau"], ["pathmatrix"], "fixture carries no complex to take torsion of"),
-            (["zeta", "--method", "exp"], ["returnmaps"], "scenario lacks a orbits section"),
+            (["zeta", "--method", "exp"], ["returnmaps"], "scenario has no orbits section"),
             (["verify-main"], ["cutsystem"], "verify-main needs cutsystem and novikov sections"),
             (["check-k"], ["novikov"], "check-k needs cutsystem and novikov sections"),
             (
                 ["i3"],
                 ["pathmatrix", "novikov"],
-                "scenario lacks a returnmaps or orbits section",
+                "scenario has no returnmaps or orbits section",
             ),
         ],
     )
@@ -1128,7 +1140,8 @@ class TestFixtureResolution:
 # ---- parser fuzz: one corrupted node, located by its JSON path ----
 
 # fixture -> (command that loads it, where its polynomials sit: a dotted key
-# and whether it holds a list of matrices or one term list)
+# and whether it holds a list of matrices or one term list; a novikov
+# complex's offsets are a list of single terms, so they fuzz as one)
 FUZZ_FIXTURES = {
     "trefoil_surgery_cw.json": (["tau"], {"boundaries": "matrices"}),
     "stabilized_cut.json": (
@@ -1136,18 +1149,20 @@ FUZZ_FIXTURES = {
         {key: "matrices" for key in ("sigma.boundaries", "phi", "N", "M", "W")},
     ),
     "rational_sample.json": (["canon", "--order", "5"], {"num": "poly", "den": "poly"}),
+    "catmap_returnmaps.json": (["zeta", "--method", "lefschetz"], {"phi": "matrices"}),
+    "trefoil_novikov.json": (["tau"], {"boundaries": "matrices", "offsets": "poly"}),
 }
 FUZZ_CASES = [
     (name, corruption)
     for name, (_, fields) in sorted(FUZZ_FIXTURES.items())
-    for corruption in ("drop", "bad_int", "v_length", "huge", "row", "term")
-    if corruption != "row" or "matrices" in fields.values()
+    for corruption in ("drop", "bad_int", "v_length", "huge", "row", "entry", "term")
+    if corruption not in ("row", "entry") or "matrices" in fields.values()
 ]
 
 
 def fuzz_nodes(name, data):
-    """(kind, JSON path, container, index) of every term and matrix row,
-    with the path spelled as the parser reports it."""
+    """(kind, JSON path, container, index) of every term, matrix row and
+    matrix entry, with the path spelled as the parser reports it."""
     nodes = []
 
     def poly(terms, path):
@@ -1166,6 +1181,7 @@ def fuzz_nodes(name, data):
             for r, row in enumerate(matrix):
                 nodes.append(("row", "%s[%d][%d]" % (where, i, r), matrix, r))
                 for c, entry in enumerate(row):
+                    nodes.append(("entry", "%s[%d][%d][%d]" % (where, i, r, c), row, c))
                     poly(entry, "%s[%d][%d][%d]" % (where, i, r, c))
     return nodes
 
@@ -1185,12 +1201,15 @@ def corrupt(rng, name, data, corruption):
     """Corrupt one seeded node of data in place; return the location and
     the message the parser must report."""
     b = len(data["ring"]["group_vars"])
-    want = "row" if corruption == "row" else "term"
+    want = corruption if corruption in ("row", "entry") else "term"
     _, path, container, index = rng.choice(
         [node for node in fuzz_nodes(name, data) if node[0] == want]
     )
     if corruption == "row":
         container[index] = rng.choice([{"c": 1}, 7, "row", None])
+        return path, "expected a list"
+    if corruption == "entry":
+        container[index] = rng.choice([3, {}, None])
         return path, "expected a list"
     if corruption == "term":
         container[index] = rng.choice([[1, 0, []], 3, "term", None])
@@ -1238,3 +1257,52 @@ class TestParserFuzz:
         code, out, err = invoke(capsys, command[0], "--fixture", os.fspath(path), *command[1:])
         assert (code, out) == (3, "")
         assert err == "fixture error: %s: %s\n" % (location, message)
+
+
+# ---- the term sweep: summed terms, plain block entries ----
+
+EDGE = 2**31 - 1  # the largest group exponent a packed key holds
+
+
+def random_term_list(rng, ring):
+    """A seeded term list over ring with repeated and cancelling terms and
+    exponents at the edge of the packed range, with its summed terms
+    {(t, v): c}.  The monomials are few, and often only the constant one,
+    so that sums collide, cancel and come out constant."""
+    exponents = [0, 1, -1, EDGE, -EDGE]
+    monomials = [(0, ring.zero_v())] + [
+        (rng.choice(exponents), tuple(rng.choice(exponents) for _ in ring.var_names))
+        for _ in range(rng.randrange(3))
+    ]
+    terms, sums = [], {}
+    for _ in range(rng.randrange(7)):
+        t, v = rng.choice(monomials)
+        c = rng.choice([1, -1, 2, -3, 2**70])
+        for a in [c, -c] if rng.random() < 0.3 else [c]:
+            terms.append({"c": a, "t": t, "v": list(v)})
+            sums[t, v] = sums.get((t, v), 0) + a
+    return terms, sums
+
+
+class TestTermSweep:
+    """A term list parses to the polynomial of its summed terms; read as a
+    return-map entry, in the plain form cut blocks share, it is the same
+    value, an int exactly when that sum is constant."""
+
+    @pytest.mark.parametrize("seed", range(25))
+    @pytest.mark.parametrize("ring", [R0, R1, R2], ids=["b0", "b1", "b2"])
+    def test_parsed_value_is_the_sum(self, ring, seed):
+        rng = random.Random("sweep:%d:%d" % (ring.num_group_vars, seed))
+        terms, sums = random_term_list(rng, ring)
+        expected = TPolynomial(ring, sums)
+        ring_data = serialize_ring(ring)
+        complex_data = {"kind": "complex", "ring": ring_data, "min_degree": 0, "dims": [1, 1]}
+        value = parse_fixture_data(dict(complex_data, boundaries=[[[terms]]])).payload
+        entry = value.boundaries[0][0][0]
+        assert type(entry) is TPolynomial
+        assert entry.terms == expected.terms
+        maps = parse_fixture_data({"kind": "returnmaps", "ring": ring_data, "phi": [[[terms]]]})
+        plain = maps.payload[0][0][0]
+        constant = all(key == (0, ring.zero_v()) for key, c in sums.items() if c)
+        assert (type(plain) is int) == constant
+        assert plain == expected

@@ -97,6 +97,10 @@ REFUSALS = {
         lambda: CutSystem(POINT, [[[1]]], [0, 0], [], [[[]]], [[]]),
         PreconditionError, "expected 1 N-blocks",
     ),
+    "cut surface, boundary involving t": (
+        lambda: CutSystem(CIRCLE, [[[1]], [[1]]], [0, 0, 0], [[], []], [[[]], [[]]], [[], []]),
+        PreconditionError, "sigma boundary 1 entries must not involve t",
+    ),
     "approx_equal, not a ring value": (
         lambda: approx_equal("1", ONE, 3),
         PreconditionError, "cannot window a str",
@@ -119,7 +123,7 @@ REFUSALS = {
     # novikov, threedim
     "invariant_I, exact polynomial": (
         lambda: invariant_I(ONE, RationalFunction(ONE)),
-        PreconditionError, "counting function must be exact or a truncation",
+        PreconditionError, "counting function must be a RationalFunction or a truncation",
     ),
     "i3 counting factor": (
         lambda: i3_coefficients(ONE, PathMatrix(R0, [[ONE]]), 3),
