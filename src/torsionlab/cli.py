@@ -2,6 +2,11 @@
 
 Exit codes: 0 success, 2 an invariant or identity failed, 3 the fixture
 did not parse, 4 an operation's precondition failed, 64 usage.
+
+Every command reads its payload through _part: the fixture's own, or a
+scenario's section of the kind the command needs.  So a fixture is
+refused in one of two ways: a kind the command does not take, or a
+scenario without the section.
 """
 
 import argparse
@@ -62,24 +67,26 @@ def _build_parser():
     return parser
 
 
-def _want(fixture, *kinds):
-    if fixture.kind not in kinds:
+def _part(fixture, accepts, *kinds):
+    """The payload a command reads: a fixture's own, when its kind is one
+    of accepts, or the first of kinds a scenario has a section of."""
+    if fixture.kind not in accepts:
         raise PreconditionError(
-            "this command needs a %s fixture, got %s" % (" or ".join(kinds), fixture.kind)
+            "this command needs a %s fixture, got %s" % (" or ".join(accepts), fixture.kind)
         )
+    if fixture.kind != "scenario":
+        return fixture.payload
+    for kind in kinds:
+        part = getattr(fixture.payload, kind)
+        if part is not None:
+            return part
+    raise PreconditionError("scenario has no %s section" % " or ".join(kinds))
 
 
 def _lifted_complex(fixture):
     """The complex a torsion command should run on, lift already applied."""
-    if fixture.kind == "complex":
-        return fixture.payload
-    if fixture.kind == "novikov":
-        cn = fixture.payload
-    elif fixture.kind == "scenario" and fixture.payload.novikov is not None:
-        cn = fixture.payload.novikov
-    else:
-        raise PreconditionError("fixture carries no complex to take torsion of")
-    return apply_lift(cn, cn.lift, cn.min_degree)
+    C = _part(fixture, ("complex", "novikov", "scenario"), "novikov")
+    return C if fixture.kind == "complex" else apply_lift(C, C.lift, C.min_degree)
 
 
 def _order_for(args, fixture):
@@ -104,7 +111,6 @@ def _print_value(head, value, order):
 
 
 def _cmd_tau(args, fixture):
-    _want(fixture, "complex", "novikov", "scenario")
     value = torsion_tau(_lifted_complex(fixture))
     if value.is_zero:
         print("tau: undefined (complex is not acyclic)")
@@ -114,38 +120,19 @@ def _cmd_tau(args, fixture):
 
 
 def _cmd_tau_hat(args, fixture):
-    _want(fixture, "complex", "novikov", "scenario")
     value = canonical_mod_units(torsion_tau_hat(_lifted_complex(fixture)))
     return _print_value("tau-hat: %s [canonical]" % format_rational(value), value, args.order)
 
 
-def _scenario_part(fixture, name):
-    if fixture.kind == "scenario":
-        part = getattr(fixture.payload, name)
-        if part is None:
-            raise PreconditionError("scenario has no %s section" % name)
-        return part
-    return fixture.payload
-
-
 def _cmd_zeta(args, fixture):
-    order = _order_for(args, fixture)
-    if args.method in ("exp", "product"):
-        _want(fixture, "orbits", "scenario")
-        orbits = _scenario_part(fixture, "orbits")
-        if args.method == "exp":
-            for line in format_truncation(zeta_exp(fixture.ring, orbits, order)):
-                print(line)
-            return EXIT_OK
-        value = zeta_product(fixture.ring, orbits)
-    else:
-        _want(fixture, "returnmaps", "scenario")
-        maps = _scenario_part(fixture, "returnmaps")
-        if args.method == "trace":
-            for line in format_truncation(zeta_trace(fixture.ring, maps, order)):
-                print(line)
-            return EXIT_OK
-        value = zeta_lefschetz(fixture.ring, maps)
+    kind = "orbits" if args.method in ("exp", "product") else "returnmaps"
+    cycles = _part(fixture, (kind, "scenario"), kind)
+    if args.method in ("exp", "trace"):
+        series = zeta_exp if args.method == "exp" else zeta_trace
+        for line in format_truncation(series(fixture.ring, cycles, _order_for(args, fixture))):
+            print(line)
+        return EXIT_OK
+    value = (zeta_product if kind == "orbits" else zeta_lefschetz)(fixture.ring, cycles)
     return _print_value("zeta: %s" % format_rational(value), value, args.order)
 
 
@@ -165,8 +152,7 @@ def _print_complex(C):
 
 
 def _cmd_assemble(args, fixture):
-    _want(fixture, "cutsystem", "scenario")
-    cs = _scenario_part(fixture, "cutsystem")
+    cs = _part(fixture, ("cutsystem", "scenario"), "cutsystem")
     report = validate_cut_system(cs)
     if report:
         for line in report:
@@ -186,11 +172,9 @@ def _flag(ok):
 
 
 def _cmd_verify_main(args, fixture):
-    _want(fixture, "scenario")
-    sc = fixture.payload
-    if sc.cutsystem is None or sc.novikov is None:
-        raise PreconditionError("verify-main needs cutsystem and novikov sections")
-    report = verify_main_theorem(sc.cutsystem, sc.novikov, order=_order_for(args, fixture))
+    cs = _part(fixture, ("scenario",), "cutsystem")
+    cn = _part(fixture, ("scenario",), "novikov")
+    report = verify_main_theorem(cs, cn, order=_order_for(args, fixture))
     print("zeta: %s" % format_rational(report.zeta))
     print("tau(CN): %s" % _tau_text(report.tau_cn))
     print("tau(X'): %s" % _tau_text(report.direct))
@@ -202,38 +186,29 @@ def _cmd_verify_main(args, fixture):
 
 
 def _cmd_check_k(args, fixture):
-    _want(fixture, "scenario")
-    sc = fixture.payload
-    if sc.cutsystem is None or sc.novikov is None:
-        raise PreconditionError("check-k needs cutsystem and novikov sections")
-    cn = sc.novikov
+    cs = _part(fixture, ("scenario",), "cutsystem")
+    cn = _part(fixture, ("scenario",), "novikov")
     # the comparison stops at the counting boundary's own order, so that
     # is the degree the verdict names
     order = _order_for(args, fixture)
     if cn.order is not None:
         order = min(order, cn.order)
-    ok = check_K_vs_novikov(sc.cutsystem, cn, order)
+    ok = check_K_vs_novikov(cs, cn, order)
     print("K == CN boundary through t^%d: %s" % (order, _flag(ok)))
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
 def _cmd_i3(args, fixture):
-    _want(fixture, "scenario")
     order = _order_for(args, fixture)
+    pm = _part(fixture, ("scenario",), "pathmatrix")
     sc = fixture.payload
-    if sc.pathmatrix is None:
-        raise PreconditionError("scenario has no pathmatrix section")
-    if sc.returnmaps is not None:
-        zeta = zeta_lefschetz(fixture.ring, sc.returnmaps)
-    elif sc.orbits is not None:
-        zeta = zeta_product(fixture.ring, sc.orbits)
-    else:
-        raise PreconditionError("scenario has no returnmaps or orbits section")
-    cf = i3_coefficients(zeta, sc.pathmatrix, order)
+    cycles = _part(fixture, ("scenario",), "returnmaps", "orbits")
+    zeta = (zeta_lefschetz if cycles is sc.returnmaps else zeta_product)(fixture.ring, cycles)
+    cf = i3_coefficients(zeta, pm, order)
     consistent = None
     if sc.novikov is not None:
-        consistent = sw_consistency_check(sc.pathmatrix, sc.novikov, k=order)
-    print("offset: %s" % format_tpolynomial(sc.pathmatrix.offset))
+        consistent = sw_consistency_check(pm, sc.novikov, k=order)
+    print("offset: %s" % format_tpolynomial(pm.offset))
     for line in format_truncation(cf):
         print(line)
     if consistent is None:
@@ -243,8 +218,7 @@ def _cmd_i3(args, fixture):
 
 
 def _cmd_canon(args, fixture):
-    _want(fixture, "rational")
-    value = canonical_mod_units(fixture.payload)
+    value = canonical_mod_units(_part(fixture, ("rational",)))
     return _print_value("canonical: %s" % format_rational(value), value, args.order)
 
 

@@ -277,27 +277,15 @@ def default_homology_basis(C):
     return HomologyBasis(ring, vectors)
 
 
-def torsion_tau_hat(C, h=None):
-    """Torsion weighted by a homology basis, as a RationalFunction with its
-    units; defined for any valid complex.
-
-    It is the torsion of the cone on h (Milnor's acyclic extension): each
-    vector of h in degree j is the boundary of a new generator in degree
-    j + 1, placed after the old ones with a zero row, and the top degree's
-    vectors open a new top degree.  A new generator is its own lift, so
-    each transition matrix of the cone is [image | h | lifts] of C beside
-    an identity block, and the engine's torsion of the cone is tau-hat.
-    """
-    if h is None:
-        h = default_homology_basis(C)
+def _check_homology_basis(C, h):
+    """Refuse a basis that is no homology basis of C, as tau-hat needs it."""
     ring = C.ring
-    ranks = homology_ranks(C)
     if h.ring != ring:
         raise PreconditionError("homology basis is over another ring than the complex")
     counts = h.counts()
     if len(counts) != len(C.dims):
         raise PreconditionError("homology basis has the wrong number of degrees")
-    for j, (have, want) in enumerate(zip(counts, ranks)):
+    for j, (have, want) in enumerate(zip(counts, homology_ranks(C))):
         if have != want:
             raise PreconditionError(
                 "homology basis count mismatch at degree %d" % (C.min_degree + j)
@@ -321,6 +309,27 @@ def torsion_tau_hat(C, h=None):
                 raise PreconditionError(
                     "homology vector is not a cycle at degree %d" % (C.min_degree + j)
                 )
+
+
+def torsion_tau_hat(C, h=None):
+    """Torsion weighted by a homology basis, as a RationalFunction with its
+    units; defined for any valid complex.
+
+    It is the torsion of the cone on h (Milnor's acyclic extension): each
+    vector of h in degree j is the boundary of a new generator in degree
+    j + 1, placed after the old ones with a zero row, and the top degree's
+    vectors open a new top degree.  A new generator is its own lift, so
+    each transition matrix of the cone is [image | h | lifts] of C beside
+    an identity block, and the engine's torsion of the cone is tau-hat.
+    """
+    if h is None:
+        # cycles of the right shape by construction, so nothing to check
+        h = default_homology_basis(C)
+    else:
+        _check_homology_basis(C, h)
+    ring = C.ring
+    counts = h.counts()
+    zero = TPolynomial.zero(ring)
     dims = [d + (counts[j - 1] if j else 0) for j, d in enumerate(C.dims)]
     mats = C.boundaries
     if counts and counts[-1]:
@@ -392,32 +401,18 @@ class ShortExactSequence:
             raise PreconditionError("mismatched bottom degrees")
         if len(sub.dims) != len(total.dims) or len(quotient.dims) != len(total.dims):
             raise PreconditionError("mismatched degree ranges")
-        for a, b, c in zip(sub.dims, quotient.dims, total.dims):
-            if a + b != c:
-                raise PreconditionError("dims do not add up")
-        for j in range(len(total.boundaries)):
-            m = sub.dims[j]
-            mat = total.boundaries[j]
-            for r in range(total.dims[j]):
-                for c in range(total.dims[j + 1]):
-                    entry = mat[r][c]
-                    if r < m and c < sub.dims[j + 1]:
-                        if entry != sub.boundaries[j][r][c]:
-                            raise PreconditionError(
-                                "sub block disagrees at degree %d" % (total.min_degree + j + 1)
-                            )
-                    elif r >= m and c < sub.dims[j + 1]:
-                        if entry:
-                            raise PreconditionError(
-                                "extension is not upper triangular at degree %d"
-                                % (total.min_degree + j + 1)
-                            )
-                    elif r >= m and c >= sub.dims[j + 1]:
-                        if entry != quotient.boundaries[j][r - m][c - sub.dims[j + 1]]:
-                            raise PreconditionError(
-                                "quotient block disagrees at degree %d"
-                                % (total.min_degree + j + 1)
-                            )
+        if any(a + b != c for a, b, c in zip(sub.dims, quotient.dims, total.dims)):
+            raise PreconditionError("dims do not add up")
+        # the sub's rows and columns come first in each degree
+        for j, mat in enumerate(total.boundaries):
+            m, n = sub.dims[j], sub.dims[j + 1]
+            degree = total.min_degree + j + 1
+            if [row[:n] for row in mat[:m]] != sub.boundaries[j]:
+                raise PreconditionError("sub block disagrees at degree %d" % degree)
+            if any(any(row[:n]) for row in mat[m:]):
+                raise PreconditionError("extension is not upper triangular at degree %d" % degree)
+            if [row[n:] for row in mat[m:]] != quotient.boundaries[j]:
+                raise PreconditionError("quotient block disagrees at degree %d" % degree)
         self.sub = sub
         self.total = total
         self.quotient = quotient
@@ -449,55 +444,36 @@ def _class_coords(ring, h_vectors, bnd_into, target):
 
 
 def _connecting_sequence(ses, h_sub, h_total, h_quot):
-    """Homology long exact sequence of the extension, as a based complex."""
-    ring = ses.total.ring
-    n = len(ses.total.dims)
-    zero_rf = RationalFunction.zero(ring)
-    dims = []
-    for i in range(n):
-        dims.append(len(h_quot.vectors[i]))
-        dims.append(len(h_total.vectors[i]))
-        dims.append(len(h_sub.vectors[i]))
-    matrices = []
-    for i in range(n):
-        # map induced on passing to the quotient, landing at slot 3i
-        cols = []
-        for w in h_total.vectors[i]:
-            proj = w[ses.sub.dims[i] :]
-            cols.append(
-                _class_coords(
-                    ring, h_quot.vectors[i], ses.quotient.boundary_into(i), proj
-                )
-            )
-        matrices.append(mat_transpose(cols, dims[3 * i]))
-        # map induced by inclusion, landing at slot 3i+1
-        cols = []
-        for v in h_sub.vectors[i]:
-            embedded = list(v) + [zero_rf] * ses.quotient.dims[i]
-            cols.append(
-                _class_coords(
-                    ring, h_total.vectors[i], ses.total.boundary_into(i), embedded
-                )
-            )
-        matrices.append(mat_transpose(cols, dims[3 * i + 1]))
-        # connecting map from slot 3(i+1) down to 3i+2
-        if i + 1 < n:
-            cols = []
-            bnd = ses.total.boundary_into(i)
-            for z in h_quot.vectors[i + 1]:
-                lift = [zero_rf] * ses.sub.dims[i + 1] + list(z)
-                moved = mat_apply(bnd, lift, zero_rf)
-                tail = moved[ses.sub.dims[i] :]
-                if any(not entry.is_zero for entry in tail):
-                    raise ArithmeticError("connecting image left the subcomplex")
-                head = moved[: ses.sub.dims[i]]
-                cols.append(
-                    _class_coords(
-                        ring, h_sub.vectors[i], ses.sub.boundary_into(i), head
-                    )
-                )
-            matrices.append(mat_transpose(cols, dims[3 * i + 2]))
-    return dims, matrices
+    """Homology long exact sequence of the extension, as a based complex.
+
+    Degree index i gives the slots 3i, 3i+1 and 3i+2: the homology of the
+    quotient, the total and the sub there.  The map into each slot sends
+    a vector of the slot above to its class in the slot's basis: the
+    projection of a total cycle to the quotient, the inclusion of a sub
+    cycle, and the connecting map, the sub block of the boundary of a
+    quotient cycle of degree index i+1 lifted to the total.
+    """
+    sub, total, quot = ses.sub, ses.total, ses.quotient
+    ring = total.ring
+    zero = RationalFunction.zero(ring)
+    # the quotient cycles one degree index up; the top degree has none
+    above = h_quot.vectors[1:] + [[]]
+    dims, matrices = [], []
+    for i, m in enumerate(sub.dims):
+        proj = [w[m:] for w in h_total.vectors[i]]
+        incl = [list(v) + [zero] * quot.dims[i] for v in h_sub.vectors[i]]
+        lifts = [[zero] * sub.dims[i + 1] + list(z) for z in above[i]]
+        conn = [mat_apply(total.boundary_into(i), z, zero)[:m] for z in lifts]
+        for basis, bnd_into, targets in (
+            (h_quot.vectors[i], quot.boundary_into(i), proj),
+            (h_total.vectors[i], total.boundary_into(i), incl),
+            (h_sub.vectors[i], sub.boundary_into(i), conn),
+        ):
+            dims.append(len(basis))
+            cols = [_class_coords(ring, basis, bnd_into, x) for x in targets]
+            matrices.append(mat_transpose(cols, len(basis)))
+    # nothing lies above the top slot, so no map runs into it
+    return dims, matrices[:-1]
 
 
 def product_formula_check(ses, h_sub=None, h_total=None, h_quot=None):

@@ -387,6 +387,28 @@ class TestTauHat:
         assert any(basis.counts())
         assert len(calls) == (0 if with_basis else len(C.boundaries)) + len(cone.boundaries)
 
+    @pytest.mark.parametrize("with_basis", [False, True], ids=["default", "given"])
+    def test_only_a_given_basis_is_checked(self, with_basis, monkeypatch):
+        import torsionlab.complexes as complexes
+
+        # the default vectors are cycles by construction, so only a given
+        # basis pays a cycle test, one per vector: degree 0 is acyclic, so
+        # both vectors sit above the bottom degree
+        t, z = TPolynomial.t(R0), TPolynomial.zero(R0)
+        C = BasedChainComplex(R0, 0, [1, 3], [[[1 - t, z, z]]])
+        basis = default_homology_basis(C)
+        assert basis.counts() == [0, 2]
+        calls = []
+        real = complexes.mat_apply
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(complexes, "mat_apply", counted)
+        torsion_tau_hat(C, basis if with_basis else None)
+        assert len(calls) == (2 if with_basis else 0)
+
     def test_huge_exponent_finishes(self):
         from time import perf_counter
 

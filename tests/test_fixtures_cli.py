@@ -880,10 +880,12 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, kept, message",
         [
-            (["tau"], ["pathmatrix"], "fixture carries no complex to take torsion of"),
+            (["tau"], ["pathmatrix"], "scenario has no novikov section"),
             (["zeta", "--method", "exp"], ["returnmaps"], "scenario has no orbits section"),
-            (["verify-main"], ["cutsystem"], "verify-main needs cutsystem and novikov sections"),
-            (["check-k"], ["novikov"], "check-k needs cutsystem and novikov sections"),
+            (["zeta", "--method", "trace"], ["orbits"], "scenario has no returnmaps section"),
+            (["assemble"], ["novikov"], "scenario has no cutsystem section"),
+            (["verify-main"], ["cutsystem"], "scenario has no novikov section"),
+            (["check-k"], ["novikov"], "scenario has no cutsystem section"),
             (
                 ["i3"],
                 ["pathmatrix", "novikov"],

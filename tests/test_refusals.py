@@ -10,12 +10,7 @@ tests/test_fixtures_cli.py.
 import pytest
 
 import torsionlab.zeta as zeta_module
-from torsionlab.complexes import (
-    BasedChainComplex,
-    HomologyBasis,
-    ShortExactSequence,
-    _connecting_sequence,
-)
+from torsionlab.complexes import BasedChainComplex, ShortExactSequence
 from torsionlab.cut import CutSystem, approx_equal, check_K_vs_novikov
 from torsionlab.errors import PreconditionError
 from torsionlab.linalg import _int_div, mat_apply
@@ -32,6 +27,8 @@ ZERO = TPolynomial.zero(R0)
 POINT = BasedChainComplex(R0, 0, [1], [])
 CIRCLE = BasedChainComplex(R0, 0, [1, 1], [[[1 - T]]])
 EMPTY_PAIR = BasedChainComplex(R0, 0, [0, 0], [[]])
+# one generator in each of degrees 0, 1, 2, with zero boundaries
+STACK = BasedChainComplex(R0, 0, [1, 1, 1], [[[ZERO]], [[ZERO]]])
 # the circle as a cut system: a point with the identity as return map
 CIRCLE_CUT = CutSystem(POINT, [[[1]]], [0, 0], [[]], [[[]]], [[]])
 # two circles, the total complex of the extensions below
@@ -72,17 +69,21 @@ REFUSALS = {
         lambda: extension(circle(1 - T), circle(1 + T)),
         PreconditionError, "quotient block disagrees at degree 1",
     ),
-    # a homology vector of the quotient that is no cycle has a connecting
-    # image outside the sub; product_formula_check refuses it earlier, in
-    # torsion_tau_hat
-    "connecting image": (
-        lambda: _connecting_sequence(
-            ShortExactSequence(EMPTY_PAIR, CIRCLE, CIRCLE),
-            HomologyBasis(R0, [[], []]),
-            HomologyBasis(R0, [[], []]),
-            HomologyBasis(R0, [[], [[ONE]]]),
+    "extension, dims": (
+        lambda: extension(EMPTY_PAIR, circle(1 - T)),
+        PreconditionError, "dims do not add up",
+    ),
+    # degree 1 agrees; the boundary of the sub's generator of degree 2
+    # reaches the quotient's generator of degree 1
+    "extension, lower block above the first degree": (
+        lambda: ShortExactSequence(
+            STACK,
+            BasedChainComplex(
+                R0, 0, [2, 2, 2], [[[ZERO, ZERO], [ZERO, ZERO]], [[ZERO, ZERO], [ONE, ZERO]]]
+            ),
+            STACK,
         ),
-        ArithmeticError, "connecting image left the subcomplex",
+        PreconditionError, "extension is not upper triangular at degree 2",
     ),
     # cut systems
     "cut surface, empty": (
